@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast coverage bench bench-smoke bench-pytest serve-bench serve-smoke serve-shard-smoke plan-check opt-check tv-check isa-roundtrip report demo quickstart analyze lint-zoo clean
+.PHONY: install test test-fast coverage bench bench-smoke bench-pytest serve-bench serve-smoke serve-shard-smoke opt-check tv-check isa-roundtrip report demo quickstart analyze lint-zoo clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -48,9 +48,6 @@ serve-shard-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro serve-bench --network mlp4 \
 		--shards 2 --requests 500 --faults "shard-kill@100" --fault-seed 7
 
-plan-check:
-	PYTHONPATH=src $(PYTHON) -m repro plan-check
-
 # The optimizer's gate: every zoo network at every -O level must stay
 # bit-identical to the frozen legacy reference, and -O2 must strictly beat
 # -O0 on compute instructions and peak buffer liveness.
@@ -63,9 +60,9 @@ opt-check:
 tv-check:
 	PYTHONPATH=src $(PYTHON) -m repro opt-check --tv
 
-# Full artifact round trip: lower + serialize the Tincy YOLO plan, verify
+# Full artifact round trip: compile + serialize the Tincy YOLO plan, verify
 # the encoded form decodes byte-identically and executes bit-identically
-# to the engine (--check), then disassemble + ISA-verify the artifact.
+# to the reference (--check), then disassemble + ISA-verify the artifact.
 isa-roundtrip:
 	PYTHONPATH=src $(PYTHON) -m repro compile --network tincy \
 		--out /tmp/repro-tincy-plan.rpb --check

@@ -10,7 +10,7 @@ Three passes, one finding model (:mod:`repro.analyze.findings`):
   step: *proved safe*, *saturation possible* or *error*.
 * :mod:`repro.analyze.isa` — verification of serialized plan artifacts:
   slot liveness on the decoded instruction stream, content-hash and
-  format-version checks, and the lower→encode→decode round-trip run on
+  format-version checks, and the compile→encode→decode round-trip run on
   every analyzed network.
 * :mod:`repro.analyze.passes` — PASS-* rules re-running the optimizer's
   full ``-O2`` pipeline and re-verifying slot liveness and dataflow
@@ -73,13 +73,13 @@ def analyze_network(
     findings.extend(verify_plan(plan, input_interval=input_interval))
     findings.extend(verdict_findings(prove_plan(plan)))
     try:
-        findings.extend(roundtrip_findings(network, plan))
-        findings.extend(pass_findings(network))
-        # The overflow prover again, over the *optimized* instruction
-        # stream — FUSED chains and split requant halves included.
         from repro.isa.compiler import compile_network
 
         program, _stats = compile_network(network, validate=False)
+        findings.extend(roundtrip_findings(network, program))
+        findings.extend(pass_findings(network))
+        # The overflow prover again, over the *optimized* instruction
+        # stream — FUSED chains and split requant halves included.
         findings.extend(
             verdict_findings(prove_program(program, network), label="-O2 ")
         )

@@ -7,14 +7,14 @@ out — the slot-liveness discipline (no use of an undefined or released
 slot, no silent redefinition, nothing still live at the end but the
 output), the framing pseudo-ops, and the format version.  Given the
 live network it also checks the content hashes, the same comparison
-:func:`repro.isa.lower.bind` enforces at execution time.
+:func:`repro.isa.bind.bind` enforces at execution time.
 
 :func:`verify_artifact` is the byte-level entry point (decode + verify),
 and :func:`roundtrip_findings` is what ``repro analyze`` runs per zoo
-network: lower, encode, decode, verify, then re-run the plan dataflow
-and overflow passes on the plan *reconstructed from the decoded
-artifact* and demand verdicts identical to the directly compiled plan —
-serialization must not be able to change what the analyzers prove.
+network on the compiled ``-O2`` program: encode, decode, verify, demand
+the decoded program equal the encoded one, and demand identical overflow
+verdicts on both — serialization must not be able to change what runs
+or what the analyzers prove.
 
 All rules share the ``ISA-`` prefix in the common
 :class:`~repro.analyze.findings.Finding` model.
@@ -235,7 +235,7 @@ def verify_program(
         )
 
     if network is not None:
-        from repro.isa.lower import cfg_digest, weights_digest
+        from repro.isa.bind import cfg_digest, weights_digest
 
         for label, expected, actual in (
             ("weights", weights_digest(network), program.weights_sha256),
@@ -288,34 +288,22 @@ def verify_artifact(data: bytes, network=None) -> List[Finding]:
     return verify_program(program, network=network)
 
 
-def roundtrip_findings(network, plan, name: str = "") -> List[Finding]:
-    """Serialize *plan*, decode it back, and verify the decoded form.
+def roundtrip_findings(network, program: Program) -> List[Finding]:
+    """Serialize *program*, decode it back, and verify the decoded form.
 
-    Beyond :func:`verify_program`, the plan reconstructed from the
-    decoded artifact is pushed back through the dataflow verifier and
-    the overflow prover; any divergence from the directly compiled
-    plan's findings is an ``ISA-ROUNDTRIP`` error — the serialized form
-    must be analytically indistinguishable from the in-memory one.
+    *program* is what the compiler produced for *network* (``repro
+    analyze`` passes the default ``-O2`` program — what serving runs).
+    A serialization failure, or a decoded program that differs from the
+    one encoded, is an ``ISA-ROUNDTRIP`` error; so is any difference
+    between the overflow prover's verdicts on the two — the serialized
+    form must be analytically indistinguishable from the in-memory one.
     """
-    from repro.analyze.dataflow import verify_plan
-    from repro.analyze.overflow import prove_plan, verdict_findings
+    from repro.analyze.overflow import prove_program
     from repro.isa.encode import decode, encode
-    from repro.isa.lower import (
-        cfg_digest,
-        lower_plan,
-        plan_from_program,
-        weights_digest,
-    )
     from repro.isa.ops import IsaError
 
-    header = name or "program"
+    header = program.network_name or "program"
     try:
-        program = lower_plan(
-            plan,
-            network_name=name,
-            weights_sha256=weights_digest(network),
-            cfg_sha256=cfg_digest(network),
-        )
         decoded = decode(encode(program))
     except IsaError as exc:
         return [
@@ -323,35 +311,31 @@ def roundtrip_findings(network, plan, name: str = "") -> List[Finding]:
                 ERROR,
                 "ISA-ROUNDTRIP",
                 header,
-                f"plan does not survive serialization: {exc}",
+                f"program does not survive serialization: {exc}",
             )
         ]
     findings = verify_program(decoded, network=network)
-    replan = plan_from_program(decoded, network)
-    direct = {
-        (f.rule, f.where, f.message) for f in verify_plan(plan)
-    } | {
-        (f.rule, f.where, f.message)
-        for f in verdict_findings(prove_plan(plan))
-    }
-    decoded_form = {
-        (f.rule, f.where, f.message) for f in verify_plan(replan)
-    } | {
-        (f.rule, f.where, f.message)
-        for f in verdict_findings(prove_plan(replan))
-    }
-    if direct != decoded_form:
-        delta = direct.symmetric_difference(decoded_form)
+    if decoded != program:
         findings.append(
             Finding(
                 ERROR,
                 "ISA-ROUNDTRIP",
                 header,
-                f"dataflow/overflow verdicts differ between the compiled "
-                f"plan and its decoded artifact ({len(delta)} finding(s) "
-                f"changed)",
-                hint="the lowering or the reconstruction dropped plan "
-                "metadata the analyzers depend on",
+                "the decoded program differs from the one encoded",
+                hint="the encoder dropped or the decoder misread a "
+                "program field",
+            )
+        )
+    if prove_program(decoded, network) != prove_program(program, network):
+        findings.append(
+            Finding(
+                ERROR,
+                "ISA-ROUNDTRIP",
+                header,
+                "overflow verdicts differ between the compiled program "
+                "and its decoded artifact",
+                hint="the serialized form dropped metadata the prover "
+                "depends on",
             )
         )
     return sort_findings(findings)

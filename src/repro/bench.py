@@ -82,21 +82,21 @@ def bench_per_layer(
     repeats: int = 2,
     rng: Optional[np.random.Generator] = None,
 ) -> List[Dict]:
-    """Single-frame per-step milliseconds via the engine (min over repeats).
+    """Single-frame per-step milliseconds via the VM (min over repeats).
 
-    Runs a batch of 1 through the compiled plan's instrumented executor —
-    the same path production inference takes — and reports, per step, the
-    best wall time plus the plan's resource tag, per-frame op count, and
+    Runs a batch of 1 through the network's instrumented ``-O1`` VM — one
+    whole instruction per layer, with liveness — and reports, per step,
+    the best wall time plus the resource tag, per-frame op count, and
     output-buffer bytes.
     """
     rng = rng or np.random.default_rng(0)
     x = FeatureMap(rng.normal(size=network.input_shape).astype(np.float32))
     fmb = FeatureMapBatch(x.data[np.newaxis, ...], x.scale)
-    executor = network.executor()
+    vm = network.vm(1)
     best: Optional[List[float]] = None
     for _ in range(max(1, repeats)):
-        executor.run(fmb)
-        report = executor.last_report
+        vm.run(fmb)
+        report = vm.last_report
         walls = [stats.wall_s for stats in report.steps]
         best = walls if best is None else [min(a, b) for a, b in zip(best, walls)]
     return [
@@ -198,7 +198,7 @@ def bench_plan_cache(
     try:
         cache = isa.PlanCache(directory)
         miss_s = _best_of(
-            lambda: isa.lower_network(network, name=name), max(1, repeats)
+            lambda: isa.frontend(network, name=name), max(1, repeats)
         )
         program, hit = cache.get_or_compile(network, name=name)
         key = isa.plan_cache_key(

@@ -10,8 +10,8 @@ exposes the reproduction's equivalents:
 * ``python -m repro folding [--device ...]`` — FINN folding search
 * ``python -m repro bench [--output BENCH_inference.json]`` — throughput bench
 * ``python -m repro serve-bench [--output BENCH_serve.json]`` — serving bench
-* ``python -m repro plan-check`` — engine-vs-legacy bit-identity + liveness
-* ``python -m repro opt-check`` — O0-vs-O2 bit-identity + strict-improvement gate
+* ``python -m repro opt-check`` — every -O level vs the reference oracle,
+  plus the O2-beats-O0 strict-improvement gate
 * ``python -m repro compile -O2 --out plan.rpb`` — compile + optimize a plan
 * ``python -m repro disasm plan.rpb [--diff other.rpb]`` — disassemble artifacts
 * ``python -m repro analyze [--self] [--json]`` — static analysis passes
@@ -67,24 +67,6 @@ def _load_config(name: str):
         return getattr(zoo, _ZOO[name])()
     with open(name) as handle:
         return parse_config(handle.read())
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Deprecated alias of ``repro analyze --cfg-only`` (same findings)."""
-    from repro.analyze import exit_code
-    from repro.nn.lint import lint_config
-
-    print(
-        "note: 'repro lint' is deprecated; use 'repro analyze --cfg-only'",
-        file=sys.stderr,
-    )
-    findings = lint_config(_load_config(args.network))
-    if not findings:
-        print("no findings — configuration looks consistent")
-        return 0
-    for finding in findings:
-        print(finding)
-    return exit_code(findings)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -405,80 +387,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_plan_check(args: argparse.Namespace) -> int:
-    """``repro plan-check`` — compile a zoo plan and verify the engine.
-
-    Runs random frames through the engine's batched execution path and
-    through the frozen legacy sequential oracle, asserts the outputs are
-    bit-identical, and prints the per-step plan table plus the buffer
-    liveness high-water (peak live bytes vs keep-everything).  CI runs
-    this via ``make plan-check``.
-    """
-    import numpy as np
-
-    from repro.core.tensor import FeatureMapBatch
-    from repro.engine import Executor, compile_plan, legacy_forward_all
-    from repro.nn import zoo
-    from repro.nn.network import Network
-
-    network = Network(getattr(zoo, _ZOO[args.network])())
-    network.initialize(np.random.default_rng(args.seed))
-    plan = compile_plan(network)
-
-    rows = [
-        (
-            step.index,
-            step.ltype,
-            step.resource,
-            "<-" + ",".join(
-                "in" if i < 0 else f"#{i}" for i in step.inputs
-            ),
-            f"{step.ops:,}",
-            "x".join(str(d) for d in step.out_shape),
-        )
-        for step in plan.steps
-    ]
-    print(
-        format_table(
-            ["#", "type", "resource", "inputs", "ops/frame", "out shape"],
-            rows,
-            title=f"Execution plan: {args.network} ({len(plan.steps)} steps)",
-        )
-    )
-
-    rng = np.random.default_rng(args.seed + 1)
-    frames = rng.uniform(
-        0.0, 1.0, size=(args.frames,) + tuple(plan.input_shape)
-    ).astype(np.float32)
-    fmb = FeatureMapBatch(frames)
-    executor = Executor(plan)
-    out = executor.run(fmb)
-    mismatches = 0
-    for index in range(fmb.batch):
-        legacy = legacy_forward_all(network, fmb.frame(index))[-1]
-        if not np.array_equal(out.frame(index).data, legacy.data):
-            mismatches += 1
-            print(
-                f"MISMATCH frame {index}: engine output differs from the "
-                "legacy sequential path",
-                file=sys.stderr,
-            )
-    peak = plan.peak_live_bytes()
-    total = plan.total_buffer_bytes()
-    report = executor.last_report
-    print(
-        f"engine vs legacy: {fmb.batch} frames, "
-        f"{'BIT-IDENTICAL' if mismatches == 0 else f'{mismatches} MISMATCHES'}"
-    )
-    print(
-        f"buffer liveness: peak {peak:,} B/frame of {total:,} B/frame "
-        f"keep-everything ({100.0 * (1 - peak / total):.1f}% saved); "
-        f"measured high-water {report.peak_live_bytes:,} B "
-        f"for batch {fmb.batch}"
-    )
-    return 1 if mismatches else 0
-
-
 def cmd_opt_check(args: argparse.Namespace) -> int:
     """``repro opt-check`` — the optimizer's bit-identity + payoff gate.
 
@@ -593,10 +501,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
     Runs the three-stage compiler (frontend, the ``-O{0,1,2}`` pass
     pipeline, serialization) on the zoo network (or a cfg file), prints
     each pass's before/after statistics, and writes the artifact.
-    ``--check`` additionally decodes the written file back and runs
-    random frames through both the artifact's VM and the in-process
-    engine, asserting bit-identical outputs — the compile-side half of
-    ``make isa-roundtrip``.
+    ``--check`` additionally decodes the written file back, runs random
+    frames through the artifact's VM and asserts the outputs bit-identical
+    to the frozen :mod:`repro.engine.reference` oracle — the compile-side
+    half of ``make isa-roundtrip``.
     """
     import numpy as np
 
@@ -622,7 +530,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         return 0
 
     from repro.core.tensor import FeatureMapBatch
-    from repro.engine import Executor
+    from repro.engine.reference import legacy_forward_batch_all
 
     decoded = isa.read_program(args.out)
     if isa.encode(decoded) != isa.encode(program):
@@ -633,17 +541,17 @@ def cmd_compile(args: argparse.Namespace) -> int:
         0.0, 1.0, size=(args.frames,) + tuple(network.input_shape)
     ).astype(np.float32)
     fmb = FeatureMapBatch(frames)
-    engine_out = Executor(network.plan()).run(fmb)
+    expected = legacy_forward_batch_all(network, fmb)[-1]
     vm_out = isa.PlanVM(decoded, network).run(fmb)
-    if engine_out.data.tobytes() != vm_out.data.tobytes():
+    if expected.data.tobytes() != vm_out.data.tobytes():
         print(
-            "CHECK FAILED: VM output differs from the engine",
+            "CHECK FAILED: VM output differs from the reference",
             file=sys.stderr,
         )
         return 1
     print(
         f"check: decode round-trip byte-identical; VM output bit-identical "
-        f"to the engine on {fmb.batch} random frames"
+        f"to the reference on {fmb.batch} random frames"
     )
     return 0
 
@@ -802,13 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_summary.add_argument("network")
     p_summary.set_defaults(func=cmd_summary)
 
-    p_lint = sub.add_parser(
-        "lint",
-        help="deprecated alias of 'analyze --cfg-only' (cfg-text checks)",
-    )
-    p_lint.add_argument("network")
-    p_lint.set_defaults(func=cmd_lint)
-
     p_analyze = sub.add_parser(
         "analyze",
         help="static analysis: cfg lint, plan dataflow, overflow proofs, "
@@ -824,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_analyze.add_argument(
         "--cfg-only", action="store_true",
-        help="only run the cfg-text lint (what 'repro lint' used to do)",
+        help="only run the cfg-text lint",
     )
     p_analyze.add_argument(
         "--json", action="store_true",
@@ -945,16 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--output", help="write the JSON report here")
     p_serve.set_defaults(func=cmd_serve_bench)
 
-    p_plan = sub.add_parser(
-        "plan-check",
-        help="compile an execution plan and verify engine/legacy bit-identity",
-    )
-    p_plan.add_argument("--network", default="tincy", choices=sorted(_ZOO))
-    p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument("--frames", type=int, default=2,
-                        help="random frames to cross-check (default 2)")
-    p_plan.set_defaults(func=cmd_plan_check)
-
     p_opt = sub.add_parser(
         "opt-check",
         help="compile the zoo at every -O level and verify bit-identity "
@@ -989,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="random frames for --check (default 2)")
     p_compile.add_argument("--check", action="store_true",
                            help="decode the artifact back and assert the VM "
-                                "matches the engine bit-for-bit")
+                                "matches the reference bit-for-bit")
     p_compile.set_defaults(func=cmd_compile)
 
     p_disasm = sub.add_parser(

@@ -1,13 +1,14 @@
 """Liveness-driven arena allocator for the batched execution path.
 
-``ExecutionPlan`` already knows buffer liveness: ``release_after`` names the
-step after which each intermediate dies, and ``peak_live_bytes`` bounds the
-simultaneously-live working set.  The :class:`Arena` turns that knowledge
-into buffer *reuse*: the :class:`~repro.engine.executor.Executor` installs
-the arena as the thread's :mod:`repro.core.workspace` allocator, so the hot
-kernels (im2col multiplicands, conv outputs, pool outputs, level-code
-scratch) draw from a recycled pool instead of hitting ``np.empty`` — and
-its page-fault churn — on every step of every run.
+A compiled program already knows buffer liveness: its release points name
+the instruction after which each intermediate dies, and the plan's
+``peak_live_bytes`` bounds the simultaneously-live working set.  The
+:class:`Arena` turns that knowledge into buffer *reuse*: the
+:class:`~repro.isa.vm.PlanVM` installs the arena as the thread's
+:mod:`repro.core.workspace` allocator, so the hot kernels (im2col
+multiplicands, conv outputs, pool outputs, level-code scratch) draw from
+a recycled pool instead of hitting ``np.empty`` — and its page-fault
+churn — on every step of every run.
 
 Design notes:
 
@@ -15,7 +16,7 @@ Design notes:
   leading-slice **view** reshaped to the request.  Best-fit keeps slack low.
 * ``release(array, guard=...)`` walks the array's ``base`` chain back to
   the owning buffer and recycles it — unless any *guard* array still shares
-  its memory.  The executor passes the currently-live feature maps as the
+  its memory.  The VM passes the currently-live feature maps as the
   guard, so a buffer is only ever recycled once nothing downstream can see
   it.  Releasing foreign (non-arena) arrays is a safe no-op.
 * ``begin_run()`` forgets in-use buffers without recycling them: a run's
@@ -132,8 +133,7 @@ class Arena:
 class ArenaPool:
     """A small thread-safe pool of warm :class:`Arena` instances.
 
-    Both plan runners (:class:`~repro.engine.executor.Executor` and the
-    bytecode :class:`~repro.isa.vm.PlanVM`) keep a handful of arenas warm
+    Each :class:`~repro.isa.vm.PlanVM` keeps a handful of arenas warm
     for reuse across runs: the serving worker pool executes a few
     concurrent inferences, so beyond *cap* fresh arenas are built on
     demand and the surplus is dropped on return.

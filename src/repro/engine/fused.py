@@ -1,7 +1,7 @@
 """FusedChain — the executable form of a ``FUSED`` instruction.
 
 The ``fuse-chains`` pass rewrites eligible layer pairs into one
-instruction; at bind time (:func:`repro.isa.lower.bind`) the constituent
+instruction; at bind time (:func:`repro.isa.bind.bind`) the constituent
 layer objects are wrapped in a :class:`FusedChain`, which quacks like a
 single CPU layer to the VM: ``ltype``/``out_shape``/``run_batch``/
 ``run_batch_reference``.

@@ -14,12 +14,15 @@ performs that lowering for our substrate:
   (:data:`~repro.core.resources.FABRIC` for offload-style layers —
   keyed off ``Layer.resource``, never off an ``ltype`` string compare);
 * a **buffer liveness analysis** records, per step, which intermediate
-  buffers die after it runs (``release_after``) so the executor can drop
-  them immediately, plus a compile-time high-water memory estimate that
-  reconciles with the :mod:`repro.perf.memory` activation accounting.
+  buffers die after it runs (``release_after``), plus a compile-time
+  high-water memory estimate that reconciles with the
+  :mod:`repro.perf.memory` activation accounting.
 
-The plan is pure data about *what* to run in *what* order with *which*
-buffers; :mod:`repro.engine.executor` is the one batched loop that runs it.
+The plan is a compile-time table about *what* to run in *what* order with
+*which* buffers — it is not executable.  The ISA frontend
+(:func:`repro.isa.compiler.frontend`) reads it to emit the program that
+:class:`repro.isa.vm.PlanVM` runs; the static analyzers and the memory
+model read it directly.
 """
 
 from __future__ import annotations
@@ -65,9 +68,8 @@ class ExecutionPlan:
     """A compiled network: steps, dataflow edges, and buffer lifetimes.
 
     ``release_after[j]`` lists the buffer ids (step indices or ``INPUT``)
-    whose *last* consumer is step ``j`` — the executor frees them right
-    after ``j`` runs.  The final step's output is the plan output and is
-    never released.
+    whose *last* consumer is step ``j`` — dead right after ``j`` runs.
+    The final step's output is the plan output and is never released.
     """
 
     input_shape: Tuple[int, int, int]
@@ -129,7 +131,7 @@ class ExecutionPlan:
         every buffer still live (inputs are released only *after* their
         last consumer finishes).  The default 4 bytes/element matches the
         float32/int32-level-code maps the numpy substrate actually passes,
-        so the estimate reconciles with the executor's measured
+        so the estimate reconciles with the VM's measured
         ``nbytes`` high-water and with :func:`repro.perf.memory.
         network_memory` float32 activation pricing.
         """
@@ -145,7 +147,7 @@ class ExecutionPlan:
     def arena_budget(self, batch: int, bytes_per_element: int = 4) -> int:
         """Arena sizing hint for a batch-``batch`` run.
 
-        The executor's arena reuses buffers as the liveness analysis frees
+        The VM's arena reuses buffers as the liveness schedule frees
         them, so its steady-state footprint tracks the *live* working set —
         :meth:`peak_live_bytes` scaled by the batch — not the
         keep-everything total.  ``perf.memory.arena_reconciliation``
@@ -159,7 +161,7 @@ class ExecutionPlan:
         """Keep-everything footprint per frame: input + every intermediate.
 
         This is what the legacy ``forward_all``/``forward_batch_all`` walk
-        loops held live by construction; the liveness-driven executor's
+        loops held live by construction; the liveness-scheduled
         :meth:`peak_live_bytes` is strictly smaller on any network deeper
         than a couple of layers.
         """
@@ -174,7 +176,7 @@ def compile_plan(network) -> ExecutionPlan:
     *network* only needs ``layers`` (initialized, in execution order) and
     ``input_shape`` — the plan compiler is duck-typed so tests can compile
     fakes.  Dependency resolution, resource tagging, and liveness all
-    happen here, once; the executor never inspects layer types again.
+    happen here, once; nothing downstream inspects layer types again.
     """
     steps: List[PlanStep] = []
     for index, layer in enumerate(network.layers):

@@ -4,8 +4,8 @@ Before the execution engine, the spine carried four near-duplicate
 walk-the-layer-list forward paths with runtime ``needs_history`` and
 ``offload_guard`` special-casing.  These two functions preserve those
 semantics verbatim (keep-everything history, ``ltype == "offload"`` guard
-keying and all) so the engine can be pinned **bit-identical** against
-them forever — by ``tests/test_engine.py`` and by ``make plan-check`` —
+keying and all) so the runtime can be pinned **bit-identical** against
+them forever — by ``tests/test_engine.py`` and by ``make opt-check`` —
 without the production code having to keep the old loops alive.
 
 Do not "fix" or modernize this module: its value is that it does not move.

@@ -17,7 +17,7 @@ Production seams (no-ops unless an injector is installed)::
     faults.fire(SITE)       # worker site: may raise WorkerDeath
 
 Sites live in :data:`SITES`; the hooks are wired into
-:mod:`repro.engine.executor` (``fabric.step``),
+:mod:`repro.isa.vm` (``fabric.step``),
 :mod:`repro.finn.offload_backend` (``fabric.backend``),
 :mod:`repro.serve.queue` (``serve.queue.pop``) and
 :mod:`repro.serve.workers` (``serve.worker``).  Tests and the
@@ -44,7 +44,7 @@ import numpy as np
 
 # -- sites: where production code exposes an injection seam -------------------
 
-#: The execution engine's FABRIC-tagged step (repro.engine.executor).
+#: The VM's FABRIC-tagged instruction (repro.isa.vm.run_fabric_step).
 FABRIC_STEP = "fabric.step"
 #: The FINN offload backend's accelerator invocation (repro.finn.offload_backend).
 FABRIC_BACKEND = "fabric.backend"

@@ -1,24 +1,27 @@
-"""repro.isa — plans as deployable artifacts: bytecode, VM, plan cache.
+"""repro.isa — the compiler and the one runtime: bytecode, VM, plan cache.
 
-The compiled :class:`~repro.engine.plan.ExecutionPlan` used to exist
-only as in-memory Python objects rebuilt on every process start.  This
-subsystem makes it portable (FINN-R's lower-to-an-IR move, done at our
-plan level):
+A network is compiled once into an ISA program and everything that
+executes it — ``Network.forward*``, serving, the shard tier, the CLIs —
+runs that program on :class:`~repro.isa.vm.PlanVM`.  Programs are also
+portable artifacts (FINN-R's lower-to-an-IR move, done at our plan
+level):
 
 * :mod:`repro.isa.ops` — the fixed op set (``LOAD_INPUT``/``PACK``/
   ``GEMM``/``CONV``/``THRESHOLD``/``MAXPOOL``/``OFFLOAD``/``ROUTE``/
   ``RELEASE``/``STORE_OUTPUT`` + the ``REGION``/``SOFTMAX`` head ops)
   over numbered buffer slots, with resource tags and explicit liveness.
-* :mod:`repro.isa.lower` — plan -> program lowering, content digests,
-  program -> layer binding, and plan reconstruction for the analyzers.
+* :mod:`repro.isa.bind` — content digests and program -> layer
+  binding (nothing in an artifact is trusted or guessed).
 * :mod:`repro.isa.encode` — the versioned, CRC-guarded ``.rpb`` binary
   round-trip (``repro compile``).
 * :mod:`repro.isa.disasm` — human-readable listings (``repro disasm``).
-* :mod:`repro.isa.vm` — :class:`~repro.isa.vm.PlanVM`, an interpreter
-  bit-identical to :class:`~repro.engine.executor.Executor` (pinned by
-  the equivalence tests and ``make isa-roundtrip``).
+* :mod:`repro.isa.vm` — :class:`~repro.isa.vm.PlanVM`, the
+  interpreter, bit-identical to the frozen :mod:`repro.engine.reference`
+  oracle (pinned by the equivalence tests, ``make opt-check`` and
+  ``make isa-roundtrip``).
 * :mod:`repro.isa.cache` — the content-addressed plan cache behind
-  serving's instant warm cold-start.
+  serving's instant warm cold-start, and :func:`~repro.isa.cache.
+  build_vm`, the one way a server comes up.
 * :mod:`repro.isa.compiler` / :mod:`repro.isa.passes` — the optimizing
   three-stage compiler: frontend lowering, the ``-O{0,1,2}`` pass
   pipelines (requant folding, chain fusion, offload overlap, liveness,
@@ -29,7 +32,8 @@ See ``docs/ISA.md`` for the format specification and a worked
 disassembly, and ``docs/COMPILER.md`` for the pass catalog.
 """
 
-from repro.isa.cache import PlanCache, plan_cache_key
+from repro.isa.bind import bind, cfg_digest, network_digests, weights_digest
+from repro.isa.cache import PlanCache, build_vm, plan_cache_key
 from repro.isa.compiler import (
     DEFAULT_OPT_LEVEL,
     compile_network,
@@ -38,14 +42,6 @@ from repro.isa.compiler import (
 )
 from repro.isa.disasm import diff_disassembly, disassemble
 from repro.isa.encode import decode, encode, read_program, write_program
-from repro.isa.lower import (
-    bind,
-    cfg_digest,
-    lower_network,
-    lower_plan,
-    plan_from_program,
-    weights_digest,
-)
 from repro.isa.ops import (
     FORMAT_VERSION,
     BindError,
@@ -65,7 +61,13 @@ from repro.isa.passes import (
     Witness,
     peak_live_elements,
 )
-from repro.isa.vm import PlanVM
+from repro.isa.vm import (
+    FABRIC_MODES,
+    ExecutionReport,
+    PlanVM,
+    StepStats,
+    run_fabric_step,
+)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -88,18 +90,21 @@ __all__ = [
     "EncodeError",
     "DecodeError",
     "BindError",
-    "lower_plan",
-    "lower_network",
     "bind",
-    "plan_from_program",
     "weights_digest",
     "cfg_digest",
+    "network_digests",
     "encode",
     "decode",
     "write_program",
     "read_program",
     "disassemble",
+    "FABRIC_MODES",
+    "StepStats",
+    "ExecutionReport",
+    "run_fabric_step",
     "PlanVM",
     "PlanCache",
     "plan_cache_key",
+    "build_vm",
 ]

@@ -25,9 +25,11 @@ from __future__ import annotations
 import os
 from typing import Optional, Tuple
 
+from repro.isa.bind import NO_DIGESTS, network_digests
+from repro.isa.compiler import DEFAULT_OPT_LEVEL, compile_network
 from repro.isa.encode import decode, write_program
-from repro.isa.lower import cfg_digest, weights_digest
 from repro.isa.ops import FORMAT_VERSION, DecodeError, Program
+from repro.isa.vm import PlanVM
 
 
 def _sanitize_name(network_name: str) -> str:
@@ -132,6 +134,7 @@ class PlanCache:
         name: str = "",
         opt_level: Optional[int] = None,
         validate: Optional[bool] = None,
+        digests: Optional[Tuple[str, str]] = None,
     ) -> Tuple[Program, bool]:
         """The network's program, from cache when possible.
 
@@ -148,17 +151,16 @@ class PlanCache:
         replaced by a freshly validated compile.  A miscompiled stream
         therefore cannot hide in the cache: it either re-validates or
         never gets served.
-        """
-        from repro.isa.compiler import DEFAULT_OPT_LEVEL, compile_network
 
+        *digests* is the network's ``(weights, cfg)`` digest pair when
+        the caller already hashed it; the key and a miss's compile both
+        use the one pair, so the weights are hashed at most once here.
+        """
         level = DEFAULT_OPT_LEVEL if opt_level is None else int(opt_level)
         want_tv = bool(validate) if validate is not None else level >= 2
-        key = plan_cache_key(
-            name,
-            weights_digest(network),
-            cfg_digest(network),
-            opt_level=level,
-        )
+        if digests is None:
+            digests = network_digests(network)
+        key = plan_cache_key(name, digests[0], digests[1], opt_level=level)
         program = self.load(key)
         if program is not None:
             if not want_tv or program.tv_ok:
@@ -166,7 +168,8 @@ class PlanCache:
             program = None  # unvalidated artifact: admission refused
         self.evict_stale(name)
         program, _stats = compile_network(
-            network, name=name, level=level, validate=validate
+            network, name=name, level=level, validate=validate,
+            digests=digests,
         )
         self.store(program)
         return program, False
@@ -197,4 +200,35 @@ class PlanCache:
         return self.path_for(key), hit
 
 
-__all__ = ["plan_cache_key", "PlanCache"]
+def build_vm(
+    network,
+    cache_dir: Optional[str],
+    name: str = "network",
+    opt_level: int = DEFAULT_OPT_LEVEL,
+    validate: Optional[bool] = None,
+) -> Tuple[PlanVM, Optional[bool]]:
+    """How every server comes up: ``(bound VM, cache hit | None)``.
+
+    With a *cache_dir* the program comes from the content-addressed
+    plan cache (compiled and stored on a miss) and the weights are
+    hashed exactly once — the one digest pair keys the cache, stamps a
+    fresh compile and is what bind compares to the artifact's stored
+    digests.  Without one the network is compiled in-process at
+    *opt_level*; that program never leaves the process, so it carries
+    no digests and nothing is hashed (``hit`` is ``None``).
+    """
+    if cache_dir is None:
+        program, _stats = compile_network(
+            network, name=name, level=opt_level, validate=validate,
+            digests=NO_DIGESTS,
+        )
+        return PlanVM(program, network), None
+    digests = network_digests(network)
+    program, hit = PlanCache(cache_dir).get_or_compile(
+        network, name=name, opt_level=opt_level, validate=validate,
+        digests=digests,
+    )
+    return PlanVM(program, network, digests=digests), hit
+
+
+__all__ = ["plan_cache_key", "PlanCache", "build_vm"]

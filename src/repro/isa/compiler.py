@@ -10,10 +10,9 @@
   through a :class:`~repro.isa.passes.PassManager`, verifying slot
   liveness after every pass, and stamps the result with the level and
   applied pass list (serialized into the ``.rpb`` header).
-* **backend** is :func:`repro.isa.lower.bind` + :class:`repro.isa.vm.
-  PlanVM` — unchanged entry points that now also understand the
-  optimizer's vocabulary (parts, ``FUSED``, embedded releases,
-  constants).
+* **backend** is :func:`repro.isa.bind.bind` + :class:`repro.isa.vm.
+  PlanVM`, which understand the optimizer's vocabulary (parts,
+  ``FUSED``, embedded releases, constants).
 
 Split placement rules (the bit-identity contract):
 
@@ -34,18 +33,21 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
-from repro.core.resources import CPU
-from repro.engine.plan import INPUT
-from repro.isa.lower import _opcode_for, cfg_digest, weights_digest
+from repro.core.resources import CPU, FABRIC
+from repro.engine.plan import INPUT, PlanStep
+from repro.isa.bind import network_digests
 from repro.isa.ops import (
     CONV,
     INPUT_SLOT,
     LOAD_INPUT,
+    LTYPE_TO_OPCODE,
+    OFFLOAD,
     PART_ACC,
     PART_PRE,
     STORE_OUTPUT,
     THRESHOLD,
     Instruction,
+    LoweringError,
     Program,
 )
 from repro.isa.passes import (
@@ -59,15 +61,35 @@ from repro.isa.passes import (
 DEFAULT_OPT_LEVEL = 2
 
 
-def frontend(network, name: str = "") -> Program:
+def _opcode_for(step: PlanStep) -> int:
+    opcode = LTYPE_TO_OPCODE.get(step.ltype)
+    if opcode is not None:
+        return opcode
+    if step.resource == FABRIC:
+        # Registered offload-style layer kinds are fabric calls by contract.
+        return OFFLOAD
+    raise LoweringError(
+        f"step '{step.name}' [{step.ltype}] has no opcode in the fixed "
+        f"op set (known: {sorted(LTYPE_TO_OPCODE)})"
+    )
+
+
+def frontend(
+    network, name: str = "", digests: Optional[Tuple[str, str]] = None
+) -> Program:
     """Lower *network* to a raw (unoptimized) ISA program.
 
-    Unlike the legacy :func:`repro.isa.lower.lower_network`, the
-    frontend assigns slots sequentially per definition (splits define
-    two), records the executing layer index on every compute
-    instruction, and leaves liveness entirely to the ``liveness`` pass.
+    The one Network→Program path: slots are assigned sequentially per
+    definition (splits define two), every compute instruction records
+    the layer index it executes, and liveness is left entirely to the
+    ``liveness`` pass.  *digests* is the network's ``(weights, cfg)``
+    content-digest pair when the caller already has it (hashed here
+    otherwise; :data:`~repro.isa.bind.NO_DIGESTS` for a program that
+    never leaves the process).
     """
     plan = network.plan()
+    if digests is None:
+        digests = network_digests(network)
     states = static_quant_states(network)
     instructions: List[Instruction] = [
         Instruction(
@@ -153,8 +175,8 @@ def frontend(network, name: str = "") -> Program:
     )
     return Program(
         network_name=name,
-        weights_sha256=weights_digest(network),
-        cfg_sha256=cfg_digest(network),
+        weights_sha256=digests[0],
+        cfg_sha256=digests[1],
         input_shape=tuple(plan.input_shape),
         output_shape=tuple(plan.output_shape),
         instructions=tuple(instructions),
@@ -210,10 +232,11 @@ def compile_network(
     level: int = DEFAULT_OPT_LEVEL,
     verify: bool = True,
     validate: Optional[bool] = None,
+    digests: Optional[Tuple[str, str]] = None,
 ) -> Tuple[Program, List[PassStats]]:
     """frontend + optimizer in one call; content hashes included."""
     return optimize(
-        frontend(network, name=name),
+        frontend(network, name=name, digests=digests),
         network=network,
         level=level,
         verify=verify,

@@ -1,26 +1,22 @@
 """The plan ISA: a small fixed op set over buffer slots.
 
-An :class:`~repro.engine.plan.ExecutionPlan` only ever existed as
-in-memory Python objects rebuilt on every process start.  This module
-defines the portable form: a compiled network becomes a **program** — a
-flat, versioned stream of :class:`Instruction` records over numbered
-buffer *slots* — which can be serialized (:mod:`repro.isa.encode`),
-disassembled (:mod:`repro.isa.disasm`), statically verified
-(:mod:`repro.analyze.isa`) and executed (:mod:`repro.isa.vm`)
-bit-identically to :meth:`repro.engine.executor.Executor.run`.
+A compiled network is a **program** — a flat, versioned stream of
+:class:`Instruction` records over numbered buffer *slots* — which is
+what :class:`repro.isa.vm.PlanVM` executes, and which can also be
+serialized (:mod:`repro.isa.encode`), disassembled
+(:mod:`repro.isa.disasm`) and statically verified
+(:mod:`repro.analyze.isa`).
 
-Slot numbering: slot ``0`` is the network input; slot ``k`` (k >= 1) is
-the output of the plan step with index ``k - 1``.  The stream is in
-execution order:
+Slot numbering: slot ``0`` is the network input; every other slot is
+defined by exactly one instruction, which names the network layer it
+executes in its ``layer`` field.  The stream is in execution order:
 
 * ``LOAD_INPUT`` binds the incoming feature-map batch to slot 0;
-* one compute instruction per plan step (``CONV`` / ``GEMM`` /
-  ``MAXPOOL`` / ``OFFLOAD`` / ``ROUTE`` / ``REGION`` / ``SOFTMAX``),
-  carrying the step's resource tag (CPU/FABRIC), dtype/shape metadata
-  and per-frame op count;
-* ``RELEASE`` makes the plan's ``release_after`` liveness explicit —
-  the VM recycles the slot's backing buffer through the
-  :class:`~repro.engine.arena.Arena` exactly where the executor would;
+* compute instructions (``CONV`` / ``GEMM`` / ``MAXPOOL`` / ``OFFLOAD`` /
+  ``ROUTE`` / ``REGION`` / ``SOFTMAX``), carrying the layer's resource
+  tag (CPU/FABRIC), dtype/shape metadata and per-frame op count;
+* ``RELEASE`` makes slot death explicit — the VM recycles the slot's
+  backing buffer through the :class:`~repro.engine.arena.Arena`;
 * ``STORE_OUTPUT`` names the slot whose contents are the program result.
 
 Format version 2 adds the optimizing compiler's vocabulary
@@ -169,8 +165,8 @@ class Instruction:
     operated on (``RELEASE`` frees it, ``STORE_OUTPUT`` publishes it);
     ``srcs`` are the slots read, chain predecessor first.  ``shape`` is
     the frame shape of ``dest``; ``ops`` the per-frame operation count
-    (Table I accounting); ``name``/``ltype`` echo the plan step so VM
-    instrumentation rows line up with the executor's.
+    (Table I accounting); ``name``/``ltype`` echo the plan step and label
+    the VM's instrumentation rows.
 
     Optimizer metadata (format version 2):
 
@@ -178,8 +174,8 @@ class Instruction:
       (``-1`` for pseudo-ops and for ``FUSED`` instructions, whose
       constituents live in ``fused_layers``); slot numbering is free to
       diverge from layer order once passes rewrite the stream, so
-      binding goes through this field, falling back to the legacy
-      ``dest - 1`` convention when unset.
+      binding goes through this field only — a compute instruction
+      without a valid one is refused, never guessed from its slot.
     * ``part`` — which half of a split requantization epilogue this
       instruction runs (:data:`PART_WHOLE`/:data:`PART_ACC`/
       :data:`PART_PRE`).

@@ -5,8 +5,7 @@ Three rewrites, in order:
 1. Strip every standalone ``RELEASE`` instruction and any embedded
    release metadata — liveness is recomputed from scratch, so the pass
    is idempotent and safe on both frontend output (which carries no
-   liveness at all) and legacy :func:`repro.isa.lower.lower_plan`
-   streams.
+   liveness at all) and hand-written streams with ``RELEASE`` ops.
 2. Dead-code elimination to a fixpoint: a CPU compute instruction whose
    destination slot is never read and is not the program output is
    deleted (removing one dead def can orphan its producers, hence the
@@ -14,11 +13,11 @@ Three rewrites, in order:
    schedule is part of the program's observable contract (the analyzer's
    PASS-DATAFLOW rule pins the fabric instruction count).
 3. Recompute each slot's death point and embed it as the ``releases``
-   tuple of the last consuming instruction — the embedded form of what
-   ``lower_plan`` expressed as standalone ``RELEASE`` ops, executed
-   identically by the VM (slot 0's backing buffer is the caller's and is
-   popped but never arena-recycled).  A def that is never read (possible
-   only for FABRIC instructions after step 2) releases itself.
+   tuple of the last consuming instruction — the embedded form of a
+   standalone ``RELEASE`` op, executed identically by the VM (slot 0's
+   backing buffer is the caller's and is popped but never
+   arena-recycled).  A def that is never read (possible only for FABRIC
+   instructions after step 2) releases itself.
 """
 
 from __future__ import annotations

@@ -1,37 +1,32 @@
-"""The plan VM: execute an ISA program bit-identically to the engine.
+"""The plan VM: the one runtime that executes a network.
 
-:class:`PlanVM` interprets the instruction stream against a network's
-registered kernels and offload backend.  It is a drop-in for
-:class:`~repro.engine.executor.Executor` where serving needs one —
-same ``run(fmb, offload_guard=, fabric_mode=)`` signature, same
-:class:`~repro.engine.executor.StepStats` instrumentation (step names
-match, so ``plan_steps`` metrics are indistinguishable), same
-fault-injection seams (the shared
-:func:`~repro.engine.executor.run_fabric_step` drives fabric/reference/
-scrub routing), and the same liveness-driven
-:class:`~repro.engine.arena.Arena` recycling — except the schedule comes
-from the decoded artifact, not from an in-memory plan.  Bit-identity to
-``Executor.run`` and the frozen :mod:`repro.engine.reference` oracle is
-pinned by the equivalence tests and ``make isa-roundtrip``.
+:class:`PlanVM` interprets an ISA :class:`~repro.isa.ops.Program`
+against a network's registered kernels and offload backend.  Everything
+that runs a network runs it here — ``Network.forward*`` (an in-process
+compile), the serving workers, the shard processes and the CLIs (a
+decoded ``.rpb`` artifact) — so the per-instruction
+:class:`StepStats` instrumentation, the fault-injection seam
+(:func:`run_fabric_step` drives fabric/reference/scrub routing) and the
+liveness-driven :class:`~repro.engine.arena.Arena` recycling exist
+exactly once.  Bit-identity to the frozen :mod:`repro.engine.reference`
+oracle is pinned by the equivalence tests, ``make opt-check`` and
+``make isa-roundtrip``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import faults
 from repro.core import workspace
 from repro.core.resources import FABRIC
 from repro.core.tensor import FeatureMapBatch
 from repro.engine.arena import ArenaPool
-from repro.engine.executor import (
-    FABRIC_MODES,
-    ExecutionReport,
-    StepStats,
-    run_fabric_step,
-)
+from repro.isa.bind import bind
 from repro.isa.ops import (
     LOAD_INPUT,
     PART_ACC,
@@ -42,27 +37,100 @@ from repro.isa.ops import (
     BindError,
     Program,
 )
-from repro.isa.lower import bind
+
+#: FABRIC-instruction routing policies of :meth:`PlanVM.run`:
+#: ``fabric`` (default) runs fabric steps on the fabric engine; ``reference``
+#: runs them on the bit-identical CPU reference path (degraded mode, no
+#: offload guard needed); ``scrub`` runs the fabric *and* the reference and
+#: raises :class:`~repro.faults.FabricCorruption` on any mismatch — runtime
+#: co-simulation, the serving watchdog's silent-corruption detector.
+FABRIC_MODES = ("fabric", "reference", "scrub")
 
 
-class _BoundStep:
-    """Adapter handing a bound instruction to :func:`run_fabric_step`."""
+@dataclass(frozen=True)
+class StepStats:
+    """Instrumentation record of one executed compute instruction."""
 
-    __slots__ = ("layer", "name")
+    #: The network layer the instruction executes (the last constituent
+    #: of a ``FUSED`` chain).
+    index: int
+    name: str
+    ltype: str
+    resource: str
+    #: Wall time of this step's batched execution (seconds).
+    wall_s: float
+    #: Operations executed: the step's per-frame count times the batch.
+    ops: int
+    #: Bytes of this step's output buffer.
+    out_bytes: int
+    #: Bytes of all live buffers right after this step produced its output
+    #: (before the liveness release) — the run's memory high-water is the
+    #: maximum of these.
+    live_bytes: int
 
-    def __init__(self, layer, name: str) -> None:
-        self.layer = layer
-        self.name = name
+
+@dataclass
+class ExecutionReport:
+    """Per-run instrumentation: one :class:`StepStats` per compute step."""
+
+    batch: int
+    steps: List[StepStats] = field(default_factory=list)
+    wall_s: float = 0.0
+    peak_live_bytes: int = 0
+    #: Snapshot of the run's arena allocator (hits/misses/high-water); see
+    #: :meth:`repro.engine.arena.Arena.stats`.  ``None`` for zero-frame runs.
+    arena: Optional[Dict[str, int]] = None
+
+    @property
+    def total_ops(self) -> int:
+        """Operations executed across all steps (batch included)."""
+        return sum(step.ops for step in self.steps)
+
+
+def run_fabric_step(layer, name, inputs, guard, fabric_mode) -> FeatureMapBatch:
+    """Execute FABRIC-tagged *layer* according to *fabric_mode*.
+
+    The one place the fault-injection seam
+    (:data:`repro.faults.FABRIC_STEP`), the offload guard and the scrub
+    co-simulation live; *name* labels the step in a corruption report.
+    """
+    if fabric_mode == "reference":
+        return layer.run_batch_reference(inputs)
+    if guard is not None:
+        with guard:
+            out = faults.call(
+                faults.FABRIC_STEP, lambda: layer.run_batch(inputs)
+            )
+    else:
+        out = faults.call(faults.FABRIC_STEP, lambda: layer.run_batch(inputs))
+    if fabric_mode == "scrub":
+        expected = layer.run_batch_reference(inputs)
+        if (
+            not np.array_equal(out.data, expected.data)
+            or out.scale != expected.scale
+        ):
+            raise faults.FabricCorruption(
+                f"fabric output of step '{name}' diverged from the "
+                f"CPU reference path (scrub mode)"
+            )
+    return out
 
 
 class PlanVM:
     """Interprets a :class:`~repro.isa.ops.Program` over feature batches.
 
     Binding happens at construction: every compute instruction is
-    attached to its layer object (content hashes checked unless
-    *check_hashes* is off), so ``run`` itself never inspects the
-    network again.  Re-entrant like the executor — concurrent runs each
-    use local slot state and a pooled arena.
+    attached to its layer object and the program's content digests are
+    checked against the network (*digests*: the network's
+    :func:`~repro.isa.bind.network_digests` pair if the caller already
+    hashed it), so ``run`` itself never inspects the network again.
+    Re-entrant: concurrent ``run`` calls (the serving worker pool) each
+    use local slot state and a pooled arena.  *offload_guard*, when
+    given (at construction or per call), is a context manager entered
+    around every FABRIC instruction — the serving subsystem passes its
+    fabric gate so the single simulated FINN engine is never occupied
+    twice.  *on_step* is called with each :class:`StepStats` as it
+    completes; ``last_report`` holds the report of the most recent run.
     """
 
     def __init__(
@@ -71,13 +139,13 @@ class PlanVM:
         network,
         offload_guard=None,
         on_step: Optional[Callable[[StepStats], None]] = None,
-        check_hashes: bool = True,
+        digests: Optional[Tuple[str, str]] = None,
     ) -> None:
         self.program = program
         self.offload_guard = offload_guard
         self.on_step = on_step
         self.last_report: Optional[ExecutionReport] = None
-        self._layers = bind(program, network, check_hashes=check_hashes)
+        self._layers = bind(program, network, digests=digests)
         self._calls = [
             self._executable(instr, layer)
             for instr, layer in zip(program.instructions, self._layers)
@@ -146,11 +214,29 @@ class PlanVM:
     ) -> FeatureMapBatch:
         """Execute the program on *fmb*; returns the stored output slot.
 
-        Mirrors :meth:`Executor.run` exactly: shape validation, empty
-        batches short-circuiting to well-formed zero-frame outputs,
-        FABRIC routing per *fabric_mode*, release-driven arena
-        recycling, and per-instruction :class:`StepStats`.
+        Slots are released where the program says so and their buffers
+        recycled through the arena.  A zero-frame batch short-circuits to
+        a well-formed empty output.  *fabric_mode* picks the FABRIC
+        routing (:data:`FABRIC_MODES`): the serving layer runs
+        ``reference`` while its circuit breaker is open and ``scrub``
+        when fabric outputs must be cross-checked.
         """
+        return self._execute(fmb, False, offload_guard, fabric_mode)
+
+    def run_all(
+        self, fmb: FeatureMapBatch, offload_guard=None
+    ) -> List[FeatureMapBatch]:
+        """Execute keeping every slot; returns each layer's final slot.
+
+        The keep-everything traversal behind ``Network.forward_all`` /
+        ``forward_batch_all``, which run it on the ``-O0`` program: one
+        output per layer, in layer order (the ``THRESHOLD`` half of a
+        split layer is its final slot).  A layer absorbed into a
+        ``FUSED`` chain has no slot of its own and is left out.
+        """
+        return self._execute(fmb, True, offload_guard, "fabric")
+
+    def _execute(self, fmb, keep_all: bool, offload_guard, fabric_mode: str):
         if fabric_mode not in FABRIC_MODES:
             raise ValueError(
                 f"fabric_mode must be one of {FABRIC_MODES}, "
@@ -165,20 +251,40 @@ class PlanVM:
             )
         if fmb.batch == 0:
             self.last_report = ExecutionReport(batch=0)
-            return FeatureMapBatch(
-                np.zeros(
-                    (0,) + tuple(program.output_shape), dtype=np.float32
-                )
-            )
+            if not keep_all:
+                return _empty(program.output_shape)
+            shapes = {
+                _step_index(instr): instr.shape
+                for instr in program.compute_instructions()
+            }
+            return [_empty(shapes[index]) for index in sorted(shapes)]
         guard = (
             offload_guard if offload_guard is not None else self.offload_guard
         )
         report = ExecutionReport(batch=fmb.batch)
         slots: Dict[int, FeatureMapBatch] = {}
+        # layer index -> the last slot an instruction of that layer wrote
+        final_slot: Dict[int, int] = {}
         live_bytes = 0
         result: Optional[FeatureMapBatch] = None
+        # The arena turns the program's release points into buffer reuse:
+        # kernels allocate through repro.core.workspace, and a victim's
+        # backing buffer is recycled the moment no live slot can see it
+        # (the guard check).  begin_run() lets a previous run's escaped
+        # outputs keep their memory — recycled buffers never alias results.
         arena = self._arenas.acquire()
         arena.begin_run()
+
+        def release(victim: int) -> None:
+            nonlocal live_bytes
+            dead = None if keep_all else slots.pop(victim, None)
+            if dead is not None:
+                live_bytes -= dead.data.nbytes
+                if victim != 0:
+                    arena.release(
+                        dead.data, guard=[b.data for b in slots.values()]
+                    )
+
         run_start = time.perf_counter()
         with workspace.install(arena):
             for instr, layer, call in zip(
@@ -192,14 +298,7 @@ class PlanVM:
                     )
                     continue
                 if instr.opcode == RELEASE:
-                    dead = slots.pop(instr.dest, None)
-                    if dead is not None:
-                        live_bytes -= dead.data.nbytes
-                        if instr.dest != 0:
-                            arena.release(
-                                dead.data,
-                                guard=[b.data for b in slots.values()],
-                            )
+                    release(instr.dest)
                     continue
                 if instr.opcode == STORE_OUTPUT:
                     result = slots[instr.dest]
@@ -208,10 +307,7 @@ class PlanVM:
                 start = time.perf_counter()
                 if instr.resource == FABRIC:
                     out = run_fabric_step(
-                        _BoundStep(layer, instr.name),
-                        inputs,
-                        guard,
-                        fabric_mode,
+                        layer, instr.name, inputs, guard, fabric_mode
                     )
                 else:
                     out = call(inputs)
@@ -221,14 +317,8 @@ class PlanVM:
                 report.peak_live_bytes = max(
                     report.peak_live_bytes, live_bytes
                 )
-                if instr.fused_layers:
-                    step_index = instr.fused_layers[-1]
-                elif instr.layer >= 0:
-                    step_index = instr.layer
-                else:
-                    step_index = instr.dest - 1
                 stats = StepStats(
-                    index=step_index,
+                    index=_step_index(instr),
                     name=instr.name,
                     ltype=instr.ltype,
                     resource=instr.resource,
@@ -237,27 +327,38 @@ class PlanVM:
                     out_bytes=out.data.nbytes,
                     live_bytes=live_bytes,
                 )
+                final_slot[stats.index] = instr.dest
                 report.steps.append(stats)
                 if self.on_step is not None:
                     self.on_step(stats)
                 # Embedded release points: the liveness pass's slot death
                 # schedule, executed exactly like standalone RELEASEs.
                 for victim in instr.releases:
-                    dead = slots.pop(victim, None)
-                    if dead is not None:
-                        live_bytes -= dead.data.nbytes
-                        if victim != 0:
-                            arena.release(
-                                dead.data,
-                                guard=[b.data for b in slots.values()],
-                            )
+                    release(victim)
         report.wall_s = time.perf_counter() - run_start
         report.arena = arena.stats()
         self.last_report = report
         self._arenas.release(arena)
+        if keep_all:
+            return [slots[final_slot[index]] for index in sorted(final_slot)]
         if result is None:  # unreachable: constructor requires STORE_OUTPUT
             raise RuntimeError("program finished without STORE_OUTPUT")
         return result
 
 
-__all__ = ["PlanVM"]
+def _step_index(instr) -> int:
+    """The layer a compute instruction reports as (bind checked the range)."""
+    return instr.fused_layers[-1] if instr.fused_layers else instr.layer
+
+
+def _empty(shape) -> FeatureMapBatch:
+    return FeatureMapBatch(np.zeros((0,) + tuple(shape), dtype=np.float32))
+
+
+__all__ = [
+    "FABRIC_MODES",
+    "StepStats",
+    "ExecutionReport",
+    "run_fabric_step",
+    "PlanVM",
+]

@@ -69,7 +69,7 @@ def calibrate_activation_scales(
     for image in inputs:
         count += 1
         fm = FeatureMap(np.asarray(image, dtype=np.float32))
-        # The engine's keep-everything traversal supplies every layer's
+        # The VM's keep-everything traversal supplies every layer's
         # quantized input map; each observed layer's pre-quantization
         # activation is then recomputed from its own input.
         outputs = network.forward_all(fm)
@@ -126,12 +126,14 @@ def _float_forward(network: Network, fm: FeatureMap) -> np.ndarray:
         saved.append(quant)
         if quant is not None:
             layer.out_quant = None
+    network._invalidate_vms()
     try:
         out = network.forward(fm).values().copy()
     finally:
         for layer, quant in zip(network.layers, saved):
             if quant is not None:
                 layer.out_quant = quant
+        network._invalidate_vms()
     return out
 
 

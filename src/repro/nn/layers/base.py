@@ -195,7 +195,7 @@ class Layer:
         """Absolute indices of earlier layers this layer reads, in order.
 
         Non-empty only for ``needs_history`` layers; the plan compiler turns
-        these into explicit dataflow edges so the executor keeps alive
+        these into explicit dataflow edges so the schedule keeps alive
         exactly the buffers that are still needed.
         """
         if self.needs_history:

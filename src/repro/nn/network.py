@@ -5,12 +5,11 @@ layer sections instantiate through a type registry so user extensions (and
 the tests) can add layer kinds without touching this module.
 
 Inference is *compiled, then executed*: the layer stack lowers once into
-an :class:`~repro.engine.plan.ExecutionPlan` (explicit dataflow edges,
-resource tags, buffer liveness) and every ``forward*`` method below is a
-thin compatibility wrapper over the single batched
-:class:`~repro.engine.executor.Executor` path — single-frame inference is
-a batch of 1, bit-identical to the historical sequential walk (pinned by
-the equivalence tests and ``make plan-check``).
+an ISA program and every ``forward*`` method below is a thin wrapper over
+a cached in-process :class:`~repro.isa.vm.PlanVM` — the same runtime that
+serves decoded artifacts.  Single-frame inference is a batch of 1,
+bit-identical to the historical sequential walk (pinned by the
+equivalence tests and ``make opt-check``).
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ class Network:
             self.layers.append(layer)
         self.output_shape = shape
         self._plan = None
-        self._executor = None
+        self._vms: Dict[int, object] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -82,8 +81,8 @@ class Network:
 
     # -- inference --------------------------------------------------------------
     #
-    # All four historical forward paths are thin compatibility wrappers over
-    # the execution engine's single batched path (repro.engine.Executor).
+    # All four historical forward paths are thin wrappers over the one
+    # runtime (repro.isa.PlanVM) on an in-process compile.
 
     def plan(self):
         """The compiled :class:`~repro.engine.plan.ExecutionPlan` (cached).
@@ -98,19 +97,36 @@ class Network:
             self._plan = compile_plan(self)
         return self._plan
 
-    def executor(self):
-        """The cached :class:`~repro.engine.executor.Executor` on :meth:`plan`."""
-        if self._executor is None:
-            from repro.engine import Executor
+    def vm(self, level: Optional[int] = None):
+        """The cached in-process :class:`~repro.isa.vm.PlanVM` at ``-O`` *level*.
 
-            self._executor = Executor(self.plan())
-        return self._executor
+        ``None`` is the compiler default (``-O2``, what ``forward`` runs);
+        ``-O0`` is the keep-everything schedule behind ``forward_all``;
+        ``-O1`` is one whole instruction per layer with liveness, for
+        per-layer accounting.  The program never leaves the process, so it
+        carries no content digests and the weights are never hashed; it
+        binds to the live layer objects, so weight updates are picked up.
+        """
+        from repro.isa import DEFAULT_OPT_LEVEL, build_vm
+
+        level = DEFAULT_OPT_LEVEL if level is None else level
+        vm = self._vms.get(level)
+        if vm is None:
+            vm, _hit = build_vm(self, None, opt_level=level)
+            self._vms[level] = vm
+        return vm
+
+    def _invalidate_vms(self) -> None:
+        """Drop the cached VMs: a compiled program bakes in each layer's
+        ``out_quant`` structure, so code that swaps quantizers on live
+        layers calls this around the swap."""
+        self._vms.clear()
 
     def forward(self, x: FeatureMap) -> FeatureMap:
         """Run all layers in sequence and return the final feature map.
 
-        Compatibility wrapper: a batch of 1 through the engine, bit-identical
-        to the historical sequential walk.
+        A batch of 1 through the VM, bit-identical to the historical
+        sequential walk.
         """
         if tuple(x.shape) != tuple(self.input_shape):
             raise ValueError(
@@ -118,15 +134,14 @@ class Network:
                 f"{tuple(self.input_shape)}"
             )
         fmb = FeatureMapBatch(x.data[np.newaxis, ...], x.scale)
-        return self.executor().run(fmb).frame(0)
+        return self.vm().run(fmb).frame(0)
 
     def forward_all(self, x: FeatureMap) -> List[FeatureMap]:
         """Run the network keeping every intermediate map.
 
-        Compatibility wrapper over the engine's keep-everything traversal
-        (liveness off) for the callers that genuinely need all
-        intermediates: quantization calibration and backward-looking
-        layer tests.
+        The keep-everything traversal (the ``-O0`` program, which has no
+        liveness) for the callers that genuinely need all intermediates:
+        quantization calibration and backward-looking layer tests.
         """
         if tuple(x.shape) != tuple(self.input_shape):
             raise ValueError(
@@ -134,7 +149,7 @@ class Network:
                 f"{tuple(self.input_shape)}"
             )
         fmb = FeatureMapBatch(x.data[np.newaxis, ...], x.scale)
-        return [out.frame(0) for out in self.executor().run_all(fmb)]
+        return [out.frame(0) for out in self.vm(0).run_all(fmb)]
 
     def forward_batch(
         self, x: FeatureMapBatch, offload_guard=None
@@ -146,7 +161,7 @@ class Network:
         batch returns a well-formed empty output.
 
         *offload_guard*, when given, is a context manager entered around
-        every FABRIC-tagged step (the plan's resource tag — any
+        every FABRIC-tagged step (the program's resource tag — any
         offload-style layer, registered subclasses included).  The serving
         subsystem passes its fabric gate here: the FINN engine is a single
         serialized resource, so concurrent batch executions must queue on
@@ -158,7 +173,7 @@ class Network:
                 f"input frames {tuple(x.frame_shape)} do not match network "
                 f"input {tuple(self.input_shape)}"
             )
-        return self.executor().run(x, offload_guard=offload_guard)
+        return self.vm().run(x, offload_guard=offload_guard)
 
     def forward_batch_all(
         self, x: FeatureMapBatch, offload_guard=None
@@ -169,7 +184,7 @@ class Network:
                 f"input frames {tuple(x.frame_shape)} do not match network "
                 f"input {tuple(self.input_shape)}"
             )
-        return self.executor().run_all(x, offload_guard=offload_guard)
+        return self.vm(0).run_all(x, offload_guard=offload_guard)
 
     # -- weights ------------------------------------------------------------------
 

@@ -99,7 +99,7 @@ def activation_high_water(network: Network, bytes_per_element: int = 4) -> int:
     """Peak simultaneously-live activation bytes per frame.
 
     Reconciles this module's keep-everything activation pricing with the
-    execution engine's buffer liveness: the compiled plan releases every
+    compiled schedule's buffer liveness: the compiled plan releases every
     intermediate feature map after its last consumer, so the true working
     set is the *high-water mark* of the schedule, not the sum over layers.
     Always ``<= network_memory(...).activation_bytes``-style totals (for
@@ -111,8 +111,9 @@ def activation_high_water(network: Network, bytes_per_element: int = 4) -> int:
 def arena_reconciliation(network: Network, report) -> dict:
     """Reconcile a run's measured arena high-water with the plan accounting.
 
-    *report* is the :class:`~repro.engine.executor.ExecutionReport` of a
-    batched run (its ``arena`` field holds the allocator snapshot).  The
+    *report* is the :class:`~repro.isa.vm.ExecutionReport` of a batched
+    run on the one-instruction-per-layer ``-O1`` VM (``network.vm(1)``; its
+    ``arena`` field holds the allocator snapshot).  The
     plan side of the ledger is :meth:`ExecutionPlan.arena_budget` — peak
     live activation bytes per frame times the batch.  The arena additionally
     holds transient kernel scratch (im2col multiplicands, padded maps,

@@ -274,7 +274,7 @@ class MetricsRegistry:
                 self.plan_source = "cache-miss"
 
     def observe_plan_step(self, name: str, seconds: float) -> None:
-        """Accumulate one executed plan step (the engine's per-step hook)."""
+        """Accumulate one executed plan step (the VM's per-step hook)."""
         with self._lock:
             self.plan_step_seconds[name] = (
                 self.plan_step_seconds.get(name, 0.0) + seconds

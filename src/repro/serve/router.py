@@ -410,7 +410,7 @@ class ShardedServer:
         self._dead_handled: Set[str] = set()
         self._next_rid = 0
         self._split_ticks = 0
-        self._inline_executor = None
+        self._inline_vm = None
         self._started = False
         self._stopping = False
         self._stop_event = threading.Event()
@@ -678,27 +678,20 @@ class ShardedServer:
         self._finish(pending, next(iter(out.frames())))
 
     def _inline(self):
-        """The in-parent executor, built on first use (same plan source)."""
+        """The in-parent VM, built on first use (same plan source)."""
         with self._lock:
-            if self._inline_executor is None:
-                self._inline_executor = self._build_executor()
-            return self._inline_executor
+            if self._inline_vm is None:
+                from repro.isa import build_vm
 
-    def _build_executor(self):
-        cfg = self.config
-        if cfg.plan_cache_dir is not None:
-            from repro.isa import PlanCache, PlanVM
-
-            program, _hit = PlanCache(cfg.plan_cache_dir).get_or_compile(
-                self.network,
-                name=cfg.plan_cache_name,
-                opt_level=cfg.plan_opt_level,
-                validate=cfg.plan_validate,
-            )
-            return PlanVM(program, self.network)
-        from repro.engine import Executor
-
-        return Executor(self.network.plan())
+                cfg = self.config
+                self._inline_vm, _hit = build_vm(
+                    self.network,
+                    cfg.plan_cache_dir,
+                    name=cfg.plan_cache_name,
+                    opt_level=cfg.plan_opt_level,
+                    validate=cfg.plan_validate,
+                )
+            return self._inline_vm
 
     # -- completion (collector thread + inline path) -----------------------
 

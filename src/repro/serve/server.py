@@ -10,17 +10,16 @@ Request flow::
                                ├─ N CPU workers          (CPU-tagged jobs)
                                └─ 1 fabric executor      (FABRIC-tagged jobs,
                                   FabricGate-serialized offload execution)
-                                   │ Network.forward_batch
+                                   │ PlanVM.run
                              RequestFuture.set_result ──► client
 
 Results are **bit-identical** to calling ``Network.forward_batch``
 directly on the same frames: the server only decides *which* frames share
 a batch, never *how* they are computed (and the batched layer paths are
-pinned to be batch-size invariant).  Execution goes through the engine
-(:class:`repro.engine.Executor` on the network's compiled plan, or the
-bit-identical :class:`repro.isa.vm.PlanVM` on a cached ``.rpb`` artifact
-when ``plan_cache_dir`` is set) — the same single batched path as every
-other consumer — with the engine's
+pinned to be batch-size invariant).  Execution goes through the
+server's own :class:`repro.isa.vm.PlanVM` — the same runtime as every
+other consumer, on the cached ``.rpb`` artifact when ``plan_cache_dir``
+is set and on an in-process compile otherwise — with the VM's
 per-step instrumentation feeding this server's
 :class:`~repro.serve.metrics.MetricsRegistry` (``plan_steps`` in the
 snapshot).  A synchronous client API (:meth:`InferenceServer.infer` /
@@ -36,7 +35,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.tensor import FeatureMap
+from repro.core.tensor import FeatureMap, FeatureMapBatch
 from repro.faults import FabricError
 from repro.pipeline.scheduler import CPU, FABRIC
 from repro.pipeline.workers import join_threads
@@ -73,8 +72,8 @@ class ServeConfig:
     max_delay_s: float = 0.005
     #: CPU workers next to the single fabric executor.
     cpu_workers: int = 2
-    #: Run one single-frame forward pass at start() to populate the packed
-    #: weight/threshold caches before concurrent traffic arrives.
+    #: Run one zero frame through the server's VM at start() to populate the
+    #: packed weight/threshold caches before concurrent traffic arrives.
     warmup: bool = True
     #: Fabric retry budget per batch: after this many retries the batch is
     #: served on the degraded CPU reference path instead of failing.
@@ -95,17 +94,16 @@ class ServeConfig:
     #: co-simulation; catches silently corrupted fabric output at ~2x cost).
     scrub_fabric: bool = False
     #: Directory of a content-addressed plan cache (see docs/ISA.md).  When
-    #: set, the server loads its execution schedule from the cached ``.rpb``
-    #: artifact (compiling and storing it on first start) and executes it
-    #: with :class:`~repro.isa.vm.PlanVM` — bit-identical to the in-process
-    #: compile, but skipping plan construction on every warm start.  The
-    #: hit/miss and timing land in the ``plan_cache`` metrics section.
+    #: set, the server loads its program from the cached ``.rpb`` artifact
+    #: (compiling and storing it on first start) instead of compiling
+    #: in-process — the same program either way.  The hit/miss and timing
+    #: land in the ``plan_cache`` metrics section.
     plan_cache_dir: Optional[str] = None
     #: Name under which the network's plan is cached (part of the cache
     #: key next to the cfg and weights hashes).
     plan_cache_name: str = "network"
-    #: ``-O`` level the plan cache compiles at on a miss (also part of the
-    #: cache key, so servers at different levels never share artifacts).
+    #: ``-O`` level the program is compiled at (also part of the cache
+    #: key, so servers at different levels never share artifacts).
     plan_opt_level: int = 2
     #: Translation-validation admission policy of the plan cache: ``None``
     #: follows the compiler default (validate at ``-O2``), ``True`` forces
@@ -167,34 +165,19 @@ class InferenceServer:
             self.sleep = getattr(clock, "sleep", time.sleep)
         self.metrics = MetricsRegistry()
         self.fabric_gate = FabricGate()
-        # The server owns its engine so the per-step stats land in *this*
-        # server's metrics registry.  With a plan cache configured the
-        # schedule comes from the content-addressed .rpb artifact and runs
-        # on the (bit-identical) PlanVM; otherwise the plan is compiled
-        # in-process and runs on the Executor.
-        on_step = lambda stats: self.metrics.observe_plan_step(  # noqa: E731
-            stats.name, stats.wall_s
-        )
+        from repro.isa import build_vm
+
         cold_start = time.perf_counter()
-        if self.config.plan_cache_dir is not None:
-            from repro.isa import PlanCache, PlanVM
-
-            cache = PlanCache(self.config.plan_cache_dir)
-            program, cache_hit = cache.get_or_compile(
-                network,
-                name=self.config.plan_cache_name,
-                opt_level=self.config.plan_opt_level,
-                validate=self.config.plan_validate,
-            )
-            self.executor = PlanVM(program, network, on_step=on_step)
-        else:
-            from repro.engine import Executor
-
-            cache_hit = None
-            self.executor = Executor(network.plan(), on_step=on_step)
+        self.vm, cache_hit = build_vm(
+            network,
+            self.config.plan_cache_dir,
+            name=self.config.plan_cache_name,
+            opt_level=self.config.plan_opt_level,
+            validate=self.config.plan_validate,
+        )
         cold_start_ms = (time.perf_counter() - cold_start) * 1e3
         self.metrics.observe_cold_start(cold_start_ms, cache_hit)
-        self.resource = FABRIC if self.executor.uses_fabric else CPU
+        self.resource = FABRIC if self.vm.uses_fabric else CPU
         self.queue = BoundedRequestQueue(self.config.max_queue_depth, clock=clock)
         self.batcher = DynamicBatcher(self.config.max_batch, self.config.max_delay_s)
         breaker = None
@@ -232,10 +215,21 @@ class InferenceServer:
             raise RuntimeError("server already started")
         self._started = True
         if self.config.warmup:
-            zero = FeatureMap(
-                np.zeros(self.network.input_shape, dtype=np.float32)
+            # Before the step hook is attached: the zero frame leaves no
+            # plan_steps (or latency) sample behind.
+            self.vm.run(
+                FeatureMapBatch(
+                    np.zeros(
+                        (1,) + tuple(self.network.input_shape),
+                        dtype=np.float32,
+                    )
+                )
             )
-            self.network.forward(zero)
+        # The server owns its VM so the per-step stats land in *this*
+        # server's metrics registry.
+        self.vm.on_step = lambda stats: self.metrics.observe_plan_step(
+            stats.name, stats.wall_s
+        )
         self.pool.start()
         self._batcher_thread = threading.Thread(
             target=self._batcher_loop, name="serve-batcher", daemon=True
@@ -370,7 +364,7 @@ class InferenceServer:
             if self.resource == FABRIC:
                 out = self._run_resilient(fmb)
             else:
-                out = self.executor.run(fmb)
+                out = self.vm.run(fmb)
         except Exception:
             for _ in job.requests:
                 self.metrics.observe_failure()
@@ -399,13 +393,13 @@ class InferenceServer:
             decision = breaker.acquire()
             probe = decision == USE_PROBE
             if decision == USE_REFERENCE:
-                out = self.executor.run(fmb, fabric_mode="reference")
+                out = self.vm.run(fmb, fabric_mode="reference")
                 self.metrics.observe_degraded(fmb.batch)
                 return out
             self.metrics.observe_fabric_dispatch()
             try:
                 out = watchdog.call(
-                    lambda: self.executor.run(
+                    lambda: self.vm.run(
                         fmb,
                         offload_guard=self.fabric_gate,
                         fabric_mode=fabric_mode,
@@ -416,7 +410,7 @@ class InferenceServer:
                 self.metrics.observe_fabric_failure(type(exc).__name__)
                 attempts += 1
                 if attempts > self.config.max_retries:
-                    out = self.executor.run(fmb, fabric_mode="reference")
+                    out = self.vm.run(fmb, fabric_mode="reference")
                     self.metrics.observe_degraded(fmb.batch)
                     return out
                 self.metrics.observe_retry()

@@ -53,18 +53,12 @@ def _shard_main(
         peer.close()  # the parent's end, inherited across the fork
     cold_start = time.perf_counter()
     try:
-        if plan_cache_dir is not None:
-            from repro.isa import PlanCache, PlanVM
+        from repro.isa import build_vm
 
-            program, cache_hit = PlanCache(plan_cache_dir).get_or_compile(
-                network, name=plan_name, opt_level=opt_level, validate=validate
-            )
-            executor = PlanVM(program, network)
-        else:
-            from repro.engine import Executor
-
-            cache_hit = None
-            executor = Executor(network.plan())
+        vm, cache_hit = build_vm(
+            network, plan_cache_dir, name=plan_name, opt_level=opt_level,
+            validate=validate,
+        )
     except Exception as exc:  # noqa: BLE001 — reported to the parent
         conn.send(("fail", repr(exc)))
         conn.close()
@@ -86,7 +80,7 @@ def _shard_main(
                 slow_left -= 1
                 time.sleep(slow_s)
             try:
-                out = executor.run(batch)
+                out = vm.run(batch)
             except Exception as exc:  # noqa: BLE001 — routed to the future
                 conn.send(("err", rid, repr(exc)))
             else:

@@ -1,4 +1,4 @@
-"""``repro analyze`` CLI: exit codes, JSON schema, deprecation alias."""
+"""``repro analyze`` CLI: exit codes, JSON schema."""
 
 import json
 
@@ -61,17 +61,3 @@ class TestJsonSchema:
         assert any(f["severity"] == "error" for f in document["findings"])
         assert all(f["target"] == str(path) for f in document["findings"])
 
-
-class TestLintAlias:
-    def test_lint_still_works_and_warns_on_stderr(self, capsys):
-        assert main(["lint", "tincy"]) == 0
-        captured = capsys.readouterr()
-        assert "no findings — configuration looks consistent" in captured.out
-        assert "deprecated" in captured.err
-        assert "repro analyze" in captured.err
-
-    def test_lint_exit_one_on_broken_cfg(self, tmp_path, capsys):
-        path = tmp_path / "broken.cfg"
-        path.write_text(BROKEN_CFG)
-        assert main(["lint", str(path)]) == 1
-        assert "region expects 125" in capsys.readouterr().out

@@ -10,7 +10,7 @@ from repro.analyze.isa import (
     verify_artifact,
     verify_program,
 )
-from repro.isa import encode, lower_network
+from repro.isa import compile_network, encode
 from repro.isa.ops import (
     CONV,
     FORMAT_VERSION,
@@ -30,6 +30,10 @@ def mlp4(rng):
     network = Network(zoo.mlp4_config())
     network.initialize(rng)
     return network
+
+
+def _compiled(network, name=""):
+    return compile_network(network, name=name)[0]
 
 
 def _program(instructions, version=FORMAT_VERSION):
@@ -63,7 +67,7 @@ class TestLivenessRules:
         assert verify_program(_program(_WELL_FORMED)) == []
 
     def test_lowered_zoo_program_is_clean(self, mlp4):
-        program = lower_network(mlp4, name="mlp4")
+        program = _compiled(mlp4, name="mlp4")
         assert verify_program(program, network=mlp4) == []
 
     def test_use_after_release(self):
@@ -146,7 +150,7 @@ class TestHeaderRules:
         assert has_errors(findings)
 
     def test_hash_mismatch_against_the_live_network(self, mlp4):
-        program = lower_network(mlp4, name="mlp4")
+        program = _compiled(mlp4, name="mlp4")
         mlp4.layers[0].weights[0, 0] += 1.0
         findings = verify_program(program, network=mlp4)
         hash_findings = [f for f in findings if f.rule == "ISA-HASH"]
@@ -156,7 +160,7 @@ class TestHeaderRules:
 
     def test_absent_hashes_are_informational(self, mlp4):
         program = replace(
-            lower_network(mlp4, name="mlp4"),
+            _compiled(mlp4, name="mlp4"),
             weights_sha256="",
             cfg_sha256="",
         )
@@ -172,20 +176,26 @@ class TestArtifactEntryPoint:
         assert has_errors(findings)
 
     def test_valid_bytes_verify_clean(self, mlp4):
-        data = encode(lower_network(mlp4, name="mlp4"))
+        data = encode(_compiled(mlp4, name="mlp4"))
         assert verify_artifact(data, network=mlp4) == []
 
     def test_corrupted_bytes_are_an_isa_decode_error(self, mlp4):
-        data = bytearray(encode(lower_network(mlp4)))
+        data = bytearray(encode(_compiled(mlp4)))
         data[30] ^= 0xFF
         assert _rules(verify_artifact(bytes(data))) == ["ISA-DECODE"]
 
 
 class TestRoundTripPass:
     def test_zoo_networks_round_trip_clean(self, mlp4):
-        findings = roundtrip_findings(mlp4, mlp4.plan(), name="mlp4")
+        findings = roundtrip_findings(mlp4, _compiled(mlp4, name="mlp4"))
         assert [f for f in findings if f.rule == "ISA-ROUNDTRIP"] == []
         assert not has_errors(findings)
+
+    def test_a_program_that_cannot_serialize_is_a_roundtrip_error(self, mlp4):
+        program = replace(_compiled(mlp4, name="mlp4"), weights_sha256="xyz")
+        findings = roundtrip_findings(mlp4, program)
+        assert _rules(findings) == ["ISA-ROUNDTRIP"]
+        assert has_errors(findings)
 
     def test_analyze_network_includes_the_isa_pass(self, mlp4):
         findings = analyze_network(mlp4)

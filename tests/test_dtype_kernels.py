@@ -5,7 +5,7 @@ the hidden-layer GEMMs promoted integer level codes to float64; both were
 pure waste — max is a *selection* (dtype-invariant) and the LUT/float32
 paths are proven exact.  These tests pin the rewritten kernels bit-identical
 to the old semantics across dtypes and batch sizes, and pin the
-liveness-driven :class:`~repro.engine.arena.Arena` semantics the executor
+liveness-driven :class:`~repro.engine.arena.Arena` semantics the VM
 relies on (recycling, guard veto, escape on ``begin_run``).
 """
 
@@ -222,7 +222,7 @@ class TestMVTUFloat32ExactPath:
 
 
 class TestArena:
-    """Allocator semantics the executor's liveness release depends on."""
+    """Allocator semantics the VM's liveness release depends on."""
 
     def test_release_then_reuse_is_a_hit(self):
         arena = Arena()
@@ -325,9 +325,9 @@ class TestExecutorArena:
     def test_run_reports_arena_and_matches_legacy(self, rng):
         network = self._network(rng)
         fmb = self._fmb(rng, network, 3)
-        executor = network.executor()
-        out = executor.run(fmb)
-        report = executor.last_report
+        vm = network.vm(1)
+        out = vm.run(fmb)
+        report = vm.last_report
         assert report.arena is not None
         assert report.arena["recycled"] > 0      # liveness releases landed
         legacy = legacy_forward_batch_all(network, fmb)[-1]
@@ -336,12 +336,12 @@ class TestExecutorArena:
     def test_warm_rerun_hits_the_pool_without_corrupting_results(self, rng):
         network = self._network(rng)
         fmb = self._fmb(rng, network, 2)
-        executor = network.executor()
-        first = executor.run(fmb)
+        vm = network.vm(1)
+        first = vm.run(fmb)
         first_copy = first.data.copy()
-        second = executor.run(fmb)
+        second = vm.run(fmb)
         # Warm arena: the second run recycles the first run's buffers.
-        assert executor.last_report.arena["hits"] > 0
+        assert vm.last_report.arena["hits"] > 0
         np.testing.assert_array_equal(second.data, first_copy)
         # The first run's escaped output still owns its memory.
         np.testing.assert_array_equal(first.data, first_copy)
@@ -360,19 +360,19 @@ class TestExecutorArena:
         from repro.perf.memory import arena_reconciliation
 
         network = self._network(rng)
-        executor = network.executor()
-        executor.run(self._fmb(rng, network, 4))
-        ledger = arena_reconciliation(network, executor.last_report)
+        vm = network.vm(1)  # the plan's schedule: one instruction per layer
+        vm.run(self._fmb(rng, network, 4))
+        ledger = arena_reconciliation(network, vm.last_report)
         assert ledger["batch"] == 4
         assert ledger["plan_bytes"] == network.plan().arena_budget(4)
         assert ledger["arena_high_water_bytes"] == (
-            executor.last_report.arena["high_water_bytes"]
+            vm.last_report.arena["high_water_bytes"]
         )
         assert ledger["scratch_bytes"] >= 0
         assert ledger["ratio"] > 0
 
     def test_reconciliation_requires_arena_snapshot(self, rng):
-        from repro.engine.executor import ExecutionReport
+        from repro.isa import ExecutionReport
         from repro.perf.memory import arena_reconciliation
 
         with pytest.raises(ValueError, match="arena"):

@@ -1,12 +1,12 @@
-"""Execution engine tests: plan structure, liveness, bit-identity, contracts.
+"""Plan structure, liveness, bit-identity and contracts of the one runtime.
 
-The engine's promise is *refactor without drift*: ``compile_plan`` +
-``Executor.run`` must be bit-identical to the frozen pre-engine walk
-loops (``repro.engine.reference``) on everything — the full Tincy YOLO
-zoo network, backward-looking [route] topologies, and the FINN offload
-hybrid — while buffer liveness provably shrinks the working set and the
-FABRIC resource tag (not ``ltype`` string compares) keys the offload
-guard.
+The promise is *refactor without drift*: ``Network.forward*`` — the
+in-process ``PlanVM`` on the compiled program — must be bit-identical to
+the frozen pre-engine walk loops (``repro.engine.reference``) on
+everything — the full Tincy YOLO zoo network, backward-looking [route]
+topologies, and the FINN offload hybrid — while buffer liveness provably
+shrinks the working set and the FABRIC resource tag (not ``ltype`` string
+compares) keys the offload guard.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.core.resources import CPU, FABRIC
 from repro.core.tensor import FeatureMap, FeatureMapBatch
 from repro.engine import (
     INPUT,
-    Executor,
     compile_plan,
     legacy_forward_all,
     legacy_forward_batch_all,
@@ -43,7 +42,7 @@ def _frames(rng, shape, count):
 
 
 class RecordingGuard:
-    """Context manager counting how often the executor entered it."""
+    """Context manager counting how often the VM entered it."""
 
     def __init__(self):
         self.entered = 0
@@ -178,7 +177,8 @@ class TestPlanStructure:
     def test_network_plan_is_cached(self):
         network = Network.from_cfg(ROUTE_CFG)
         assert network.plan() is network.plan()
-        assert network.executor() is network.executor()
+        assert network.vm() is network.vm()
+        assert network.vm(0) is not network.vm()
 
 
 class TestLiveness:
@@ -193,22 +193,21 @@ class TestLiveness:
     def test_measured_high_water_run_below_run_all(self, rng):
         network = Network.from_cfg(ROUTE_CFG)
         network.initialize(rng)
-        executor = network.executor()
         fmb = FeatureMapBatch.from_maps(_frames(rng, (2, 8, 8), 2))
-        executor.run(fmb)
-        live_peak = executor.last_report.peak_live_bytes
-        executor.run_all(fmb)
-        keep_all_peak = executor.last_report.peak_live_bytes
+        network.forward_batch(fmb)
+        live_peak = network.vm().last_report.peak_live_bytes
+        network.forward_batch_all(fmb)
+        keep_all_peak = network.vm(0).last_report.peak_live_bytes
         assert live_peak < keep_all_peak
 
     def test_estimate_matches_measured_float32_high_water(self, rng):
         network = Network.from_cfg(ROUTE_CFG)
         network.initialize(rng)
-        executor = network.executor()
+        vm = network.vm(1)  # one whole instruction per layer, as the plan
         fmb = FeatureMapBatch.from_maps(_frames(rng, (2, 8, 8), 1))
-        executor.run(fmb)
+        vm.run(fmb)
         # Float32 maps, batch 1: the compile-time estimate is exact.
-        assert executor.last_report.peak_live_bytes == (
+        assert vm.last_report.peak_live_bytes == (
             network.plan().peak_live_bytes()
         )
 
@@ -226,7 +225,7 @@ class TestLegacyEquivalence:
     def test_tincy_bit_identical_to_legacy_walk(self, rng):
         network = _tincy(rng)
         frames = _frames(rng, network.input_shape, 2)
-        out = network.executor().run(FeatureMapBatch.from_maps(frames))
+        out = network.forward_batch(FeatureMapBatch.from_maps(frames))
         for index, frame in enumerate(frames):
             legacy = legacy_forward_all(network, frame)[-1]
             assert np.array_equal(out.frame(index).data, legacy.data)
@@ -237,11 +236,12 @@ class TestLegacyEquivalence:
         network.initialize(rng)
         frames = _frames(rng, (2, 8, 8), 3)
         fmb = FeatureMapBatch.from_maps(frames)
-        engine_all = network.executor().run_all(fmb)
+        vm_all = network.forward_batch_all(fmb)
         legacy_all = legacy_forward_batch_all(network, fmb)
-        assert len(engine_all) == len(legacy_all)
-        for engine_fmb, legacy_fmb in zip(engine_all, legacy_all):
-            assert np.array_equal(engine_fmb.data, legacy_fmb.data)
+        assert len(vm_all) == len(legacy_all)
+        for vm_fmb, legacy_fmb in zip(vm_all, legacy_all):
+            assert np.array_equal(vm_fmb.data, legacy_fmb.data)
+            assert vm_fmb.scale == legacy_fmb.scale
 
     def test_offload_hybrid_bit_identical_with_guard(self, rng, tmp_path):
         from tests.test_batched_inference import TestOffloadBatchedEquivalence
@@ -271,7 +271,7 @@ class TestLegacyEquivalence:
 
         fmb = FeatureMapBatch.from_maps(_frames(rng, (3, 24, 24), 4))
         guard = RecordingGuard()
-        out = hybrid.executor().run(fmb, offload_guard=guard)
+        out = hybrid.forward_batch(fmb, offload_guard=guard)
         legacy = legacy_forward_batch_all(hybrid, fmb)[-1]
         assert np.array_equal(out.data, legacy.data)
         assert out.scale == legacy.scale
@@ -283,12 +283,12 @@ class TestLegacyEquivalence:
 
 class TestOffloadGuardByResourceTag:
     def test_guard_wraps_registered_fabric_layer(self, fake_fabric_network, rng):
-        # Satellite: the guard keys off the plan's FABRIC resource tag.  A
+        # Satellite: the guard keys off the FABRIC resource tag.  A
         # registered fabric-backed layer whose ltype is NOT "offload" must
         # still execute inside the guard (the legacy ltype compare missed it).
         guard = RecordingGuard()
         fmb = FeatureMapBatch.from_maps(_frames(rng, (2, 6, 6), 2))
-        out = fake_fabric_network.executor().run(fmb, offload_guard=guard)
+        out = fake_fabric_network.forward_batch(fmb, offload_guard=guard)
         assert guard.entered == 1
         legacy = legacy_forward_batch_all(fake_fabric_network, fmb)[-1]
         assert np.array_equal(out.data, legacy.data)
@@ -298,7 +298,7 @@ class TestOffloadGuardByResourceTag:
         network.initialize(rng)
         guard = RecordingGuard()
         fmb = FeatureMapBatch.from_maps(_frames(rng, (2, 8, 8), 1))
-        network.executor().run(fmb, offload_guard=guard)
+        network.forward_batch(fmb, offload_guard=guard)
         assert guard.entered == 0
 
 
@@ -336,11 +336,15 @@ class TestDegenerateBatches:
         network = Network.from_cfg(ROUTE_CFG)
         network.initialize(rng)
         empty = FeatureMapBatch(np.zeros((0, 2, 8, 8), dtype=np.float32))
-        out = network.executor().run(empty)
+        out = network.vm().run(empty)
         assert out.batch == 0
         assert tuple(out.frame_shape) == network.plan().output_shape
-        everything = network.executor().run_all(empty)
+        assert network.vm().last_report.batch == 0
+        everything = network.vm(0).run_all(empty)
         assert [fmb.batch for fmb in everything] == [0] * len(network.layers)
+        assert [tuple(fmb.frame_shape) for fmb in everything] == [
+            tuple(layer.out_shape) for layer in network.layers
+        ]
 
     def test_empty_batch_through_network(self, rng):
         network = _tincy(rng)
@@ -377,10 +381,10 @@ class TestInstrumentation:
     def test_report_covers_every_step(self, rng):
         network = Network.from_cfg(ROUTE_CFG)
         network.initialize(rng)
-        executor = network.executor()
+        vm = network.vm(1)  # one whole instruction per layer
         fmb = FeatureMapBatch.from_maps(_frames(rng, (2, 8, 8), 3))
-        executor.run(fmb)
-        report = executor.last_report
+        vm.run(fmb)
+        report = vm.last_report
         assert report.batch == 3
         assert [s.index for s in report.steps] == list(range(len(network.layers)))
         assert all(s.wall_s >= 0.0 for s in report.steps)
@@ -391,8 +395,9 @@ class TestInstrumentation:
         network = Network.from_cfg(ROUTE_CFG)
         network.initialize(rng)
         seen = []
-        executor = Executor(network.plan(), on_step=lambda s: seen.append(s.name))
-        executor.run(FeatureMapBatch.from_maps(_frames(rng, (2, 8, 8), 1)))
+        vm = network.vm(1)
+        vm.on_step = lambda s: seen.append(s.name)
+        vm.run(FeatureMapBatch.from_maps(_frames(rng, (2, 8, 8), 1)))
         assert seen == [step.name for step in network.plan().steps]
 
     def test_serve_metrics_expose_plan_steps(self, rng):
@@ -405,7 +410,10 @@ class TestInstrumentation:
             server.infer_many(frames, timeout_s=30)
             snapshot = server.metrics.snapshot()
         steps = snapshot["plan_steps"]
-        assert set(steps) == {s.name for s in network.plan().steps}
+        # The server runs the default -O2 program: one row per instruction.
+        assert set(steps) == {
+            i.name for i in network.vm().program.compute_instructions()
+        }
         for entry in steps.values():
             assert entry["count"] >= 1
             assert entry["total_ms"] >= 0.0
@@ -415,4 +423,4 @@ class TestInstrumentation:
         network.initialize(rng)
         bad = FeatureMapBatch(np.zeros((2, 2, 8, 9), dtype=np.float32))
         with pytest.raises(ValueError, match="do not match network"):
-            network.executor().run(bad)
+            network.vm().run(bad)

@@ -21,7 +21,6 @@ import pytest
 import repro.finn  # noqa: F401
 from repro import faults
 from repro.core.tensor import FeatureMap, FeatureMapBatch
-from repro.engine import Executor
 from repro.finn.offload_backend import FabricBackend, export_offload
 from repro.nn.config import Section
 from repro.nn.network import Network
@@ -275,16 +274,16 @@ class TestInjectedRuntimeFaults:
                 for _ in range(2)
             ]
         )
-        executor = Executor(small_hybrid.plan())
+        vm = small_hybrid.vm()
         plan = faults.FaultPlan.parse("fabric-corrupt@0", seed=5)
         with faults.install(plan):
             with pytest.raises(faults.FabricCorruption):
-                executor.run(batch, fabric_mode="scrub")
+                vm.run(batch, fabric_mode="scrub")
         # Without the scrub cross-check the corruption *would* be silent:
         # that is exactly why the serving stack can opt into scrub mode.
         with faults.install(plan):
-            corrupted = executor.run(batch, fabric_mode="fabric")
-        clean = executor.run(batch, fabric_mode="fabric")
+            corrupted = vm.run(batch, fabric_mode="fabric")
+        clean = vm.run(batch, fabric_mode="fabric")
         assert not np.array_equal(corrupted.data, clean.data)
 
     def test_reference_path_bypasses_fault_seams(self, small_hybrid, rng):
@@ -292,14 +291,14 @@ class TestInjectedRuntimeFaults:
             [FeatureMap(rng.uniform(0, 1, size=(3, 16, 16)).astype(np.float32))]
         )
         clean = small_hybrid.forward_batch(batch)
-        executor = Executor(small_hybrid.plan())
+        vm = small_hybrid.vm()
         # Every fabric invocation would fail — the reference path must not
         # even consult the seams (it is the degraded route of last resort).
         plan = faults.FaultPlan.parse(
             "fabric-raise%1.0;fabric-raise/fabric.backend%1.0", seed=1
         )
         with faults.install(plan) as injector:
-            out = executor.run(batch, fabric_mode="reference")
+            out = vm.run(batch, fabric_mode="reference")
             assert injector.events() == []
         assert out.scale == clean.scale
         assert np.array_equal(out.data, clean.data)

@@ -1,17 +1,18 @@
 """Golden end-to-end regression: Tincy YOLO detections, pinned by checksum.
 
 One seeded 416x416 frame runs through the full hybrid (CPU -> fabric ->
-CPU) Tincy YOLO network along the four execution paths the stack
-offers:
+CPU) Tincy YOLO network along every way the stack offers to reach the
+one runtime (``PlanVM``):
 
-1. the engine directly (``Executor.run`` on the compiled plan),
+1. in process (``Network.forward_batch``),
 2. the serving path (``InferenceServer.infer``, fabric mode),
 3. the degraded CPU-fallback path (an injected fabric fault with a zero
    retry budget forces the breaker's reference route),
-4. the serialized-artifact path (the plan lowered to ISA bytecode,
-   encoded, decoded and executed by ``PlanVM``).
+4. the serialized artifact (compiled at ``-O0`` and ``-O2``, encoded,
+   decoded and executed),
+5. the 3-shard tier with a shard killed mid-run.
 
-All four outputs must be **byte-equal** to each other, and the decoded
+All outputs must be **byte-equal** to each other, and the decoded
 detections (class ids, scores, box coordinates) must hash to the pinned
 golden checksum.  The checksum is computed over values rounded to 1e-3,
 so it survives the sub-1e-6 float noise of differing BLAS builds while
@@ -30,7 +31,6 @@ import pytest
 import repro.finn  # noqa: F401  (registers fabric.so for offload cfgs)
 from repro import faults
 from repro.core.tensor import FeatureMap, FeatureMapBatch
-from repro.engine import Executor
 from repro.finn.offload_backend import export_offload
 from repro.nn.config import NetworkConfig, Section
 from repro.nn.network import Network
@@ -122,11 +122,14 @@ def detections_digest(region, fm: FeatureMap) -> str:
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
+def _in_process(network, frame: FeatureMap) -> FeatureMap:
+    return network.forward_batch(FeatureMapBatch.from_maps([frame])).frame(0)
+
+
 class TestGoldenDetections:
     def test_three_paths_byte_equal_and_pinned(self, tincy_hybrid, golden_frame):
-        # Path 1: the engine on the compiled plan.
-        batch = FeatureMapBatch.from_maps([golden_frame])
-        engine_out = list(Executor(tincy_hybrid.plan()).run(batch).frames())[0]
+        # Path 1: in process.
+        engine_out = _in_process(tincy_hybrid, golden_frame)
 
         # Path 2: the serving path (fabric mode).
         clock = VirtualClock()
@@ -154,28 +157,8 @@ class TestGoldenDetections:
                 resilience = server.metrics.snapshot()["resilience"]
         assert resilience["degraded_inferences"] == 1  # path 3 really degraded
 
-        # Path 4: the serialized artifact — lower, encode, decode, run in
-        # the VM.  The bytecode form must not perturb a single bit.
-        from repro.isa import PlanVM, decode, encode, lower_network
-
-        program = decode(encode(lower_network(tincy_hybrid, name="tincy")))
-        assert program.uses_fabric
-        vm_out = list(PlanVM(program, tincy_hybrid).run(batch).frames())[0]
-
-        # Path 5: the optimizing compiler at -O2 — fused chains, folded
-        # requantization, embedded liveness — encoded, decoded, and run
-        # in the VM.  Optimization must not perturb a single bit either.
-        from repro.isa.compiler import compile_network
-
-        optimized, _stats = compile_network(
-            tincy_hybrid, name="tincy", level=2
-        )
-        assert optimized.opt_level == 2 and optimized.passes
-        optimized = decode(encode(optimized))
-        o2_out = list(PlanVM(optimized, tincy_hybrid).run(batch).frames())[0]
-
-        # One fixture, five paths, byte-equal.
-        for other in (served_out, degraded_out, vm_out, o2_out):
+        # One fixture, three paths, byte-equal.
+        for other in (served_out, degraded_out):
             assert other.scale == engine_out.scale
             assert np.array_equal(other.data, engine_out.data)
 
@@ -191,21 +174,42 @@ class TestGoldenDetections:
             f"intentional, update GOLDEN_DETECTIONS_SHA256"
         )
 
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_decoded_artifact_matches_golden(
+        self, tincy_hybrid, golden_frame, level
+    ):
+        # Path 4: the serialized artifact — compile, encode, decode, run.
+        # Neither the bytecode form nor the optimizer (fused chains, folded
+        # requantization, embedded liveness at -O2) may perturb a single bit.
+        from repro.isa import PlanVM, compile_network, decode, encode
+
+        program, _stats = compile_network(
+            tincy_hybrid, name="tincy", level=level
+        )
+        program = decode(encode(program))
+        assert program.uses_fabric and program.opt_level == level
+        batch = FeatureMapBatch.from_maps([golden_frame])
+        out = PlanVM(program, tincy_hybrid).run(batch).frame(0)
+        engine_out = _in_process(tincy_hybrid, golden_frame)
+        assert out.scale == engine_out.scale
+        assert np.array_equal(out.data, engine_out.data)
+        region = tincy_hybrid.layers[-1]
+        assert detections_digest(region, out) == GOLDEN_DETECTIONS_SHA256
+
     def test_shard_tier_survives_mid_run_kill_and_matches_golden(
         self, tincy_hybrid, golden_frame
     ):
-        # Path 6: the multi-process shard tier.  Full-scale Tincy behind
+        # Path 5: the multi-process shard tier.  Full-scale Tincy behind
         # a 3-shard router, with one shard SIGKILLed by the chaos plan
         # between the first and second request — every answer must still
-        # be byte-equal to the engine and hash to the pinned checksum.
+        # be byte-equal to the in-process run and hash to the pinned checksum.
         from repro.serve import ShardTierConfig, ShardedServer
         from repro.serve.shard import fork_available
 
         if not fork_available():
             pytest.skip("shard tier needs the fork start method")
 
-        batch = FeatureMapBatch.from_maps([golden_frame])
-        engine_out = list(Executor(tincy_hybrid.plan()).run(batch).frames())[0]
+        engine_out = _in_process(tincy_hybrid, golden_frame)
 
         config = ShardTierConfig(
             shards=3,

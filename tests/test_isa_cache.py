@@ -188,3 +188,62 @@ class TestServerColdStart:
             served = server.infer_many(frames, timeout_s=30)
         for frame, got in zip(frames, served):
             assert np.array_equal(got.data, mlp4.forward(frame).data)
+
+    @staticmethod
+    def _count_weight_hashes(network, monkeypatch):
+        """Every weights digest serializes the weights exactly once."""
+        calls = []
+        original = network.save_weights_array
+        monkeypatch.setattr(
+            network,
+            "save_weights_array",
+            lambda: (calls.append(1), original())[1],
+        )
+        return calls
+
+    def test_one_start_hashes_the_weights_once(
+        self, tmp_path, mlp4, monkeypatch
+    ):
+        from repro.serve import InferenceServer, ServeConfig
+
+        calls = self._count_weight_hashes(mlp4, monkeypatch)
+        config = ServeConfig(
+            plan_cache_dir=str(tmp_path), plan_cache_name="mlp4"
+        )
+        sources = []
+        for _ in range(2):  # a miss (key + compile + bind), then a hit
+            del calls[:]
+            server = InferenceServer(mlp4, config)
+            assert len(calls) == 1
+            sources.append(server.metrics.snapshot()["plan_cache"]["plan_source"])
+        assert sources == ["cache-miss", "cache-hit"]
+
+    def test_the_stored_digest_is_still_compared_at_bind(
+        self, tmp_path, mlp4
+    ):
+        from repro.isa import BindError, build_vm, cfg_digest, write_program
+
+        cache = PlanCache(str(tmp_path))
+        program, _hit = cache.get_or_compile(mlp4, name="mlp4")
+        # Plant an artifact compiled for other weights under this
+        # network's address: hashing once must not mean trusting the key.
+        mlp4.layers[0].weights[0, 0] += 1.0
+        key = plan_cache_key(
+            "mlp4", weights_digest(mlp4), cfg_digest(mlp4),
+            opt_level=program.opt_level,
+        )
+        write_program(program, cache.path_for(key))
+        with pytest.raises(BindError, match="weights hash mismatch"):
+            build_vm(mlp4, str(tmp_path), name="mlp4")
+
+    def test_in_process_forward_never_hashes(self, mlp4, rng, monkeypatch):
+        from repro.serve import InferenceServer, ServeConfig
+
+        calls = self._count_weight_hashes(mlp4, monkeypatch)
+        frame = FeatureMap(
+            rng.normal(size=mlp4.input_shape).astype(np.float32)
+        )
+        mlp4.forward(frame)
+        mlp4.forward_all(frame)
+        InferenceServer(mlp4, ServeConfig())
+        assert calls == []

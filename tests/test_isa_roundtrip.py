@@ -180,6 +180,39 @@ class TestRoundTrip:
         assert "const weights layer 1" in text
 
 
+    def test_unbound_layer_survives_the_wire_but_never_binds(self):
+        # layer=-1 is what pseudo-ops and FUSED carry, so the format can
+        # represent it on a compute instruction too and the decoder lets it
+        # through; bind is what refuses it — the layer is never guessed
+        # from the slot number, even when dest - 1 names a matching layer.
+        from dataclasses import replace
+
+        from repro.isa import BindError, bind
+        from repro.nn.network import Network
+
+        network = Network.from_cfg(
+            "[net]\nwidth=8\nheight=8\nchannels=3\n"
+            "[convolutional]\nfilters=2\nsize=3\nstride=1\npad=0\n"
+            "activation=linear\n"
+            "[connected]\noutput=4\nactivation=linear\n"
+        )
+        unbound = decode(
+            encode(_simple_program(weights_sha256="", cfg_sha256=""))
+        )
+        assert [i.layer for i in unbound.compute_instructions()] == [-1, -1]
+        with pytest.raises(BindError, match="executes layer -1"):
+            bind(unbound, network)
+        named = replace(
+            unbound,
+            instructions=tuple(
+                replace(instr, layer=instr.dest - 1) if instr.is_compute
+                else instr
+                for instr in unbound.instructions
+            ),
+        )
+        assert len([layer for layer in bind(named, network) if layer]) == 2
+
+
 class TestStrictDecode:
     def test_bad_magic_is_rejected(self):
         data = encode(_simple_program())

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.tensor import FeatureMap, FeatureMapBatch
-from repro.engine import Executor
+from repro.engine.reference import legacy_forward_batch_all
 from repro.isa import (
     BindError,
     PlanVM,
+    compile_network,
     decode,
     encode,
-    lower_network,
 )
 from repro.isa.ops import Program
 from repro.nn import zoo
@@ -30,8 +30,13 @@ def _frames(rng, shape, count):
     ]
 
 
-def _vm_for(network, name="net"):
-    return PlanVM(decode(encode(lower_network(network, name=name))), network)
+def _program(network, name="net", level=1):
+    """-O1 by default: one whole instruction per layer, with liveness."""
+    return compile_network(network, name=name, level=level)[0]
+
+
+def _vm_for(network, name="net", level=1):
+    return PlanVM(decode(encode(_program(network, name, level))), network)
 
 
 class TestBitIdentity:
@@ -43,17 +48,22 @@ class TestBitIdentity:
         fmb = FeatureMapBatch.from_maps(
             _frames(rng, network.input_shape, 3)
         )
-        engine_out = Executor(network.plan()).run(fmb)
-        vm_out = _vm_for(network).run(fmb)
-        assert vm_out.data.tobytes() == engine_out.data.tobytes()
-        assert vm_out.scale == engine_out.scale
+        # The decoded artifact's VM, the network's own in-process VM and
+        # the frozen oracle all agree.
+        reference = legacy_forward_batch_all(network, fmb)[-1]
+        in_process = network.forward_batch(fmb)
+        for level in (0, 1, 2):
+            vm_out = _vm_for(network, level=level).run(fmb)
+            assert vm_out.data.tobytes() == reference.data.tobytes()
+            assert vm_out.data.tobytes() == in_process.data.tobytes()
+            assert vm_out.scale == reference.scale
 
     def test_singleton_batch(self, rng):
         network = _initialized(zoo.mlp4_config(), rng)
         fmb = FeatureMapBatch.from_maps(_frames(rng, network.input_shape, 1))
         assert np.array_equal(
             _vm_for(network).run(fmb).data,
-            Executor(network.plan()).run(fmb).data,
+            legacy_forward_batch_all(network, fmb)[-1].data,
         )
 
     def test_empty_batch_short_circuits(self, rng):
@@ -83,11 +93,11 @@ class TestInstrumentationParity:
     def test_step_stats_mirror_the_executor(self, rng):
         network = _initialized(zoo.cnv6_config(), rng)
         fmb = FeatureMapBatch.from_maps(_frames(rng, network.input_shape, 2))
-        executor = Executor(network.plan())
-        executor.run(fmb)
+        in_process = network.vm(1)
+        in_process.run(fmb)
         vm = _vm_for(network)
         vm.run(fmb)
-        engine, artifact = executor.last_report, vm.last_report
+        engine, artifact = in_process.last_report, vm.last_report
         assert [s.name for s in artifact.steps] == [
             s.name for s in engine.steps
         ]
@@ -101,7 +111,7 @@ class TestInstrumentationParity:
     def test_on_step_hook_fires_in_plan_order(self, rng):
         network = _initialized(zoo.mlp4_config(), rng)
         seen = []
-        program = decode(encode(lower_network(network)))
+        program = decode(encode(_program(network)))
         vm = PlanVM(program, network, on_step=lambda s: seen.append(s.name))
         vm.run(FeatureMapBatch.from_maps(_frames(rng, network.input_shape, 1)))
         assert seen == [step.name for step in network.plan().steps]
@@ -124,22 +134,25 @@ class TestValidation:
 
     def test_weights_mutation_breaks_the_bind(self, rng):
         network = _initialized(zoo.mlp4_config(), rng)
-        program = lower_network(network)
+        program = _program(network)
+        stale = (program.weights_sha256, program.cfg_sha256)
         network.layers[0].weights[0, 0] += 1.0
         with pytest.raises(BindError, match="weights hash mismatch"):
             PlanVM(program, network)
-        # Opting out of verification still binds (structural checks only).
-        PlanVM(program, network, check_hashes=False)
+        # Digests the caller already computed are trusted, not recomputed.
+        PlanVM(program, network, digests=stale)
+        with pytest.raises(BindError, match="cfg hash mismatch"):
+            PlanVM(program, network, digests=(stale[0], "0" * 64))
 
     def test_cross_network_bind_is_refused(self, rng):
         mlp = _initialized(zoo.mlp4_config(), rng)
         cnv = _initialized(zoo.cnv6_config(), rng)
         with pytest.raises(BindError):
-            PlanVM(lower_network(mlp), cnv)
+            PlanVM(_program(mlp), cnv)
 
     def test_program_without_output_is_refused(self, rng):
         network = _initialized(zoo.mlp4_config(), rng)
-        program = lower_network(network)
+        program = _program(network)
         headless = Program(
             network_name=program.network_name,
             weights_sha256=program.weights_sha256,
@@ -157,7 +170,7 @@ class TestValidation:
         from dataclasses import replace
 
         network = _initialized(zoo.mlp4_config(), rng)
-        program = lower_network(network)
+        program = _program(network)
         doctored = list(program.instructions)
         first_compute = next(
             i for i, instr in enumerate(doctored) if instr.is_compute
@@ -167,6 +180,25 @@ class TestValidation:
         )
         bad = replace(program, instructions=tuple(doctored))
         with pytest.raises(BindError, match="shape"):
+            PlanVM(bad, network)
+
+    @pytest.mark.parametrize("layer", [-1, 5, 2**31 - 1])
+    def test_layer_index_is_never_guessed_from_the_slot(self, rng, layer):
+        from dataclasses import replace
+
+        network = _initialized(zoo.mlp4_config(), rng)
+        assert len(network.layers) == 5
+        program = _program(network)
+        doctored = list(program.instructions)
+        first_compute = next(
+            i for i, instr in enumerate(doctored) if instr.is_compute
+        )
+        # dest - 1 would name a perfectly good layer; the hostile artifact
+        # must be refused anyway.
+        assert 0 <= doctored[first_compute].dest - 1 < len(network.layers)
+        doctored[first_compute] = replace(doctored[first_compute], layer=layer)
+        bad = decode(encode(replace(program, instructions=tuple(doctored))))
+        with pytest.raises(BindError, match="executes layer"):
             PlanVM(bad, network)
 
 
@@ -181,17 +213,17 @@ class TestFabricPrograms:
         return _hybrid_offload_network(rng, tmp_path)
 
     def test_offload_lowering_and_bit_identity(self, hybrid, rng):
-        program = decode(encode(lower_network(hybrid, name="mini-hybrid")))
+        program = decode(encode(_program(hybrid, name="mini-hybrid")))
         assert program.uses_fabric
         mnemonics = [i.mnemonic for i in program.compute_instructions()]
         assert "OFFLOAD" in mnemonics
         fmb = FeatureMapBatch.from_maps(_frames(rng, hybrid.input_shape, 2))
-        engine_out = Executor(hybrid.plan()).run(fmb)
+        reference = legacy_forward_batch_all(hybrid, fmb)[-1]
         vm_out = PlanVM(program, hybrid).run(fmb)
-        assert vm_out.data.tobytes() == engine_out.data.tobytes()
+        assert vm_out.data.tobytes() == reference.data.tobytes()
 
     def test_reference_mode_matches_fabric_mode(self, hybrid, rng):
-        vm = PlanVM(decode(encode(lower_network(hybrid))), hybrid)
+        vm = PlanVM(decode(encode(_program(hybrid))), hybrid)
         fmb = FeatureMapBatch.from_maps(_frames(rng, hybrid.input_shape, 2))
         fabric = vm.run(fmb, fabric_mode="fabric")
         reference = vm.run(fmb, fabric_mode="reference")
@@ -202,7 +234,7 @@ class TestFabricPrograms:
     def test_fault_seam_is_shared_with_the_executor(self, hybrid, rng):
         from repro import faults
 
-        vm = PlanVM(decode(encode(lower_network(hybrid))), hybrid)
+        vm = PlanVM(decode(encode(_program(hybrid))), hybrid)
         fmb = FeatureMapBatch.from_maps(_frames(rng, hybrid.input_shape, 1))
         plan = faults.FaultPlan.parse("fabric-raise@0")
         with faults.install(plan):
@@ -217,7 +249,7 @@ class TestFabricPrograms:
 
         gate = FabricGate()
         vm = PlanVM(
-            decode(encode(lower_network(hybrid))), hybrid, offload_guard=gate
+            decode(encode(_program(hybrid))), hybrid, offload_guard=gate
         )
         fmb = FeatureMapBatch.from_maps(_frames(rng, hybrid.input_shape, 1))
         vm.run(fmb)

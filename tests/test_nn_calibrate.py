@@ -129,3 +129,23 @@ class TestSQNR:
         quantization_sqnr(network, _samples(rng, 2))
         after = network.forward(x).data
         assert np.array_equal(before, after)  # quantizers reinstated
+
+    def test_measurement_neither_sees_nor_leaves_a_stale_program(self, rng):
+        # A compiled program bakes in each conv's out_quant structure; the
+        # float pass swaps the quantizers out under a network that has
+        # already compiled one, and must get (and leave) a fresh compile.
+        used = _network(np.random.default_rng(7))
+        twin = _network(np.random.default_rng(7))
+        x = FeatureMap(_samples(rng, 1)[0])
+        samples = _samples(rng, 2)
+        first = used.forward(x).data.copy()
+        assert np.array_equal(first, twin.forward(x).data)
+        twin = _network(np.random.default_rng(7))  # never ran a forward
+        compiled_before = used.vm()
+        assert quantization_sqnr(used, samples) == quantization_sqnr(
+            twin, samples
+        )
+        assert used.vm() is not compiled_before
+        assert used.vm().program == twin.vm().program
+        assert used.forward(x).data.tobytes() == first.tobytes()
+        assert twin.forward(x).data.tobytes() == first.tobytes()

@@ -89,7 +89,7 @@ class TestCLILint:
     def test_clean_zoo(self, capsys):
         from repro.cli import main
 
-        assert main(["lint", "tincy"]) == 0
+        assert main(["analyze", "--cfg-only", "tincy"]) == 0
         assert "looks consistent" in capsys.readouterr().out
 
     def test_broken_cfg_file(self, tmp_path, capsys):
@@ -102,5 +102,5 @@ class TestCLILint:
             "activation=linear\n"
             "[region]\nclasses=20\nnum=5\n"
         )
-        assert main(["lint", str(cfg)]) == 1
+        assert main(["analyze", "--cfg-only", str(cfg)]) == 1
         assert "region expects 125" in capsys.readouterr().out

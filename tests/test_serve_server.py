@@ -282,6 +282,34 @@ class TestLifecycle:
             with pytest.raises(ServerClosed):
                 future.result(timeout=5)
 
+    def test_warmup_runs_the_servers_own_vm_unobserved(self, rng, tmp_path):
+        from repro import faults
+
+        hybrid = _hybrid_offload_network(rng, tmp_path)
+        frame = _frames(rng, hybrid.input_shape, 1)[0]
+        compiles = []
+        original = hybrid.plan
+        hybrid.plan = lambda: (compiles.append(1), original())[1]
+        # A plan that never fires: the injector only counts the seam.
+        with faults.install(faults.FaultPlan.parse("fabric-raise@99")) as seam:
+            server = InferenceServer(hybrid, ServeConfig(max_batch=1)).start()
+            try:
+                # One zero frame crossed the fabric.step seam, through the
+                # one program the server compiled — no second VM was built
+                # and nothing was recorded for it.
+                assert seam.invocations(faults.FABRIC_STEP) == 1
+                assert compiles == [1]
+                warm = server.metrics.snapshot()
+                assert warm["plan_steps"] == {}
+                assert warm["completed"] == 0
+                server.infer(frame, timeout_s=60)
+                assert seam.invocations(faults.FABRIC_STEP) == 2
+                steps = server.metrics.snapshot()["plan_steps"]
+                assert {entry["count"] for entry in steps.values()} == {1}
+            finally:
+                server.stop(timeout=30)
+        assert compiles == [1]
+
     def test_double_start_rejected(self, rng):
         server = InferenceServer(_mlp4(rng), ServeConfig(warmup=False))
         server.start()

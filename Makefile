@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast coverage bench bench-smoke bench-pytest serve-bench serve-smoke serve-shard-smoke opt-check tv-check isa-roundtrip report demo quickstart analyze lint-zoo clean
+.PHONY: install test test-fast coverage bench bench-smoke bench-e2e-smoke bench-pytest serve-bench serve-smoke serve-shard-smoke opt-check tv-check isa-roundtrip report demo quickstart analyze lint-zoo clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -30,6 +30,13 @@ bench:
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro bench --network cnv6 --batches 1,2 \
 		--repeats 1 --skip-kernel
+
+# The end-to-end benchmark's own checks (BENCHMARK.json, bench/): every
+# workload's code path on mlp4/cnv6 with 1 s phases, then the harness's
+# unit tests.  No timing assertions.
+bench-e2e-smoke:
+	python3 bench/run.py --smoke
+	PYTHONPATH=src $(PYTHON) -m pytest bench/test_harness.py -q
 
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt

@@ -20,11 +20,13 @@ baseline).  Three rules:
   models (:mod:`repro.neon.gemmlowp`) document their loops with
   ``# analyze: allow(AST-NESTED-LOOP)``.
 * ``AST-F64-TEMP`` — a numpy call that silently allocates a float64
-  temporary on a hot path (``core/``, ``neon/``, ``engine/fused.py``):
-  an allocator (``np.zeros``/``np.empty``/``np.ones``/``np.full``)
-  without a ``dtype=``, or a ufunc (``np.maximum`` & co.) mixing a bare
-  float literal into an array with neither ``out=`` nor ``dtype=`` —
-  both double the temporary's footprint and break dtype preservation.
+  temporary on a hot path (``core/``, ``neon/``, ``engine/fused.py``,
+  ``finn/mvtu.py``): an allocator (``np.zeros``/``np.empty``/``np.ones``/
+  ``np.full``) without a ``dtype=``, a ufunc (``np.maximum`` & co.)
+  mixing a bare float literal into an array with neither ``out=`` nor
+  ``dtype=``, or an ``np.where`` selecting between two Python floats
+  (literals, or ``self.<field>`` annotated ``float`` in the module) —
+  all double the temporary's footprint and break dtype preservation.
 
 Suppression: a finding is dropped when its own line, the line above it,
 or the enclosing ``def`` line carries ``# analyze: allow(RULE-ID)``.
@@ -51,7 +53,9 @@ _DTYPE_CALL_RE = re.compile(r"float|int|fdt|wdt|sdt|dtype|np\.")
 _ALLOW_RE = re.compile(r"#\s*analyze:\s*allow\(([A-Z0-9_,\s-]+)\)")
 
 #: Paths where AST-F64-TEMP applies (dtype-preserving hot paths).
-_F64_SCOPE_RE = re.compile(r"(^|[/\\])(core|neon)[/\\]|engine[/\\]fused\.py$")
+_F64_SCOPE_RE = re.compile(
+    r"(^|[/\\])(core|neon)[/\\]|engine[/\\]fused\.py$|finn[/\\]mvtu\.py$"
+)
 
 #: numpy allocators that default to float64 without ``dtype=`` — mapped
 #: to the positional index their dtype argument occupies.
@@ -115,12 +119,13 @@ def default_paths() -> List[str]:
         for name in sorted(os.listdir(directory)):
             if name.endswith(".py"):
                 paths.append(os.path.join(directory, name))
-    # The fused-kernel dispatcher lives outside the package directories
-    # above but is exactly the dtype-preserving hot path AST-F64-TEMP
-    # exists to guard.
-    fused = os.path.join(root, "engine", "fused.py")
-    if os.path.isfile(fused):
-        paths.append(fused)
+    # The fused-kernel dispatcher and the offload's MVTU live outside the
+    # package directories above but are exactly the dtype-preserving hot
+    # paths AST-F64-TEMP exists to guard.
+    for parts in (("engine", "fused.py"), ("finn", "mvtu.py")):
+        extra = os.path.join(root, *parts)
+        if os.path.isfile(extra):
+            paths.append(extra)
     return paths
 
 
@@ -139,13 +144,30 @@ def lint_source(source: str, filename: str = "<string>") -> List[Finding]:
     lines = source.splitlines()
     label = relative_to_package(filename)
     findings: List[Finding] = []
+    float_fields = _float_fields(tree)
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            findings.extend(_lint_function(node, label, lines))
+            findings.extend(_lint_function(node, label, lines, float_fields))
     return findings
 
 
-def _lint_function(func, label: str, lines: List[str]) -> List[Finding]:
+def _float_fields(tree) -> frozenset:
+    """Names of class-level fields annotated plain ``float`` in the module."""
+    return frozenset(
+        stmt.target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and isinstance(stmt.annotation, ast.Name)
+        and stmt.annotation.id == "float"
+    )
+
+
+def _lint_function(
+    func, label: str, lines: List[str], float_fields: frozenset = frozenset()
+) -> List[Finding]:
     findings: List[Finding] = []
     depth = _max_for_depth(func)
     if depth >= 3 and not _def_suppressed(lines, func, "AST-NESTED-LOOP"):
@@ -168,7 +190,7 @@ def _lint_function(func, label: str, lines: List[str]) -> List[Finding]:
     if _F64_SCOPE_RE.search(label) and not _def_suppressed(
         lines, func, "AST-F64-TEMP"
     ):
-        findings.extend(_lint_f64_temps(func, label, lines))
+        findings.extend(_lint_f64_temps(func, label, lines, float_fields))
     return findings
 
 
@@ -232,7 +254,23 @@ def _is_dtype_call(call: ast.Call) -> bool:
     return bool(_DTYPE_CALL_RE.search(name))
 
 
-def _lint_f64_temps(func, label: str, lines: List[str]) -> List[Finding]:
+def _is_python_float(node, float_fields: frozenset) -> bool:
+    """A float literal or ``self.<float field>``, possibly negated."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr in float_fields
+    )
+
+
+def _lint_f64_temps(
+    func, label: str, lines: List[str], float_fields: frozenset = frozenset()
+) -> List[Finding]:
     """Flag numpy calls that allocate float64 temporaries on a hot path."""
     findings: List[Finding] = []
     for node in ast.walk(func):
@@ -263,6 +301,23 @@ def _lint_f64_temps(func, label: str, lines: List[str]) -> List[Finding]:
                         f"temporary",
                         hint="pass the intended dtype= explicitly (the "
                         "batching PR made these kernels dtype-preserving)",
+                    )
+                )
+        elif attr == "where":
+            if (
+                len(node.args) == 3
+                and all(_is_python_float(a, float_fields) for a in node.args[1:])
+                and not is_suppressed(lines, node.lineno, "AST-F64-TEMP")
+            ):
+                findings.append(
+                    Finding(
+                        WARNING,
+                        "AST-F64-TEMP",
+                        f"{label}:{node.lineno}",
+                        f"np.where selects between two Python floats in "
+                        f"{func.name}; the result is a float64 array",
+                        hint="select between scalars of the intended dtype "
+                        "(np.float32(scale)) instead of casting afterwards",
                     )
                 )
         elif attr in _F64_UFUNCS:

@@ -383,7 +383,7 @@ def _prove_offload(
     level = _input_level(layer, chain_level, max_level)
     worst = 0
     for stage in stages:
-        k = int(stage.conv.mvtu.weights_pm1.shape[1])
+        k = stage.conv.mvtu.geometry.cols
         worst = max(worst, k * level)
         bits = stage.conv.mvtu.thresholds.bits
         level = (1 << bits) - 1

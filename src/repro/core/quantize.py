@@ -56,6 +56,52 @@ def round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(x, dtype=np.float64) + 0.5)
 
 
+def fits_uint8(data: np.ndarray) -> bool:
+    """True when *data* holds integer codes that all lie in ``0..255``."""
+    return bool(
+        np.issubdtype(data.dtype, np.integer)
+        and data.size
+        and int(data.min()) >= 0
+        and int(data.max()) <= 255
+    )
+
+
+def narrow_codes(data: np.ndarray):
+    """``data`` as 1-byte level codes, or ``None`` if not narrowable.
+
+    Activation levels are tiny non-negative codes (3-bit for W1A3), so the
+    sliding-window lowering can move 1 byte per element; the accumulators
+    downstream are exact either way, so the narrowing is bit-invisible.
+    Returns ``data`` itself when it is already ``uint8``; otherwise a
+    workspace-managed ``uint8`` copy (caller releases it).
+    """
+    if not fits_uint8(data):
+        return None
+    if data.dtype == np.uint8:
+        return data
+    codes = workspace.empty(data.shape, np.uint8)
+    np.copyto(codes, data, casting="unsafe")
+    return codes
+
+
+def _signed_scale(positive: np.ndarray, scale: float) -> np.ndarray:
+    """float32 ``+scale`` where the bool mask *positive* holds, else ``-scale``.
+
+    ``np.where(mask, scale, -scale)`` runs numpy's generic select loop
+    (~6 ns/element, and through a float64 array when the branches are
+    Python floats), which made binarizing Tincy's 6.3 M weights most of a
+    plan bind.  Three SIMD float32 passes instead: ``mask - 0.5`` is
+    ``+-0.5``, doubled is ``+-1``, times ``float32(scale)`` is exactly
+    ``+-float32(scale)`` — the one rounding of *scale* a select between
+    float32 scalars makes, so the result is bit-identical to it.
+    """
+    out = np.empty(np.shape(positive), dtype=np.float32)
+    np.subtract(positive, np.float32(0.5), out=out)
+    out *= np.float32(2.0)
+    out *= np.float32(scale)
+    return out
+
+
 @dataclass
 class BinaryQuantizer(Quantizer):
     """Sign binarization to ``{-scale, +scale}`` (Hubara et al. / FINN).
@@ -69,15 +115,13 @@ class BinaryQuantizer(Quantizer):
     bits: int = 1
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
-        return np.where(np.asarray(x) >= 0, self.scale, -self.scale).astype(np.float32)
+        return _signed_scale(np.asarray(x) >= 0, self.scale)
 
     def to_levels(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x) >= 0).astype(np.uint8)
 
     def from_levels(self, levels: np.ndarray) -> np.ndarray:
-        return np.where(np.asarray(levels) > 0, self.scale, -self.scale).astype(
-            np.float32
-        )
+        return _signed_scale(np.asarray(levels) > 0, self.scale)
 
     def ste_mask(self, x: np.ndarray) -> np.ndarray:
         # Clipped STE: pass gradients only where |x| <= 1 (BinaryNet rule).
@@ -259,4 +303,6 @@ __all__ = [
     "UnsignedUniformQuantizer",
     "AffineQuantizer",
     "round_half_up",
+    "fits_uint8",
+    "narrow_codes",
 ]

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import workspace
 from repro.core.quantize import round_half_up
 
 
@@ -118,17 +119,27 @@ class ThresholdActivation:
         else:
             thr = plan["thr_int"]
         col = (slice(None),) + (None,) * (acc.ndim - 1)
-        signed = acc if plan["all_positive"] else acc * self.signs[col]
+        signed = acc
+        if not plan["all_positive"]:
+            signed = workspace.empty(
+                acc.shape, np.result_type(acc.dtype, self.signs.dtype)
+            )
+            np.multiply(acc, self.signs[col], out=signed)
         # n_thresh <= 16, so hit counts fit a uint8 accumulator; the int32
         # widening happens once at the end instead of per compare.
-        hits = np.zeros(acc.shape, dtype=np.uint8)
-        cmp = np.empty(acc.shape, dtype=bool)
+        hits = workspace.empty(acc.shape, np.uint8)
+        hits.fill(0)
+        cmp = workspace.empty(acc.shape, np.bool_)
         for k in range(thr.shape[-1]):
             np.greater_equal(signed, thr[:, k][col], out=cmp)
             hits += cmp
         if out is None:
             out = np.empty(acc.shape, dtype=np.int32)
         np.copyto(out, hits, casting="unsafe")
+        workspace.release(cmp)
+        workspace.release(hits)
+        if signed is not acc:
+            workspace.release(signed)
         return out
 
     def _compare_plan(self):

@@ -6,12 +6,13 @@ layer objects are wrapped in a :class:`FusedChain`, which quacks like a
 single CPU layer to the VM: ``ltype``/``out_shape``/``run_batch``/
 ``run_batch_reference``.
 
-conv→maxpool chains dispatch to the chunked fused kernel
-(:func:`repro.core.fused.fused_conv_maxpool_batch`); every other shape
-runs the generic sequential form, which still wins the fusion's memory
-benefit — each interior buffer is released to the workspace allocator
-the moment its consumer has read it, instead of living in a VM slot
-until a RELEASE point.
+conv→maxpool chains dispatch to :func:`repro.core.fused.
+fused_conv_maxpool_batch` — the band-tiled conv→pool→threshold kernel
+for the exact-integer layers, frame-chunked layer forwards otherwise;
+every other shape runs the generic sequential form, which still wins
+the fusion's memory benefit — each interior buffer is released to the
+workspace allocator the moment its consumer has read it, instead of
+living in a VM slot until a RELEASE point.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from repro.core.fused import fused_conv_maxpool_batch
 from repro.core.resources import CPU
 from repro.core.tensor import FeatureMapBatch
 
-#: ltype pairs the dedicated chunk-fused kernel handles; everything else
-#: takes the generic sequential path.
+#: conv ltypes whose conv→maxpool pair the dedicated fused kernel handles;
+#: everything else takes the generic sequential path.
 _CONV_LTYPES = ("convolutional", "conv")
 
 

@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import workspace
 from repro.core.tensor import FeatureMap, FeatureMapBatch
 from repro.core.thresholds import derive_thresholds
 from repro.finn.mvtu import MVTU, Folding, MVTUConvLayer
@@ -34,7 +35,7 @@ from repro.finn.resources import (
 )
 from repro.nn.layers.convolutional import BN_EPS, ConvolutionalLayer
 from repro.nn.layers.maxpool import MaxpoolLayer
-from repro.core.ops import maxpool2d, maxpool2d_batch
+from repro.core.ops import maxpool2d
 
 #: Defaults calibrated in DESIGN.md §6: a 32x32 engine at 200 MHz in the
 #: XCZU3EG fabric with ~1 ms of invocation overhead per offloaded layer
@@ -57,10 +58,6 @@ class PoolStage:
         # old float64 round trip is gone — level codes pool as integers.
         pooled = maxpool2d(fm.data, self.size, self.stride, self.padding)
         return FeatureMap(pooled, scale=fm.scale)
-
-    def forward_batch(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
-        pooled = maxpool2d_batch(fmb.data, self.size, self.stride, self.padding)
-        return FeatureMapBatch(pooled, scale=fmb.scale)
 
     def out_shape(self, in_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
         from repro.core.tensor import pool_output_size
@@ -99,10 +96,7 @@ class FabricStage:
         return out
 
     def forward_batch(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
-        out = self.conv.forward_batch(fmb)
-        if self.pool is not None:
-            out = self.pool.forward_batch(out)
-        return out
+        return self.conv.forward_batch(fmb, pool=self.pool)
 
     def cycles(self) -> int:
         total = self.conv.cycles(self.in_shape)
@@ -243,9 +237,15 @@ class IteratedAccelerator:
         return fm
 
     def forward_batch(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
+        current = fmb
         for stage in self.stages:
-            fmb = stage.forward_batch(fmb)
-        return fmb
+            produced = stage.forward_batch(current)
+            if current is not fmb:
+                # The engine is iterated: a stage's input map is dead the
+                # moment the stage has run.
+                workspace.release(current.data)
+            current = produced
+        return current
 
     def cycles_per_frame(self) -> int:
         return sum(stage.cycles() for stage in self.stages)

@@ -23,43 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.core import workspace
 from repro.core.bitpack import bitserial_dot, pack_bits, pack_levels
-from repro.core.im2col import im2col, im2col_batch
+from repro.core.fused import BandKernel
+from repro.core.im2col import im2col
+from repro.core.quantize import narrow_codes
 from repro.core.tensor import FeatureMap, FeatureMapBatch, conv_output_size
 from repro.core.thresholds import ThresholdActivation
-
-#: Element budget for one batched im2col chunk; frames are lowered and
-#: multiplied in chunks so huge batches never materialize the whole
-#: K**2-inflated multiplicand at once (level codes lower as uint8, so the
-#: budget now bounds 1-byte elements instead of int64 ones).
-_BATCH_COL_BUDGET = 1 << 24
-
-
-def _narrow_codes(levels: np.ndarray) -> np.ndarray:
-    """Level codes as uint8 when they fit, else int64.
-
-    Activation levels are tiny non-negative codes (3-bit for W1A3), so the
-    sliding-window lowering can move 1 byte per element instead of the 8 an
-    int64 cast forced; the accumulators downstream are computed exactly
-    either way, so the narrowing is bit-invisible.
-    """
-    levels = np.asarray(levels)
-    if (
-        np.issubdtype(levels.dtype, np.integer)
-        and levels.size
-        and int(levels.min()) >= 0
-        and int(levels.max()) <= 255
-    ):
-        if levels.dtype == np.uint8:
-            return levels
-        codes = workspace.empty(levels.shape, np.uint8)
-        np.copyto(codes, levels, casting="unsafe")
-        return codes
-    return levels.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -109,7 +83,7 @@ class MVTU:
         weights_pm1 = np.asarray(weights_pm1)
         if weights_pm1.ndim != 2:
             raise ValueError("MVTU weights must be a 2-D matrix")
-        if not set(np.unique(weights_pm1)).issubset({-1, 1}):
+        if not np.all((weights_pm1 == 1) | (weights_pm1 == -1)):
             raise ValueError("MVTU weights must be binary (-1/+1)")
         if thresholds.channels != weights_pm1.shape[0]:
             raise ValueError(
@@ -129,18 +103,21 @@ class MVTU:
         #: the default integer matmul is proven equivalent by the tests and
         #: is what large runs use.
         self.bitserial = bitserial
-        self._weights_pm1 = weights_pm1.astype(np.int64)
-        # float32 copy for the exact single-precision GEMM path of matmat
-        # (+-1 entries are exact in any float width).
+        # Stored at 1 byte per weight; the float32 copy is the GEMM
+        # operand of matmat and the band kernel (+-1 is exact in any float
+        # width).  The int64 matrix and the packed words are only built
+        # for callers that ask (compilers, matvec, the bit-serial path).
+        self._weights_i8 = weights_pm1.astype(np.int8)
         self._weights_f32 = weights_pm1.astype(np.float32)
-        self._packed_weights, self._n = pack_bits(
-            (weights_pm1 > 0).astype(np.uint8)
-        )
 
-    @property
+    @cached_property
     def weights_pm1(self) -> np.ndarray:
-        """The ``{-1,+1}`` weight matrix (read-only view for compilers)."""
-        return self._weights_pm1
+        """The ``{-1,+1}`` weight matrix as int64 (built on first use)."""
+        return self._weights_i8.astype(np.int64)
+
+    @cached_property
+    def _packed_weights(self) -> np.ndarray:
+        return pack_bits((self._weights_i8 > 0).astype(np.uint8))[0]
 
     # -- functional --------------------------------------------------------------
 
@@ -153,7 +130,7 @@ class MVTU:
                 f"got {levels.shape}"
             )
         planes, _ = pack_levels(levels, bits=self.thresholds.bits)
-        acc = bitserial_dot(self._packed_weights, planes, self._n)
+        acc = bitserial_dot(self._packed_weights, planes, self.geometry.cols)
         return self.thresholds.apply(acc[:, None])[:, 0]
 
     def matmat(self, level_columns: np.ndarray) -> np.ndarray:
@@ -184,7 +161,7 @@ class MVTU:
             # BLAS-backed float64 matmul: exact for these magnitudes
             # (|acc| <= cols * max_level << 2**53) and orders of magnitude
             # faster than numpy's non-BLAS integer matmul on big layers.
-            acc_f = self._weights_pm1.astype(np.float64) @ level_columns.astype(
+            acc_f = self._weights_i8.astype(np.float64) @ level_columns.astype(
                 np.float64
             )
             acc = np.rint(acc_f).astype(np.int64)
@@ -197,7 +174,7 @@ class MVTU:
         )
         # planes: (n_vectors, bits, n_words); broadcast weights over vectors.
         return bitserial_dot(
-            self._packed_weights[:, None, :], planes[None, :, :, :], self._n
+            self._packed_weights[:, None, :], planes[None, :, :, :], self.geometry.cols
         )
 
     # -- cycle model ----------------------------------------------------------------
@@ -254,7 +231,9 @@ class MVTUConvLayer:
                 f"expected {self.in_channels} input channels, got {levels.shape[0]}"
             )
         out_c, out_h, out_w = self.out_shape(levels.shape)
-        codes = _narrow_codes(levels)
+        codes = narrow_codes(levels)
+        if codes is None:
+            codes = levels.astype(np.int64)
         cols = im2col(codes, self.ksize, self.stride, self.pad)
         if codes is not levels:
             workspace.release(codes)
@@ -262,54 +241,46 @@ class MVTUConvLayer:
         workspace.release(cols)
         return FeatureMap(out_levels.astype(np.int32), scale=self.out_scale)
 
-    def forward_batch(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
-        """Batched forward: all frames' columns stack into wide matmats.
+    def forward_batch(self, fmb: FeatureMapBatch, pool=None) -> FeatureMapBatch:
+        """Batched forward, with the stage's *pool* (if any) fused in.
 
-        The MVTU accumulates exactly (integer values through an exact
-        float64 matmul, or the bit-serial path), so stacking columns across
-        frames is bit-identical per frame to :meth:`forward` — unlike the
-        float32 layers, no per-frame GEMM split is needed.  Frames are
-        chunked to bound the transient im2col storage.
+        One :class:`~repro.core.fused.BandKernel` call runs conv, pool and
+        thresholds band by band; its float32 GEMM is exact, so every frame
+        equals :meth:`forward` followed by ``pool.forward`` bit for bit.
+        Whatever the kernel declines — the bit-serial datapath, a matrix
+        too deep for exact float32, levels that are not 1-byte codes —
+        takes exactly that per-frame walk instead.
         """
         levels = np.asarray(fmb.data)
         if levels.shape[1] != self.in_channels:
             raise ValueError(
                 f"expected {self.in_channels} input channels, got {levels.shape[1]}"
             )
-        n = levels.shape[0]
-        out_c, out_h, out_w = self.out_shape(levels.shape[1:])
-        positions = out_h * out_w
-        ckk = self.mvtu.geometry.cols
-        chunk = max(1, _BATCH_COL_BUDGET // max(1, ckk * positions))
-        codes = _narrow_codes(levels)
-        out = workspace.empty((n, out_c, positions), np.int32)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            cols = im2col_batch(
-                codes[start:stop],
-                self.ksize,
-                self.stride,
-                self.pad,
+        out = None
+        kernel = None if self.mvtu.bitserial else self._band_kernel
+        if kernel is not None:
+            out = kernel.run(
+                levels, pool and (pool.size, pool.stride, pool.padding)
             )
-            # Stack frames side by side for one wide matmat; the transpose
-            # is gathered into a workspace buffer (a bare reshape would
-            # silently allocate an untracked copy).
-            stacked = workspace.empty((ckk, (stop - start) * positions), cols.dtype)
-            np.copyto(
-                stacked.reshape(ckk, stop - start, positions),
-                cols.transpose(1, 0, 2),
-            )
-            workspace.release(cols)
-            out_levels = self.mvtu.matmat(stacked)
-            workspace.release(stacked)
-            out[start:stop] = (
-                out_levels.reshape(out_c, stop - start, positions)
-                .transpose(1, 0, 2)
-            )
-        if codes is not levels:
-            workspace.release(codes)
-        return FeatureMapBatch(
-            out.reshape(n, out_c, out_h, out_w), scale=self.out_scale
+        if out is None:
+            shape = self.out_shape(levels.shape[1:])
+            if pool is not None:
+                shape = pool.out_shape(shape)
+            out = workspace.empty((levels.shape[0],) + tuple(shape), np.int32)
+            for i, frame in enumerate(fmb.frames()):
+                fm = self.forward(frame)
+                out[i] = (fm if pool is None else pool.forward(fm)).data
+        return FeatureMapBatch(out, scale=self.out_scale)
+
+    @cached_property
+    def _band_kernel(self):
+        return BandKernel.fold(
+            self.mvtu._weights_f32,
+            self.mvtu.thresholds,
+            self.in_channels,
+            self.ksize,
+            self.stride,
+            self.pad,
         )
 
     def cycles(self, in_shape) -> int:

@@ -62,7 +62,7 @@ def export_offload(
     for index, stage in enumerate(stages):
         prefix = f"stage{index:02d}"
         mvtu = stage.conv.mvtu
-        arrays[f"{prefix}-weights"] = mvtu._weights_pm1.astype(np.int8)
+        arrays[f"{prefix}-weights"] = mvtu._weights_i8
         arrays[f"{prefix}-thresholds"] = mvtu.thresholds.thresholds
         arrays[f"{prefix}-signs"] = mvtu.thresholds.signs
         pool = None
@@ -221,7 +221,7 @@ class FabricBackend:
         if batch.batch == 0:
             return FeatureMapBatch(
                 np.zeros(
-                    (0,) + tuple(self.accelerator.out_shape), dtype=np.int64
+                    (0,) + tuple(self.accelerator.out_shape), dtype=np.int32
                 ),
                 scale=self.accelerator.stages[-1].conv.out_scale,
             )
@@ -259,7 +259,7 @@ class FabricBackend:
                 bits=int(info["bits"]),
             )
             mvtu = MVTU(
-                self._arrays[f"{prefix}-weights"].astype(np.int64),
+                self._arrays[f"{prefix}-weights"],
                 thresholds,
                 folding,
             )

@@ -24,8 +24,12 @@ The axiom catalog (the full table lives in ``docs/ANALYSIS.md``):
   rests on the monotone-threshold lemma of
   :func:`repro.core.thresholds.derive_thresholds`.
 * :data:`AX_FUSED_CHAIN` — ``fused[a,b](x) == b(a(x))`` for a
-  :data:`~repro.isa.passes.fuse.FUSABLE` pair: the ``FUSED``
-  instruction runs both layers' own batched kernels back to back.
+  :data:`~repro.isa.passes.fuse.FUSABLE` pair.  Most chains run both
+  layers' own batched kernels back to back; an exact-integer
+  conv→maxpool runs :class:`repro.core.fused.BandKernel`, which pools
+  accumulators *before* thresholding — sound because the sign-folded
+  hit count is non-decreasing in the accumulator, and pinned against
+  the unfused single-frame chain by :data:`AXIOM_KERNEL_TESTS`.
 * :data:`AX_DATAFLOW_COMMUTE` — instructions with no dataflow edge
   between them commute; a reorder that respects every edge (checked by
   symbolic evaluation reading slots in the new order) cannot change any
@@ -67,6 +71,16 @@ AXIOM_NAMES = frozenset(
         AX_HEADER_CONSTANTS,
     )
 )
+
+#: axiom -> pytest node id of the property test that pins it against the
+#: real kernels (ROADMAP "test the axioms"); axioms without an entry are
+#: still trusted, not tested.
+AXIOM_KERNEL_TESTS = {
+    AX_FUSED_CHAIN: (
+        "tests/test_dtype_kernels.py::TestBandKernel::"
+        "test_equals_single_frame_chain_and_bitserial"
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -122,6 +136,7 @@ __all__ = [
     "AX_RELEASE_SCHEDULE",
     "AX_HEADER_CONSTANTS",
     "AXIOM_NAMES",
+    "AXIOM_KERNEL_TESTS",
     "Rewrite",
     "Witness",
     "identity_witness",

@@ -20,6 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.core import workspace
+from repro.core.fused import BandKernel
 from repro.core.ops import (
     batchnorm_inference,
     conv2d,
@@ -27,7 +28,11 @@ from repro.core.ops import (
     leaky_relu,
     relu,
 )
-from repro.core.quantize import BinaryQuantizer, UnsignedUniformQuantizer
+from repro.core.quantize import (
+    BinaryQuantizer,
+    UnsignedUniformQuantizer,
+    narrow_codes,
+)
 from repro.core.thresholds import derive_thresholds
 from repro.core.tensor import FeatureMap, FeatureMapBatch, conv_output_size
 from repro.nn.config import Section
@@ -53,23 +58,6 @@ _ACTIVATIONS = {
 }
 
 
-def _narrow_codes(data: np.ndarray):
-    """``data`` as 1-byte level codes, or ``None`` if not narrowable.
-
-    Returns ``data`` itself when it is already ``uint8``; otherwise a
-    workspace-managed ``uint8`` copy (caller releases it).
-    """
-    if not np.issubdtype(data.dtype, np.integer) or data.size == 0:
-        return None
-    if int(data.min()) < 0 or int(data.max()) > 255:
-        return None
-    if data.dtype == np.uint8:
-        return data
-    codes = workspace.empty(data.shape, np.uint8)
-    np.copyto(codes, data, casting="unsafe")
-    return codes
-
-
 def _lut_conv_inputs(data: np.ndarray, scale: float):
     """``(codes, lut)`` when integer level codes can feed the GEMM via a LUT.
 
@@ -80,7 +68,7 @@ def _lut_conv_inputs(data: np.ndarray, scale: float):
     matching the zero padding of the dense float path.  Returns ``None``
     when the data is not LUT-addressable (float input layer, wide codes).
     """
-    codes = _narrow_codes(data)
+    codes = narrow_codes(data)
     if codes is None:
         return None
     lut = (np.arange(256, dtype=np.float64) * float(scale)).astype(np.float32)
@@ -125,6 +113,8 @@ class ConvolutionalLayer(Layer):
         # (in_scale, parameter arrays, ThresholdActivation) for the exact
         # integer epilogue; same identity-keyed invalidation discipline.
         self._threshold_cache = None
+        # (ThresholdActivation, effective weights, BandKernel).
+        self._band_cache = None
         # Parameters (allocated in init once the input depth is known).
         self.weights: np.ndarray = None
         self.biases: np.ndarray = None
@@ -288,7 +278,7 @@ class ConvolutionalLayer(Layer):
         :class:`~repro.core.thresholds.ThresholdActivation`.
         """
         self._require_initialized()
-        codes = _narrow_codes(fmb.data)
+        codes = narrow_codes(fmb.data)
         if codes is None:
             raise ValueError(
                 f"[{self.ltype}] split accumulator needs integer level "
@@ -333,36 +323,69 @@ class ConvolutionalLayer(Layer):
         levels = self.out_quant.to_levels(fmb.data)
         return FeatureMapBatch(levels, scale=self.out_quant.scale)
 
-    def _integer_forward(self, data, scale, batched: bool):
-        """Exact integer path: uint8-code GEMM + one threshold pass.
+    def _integer_forward(self, data, scale):
+        """Exact integer single-frame path: uint8-code GEMM + one threshold pass.
 
         The GEMM multiplies ±1 float32 weights against level codes cast to
         float32 — every partial sum is an exact integer below 2**24, so
-        float32 accumulation is exact and order-independent (the batched
-        result is *provably* identical to the per-frame result, not just
-        pinned by the per-frame-GEMM convention).  Returns the int32 level
-        map, or ``None`` when the layer/input does not qualify.
+        float32 accumulation is exact and order-independent.  Returns the
+        int32 level map, or ``None`` when the layer/input does not qualify.
+        This is the independent reference the batched band kernel
+        (:meth:`forward_batch_pooled`) is pinned against.
         """
         thr = self._thresholds_for(scale)
         if thr is None:
             return None
-        codes = _narrow_codes(data)
+        codes = narrow_codes(data)
         if codes is None:
             return None
-        conv = conv2d_batch if batched else conv2d
-        acc = conv(codes, self.effective_weights(), None, self.stride, self.pad)
+        acc = conv2d(codes, self.effective_weights(), None, self.stride, self.pad)
         if codes is not data:
             workspace.release(codes)
         levels = workspace.empty(acc.shape, np.int32)
-        if batched:
-            c = acc.shape[1]
-            for i in range(acc.shape[0]):
-                thr.apply(acc[i].reshape(c, -1), out=levels[i].reshape(c, -1))
-        else:
-            c = acc.shape[0]
-            thr.apply(acc.reshape(c, -1), out=levels.reshape(c, -1))
+        c = acc.shape[0]
+        thr.apply(acc.reshape(c, -1), out=levels.reshape(c, -1))
         workspace.release(acc)
         return levels
+
+    def _band_kernel(self, in_scale: float):
+        """The layer's :class:`BandKernel` for *in_scale*, or ``None``.
+
+        Cached on the identity of the threshold table and the quantized
+        weights, both of which are themselves rebuilt only when the
+        parameters they derive from are rebound.
+        """
+        thr = self._thresholds_for(in_scale)
+        if thr is None:
+            return None
+        weights = self.effective_weights()
+        cached = self._band_cache
+        if cached is not None and cached[0] is thr and cached[1] is weights:
+            return cached[2]
+        kernel = BandKernel.fold(
+            weights.reshape(self.filters, -1), thr,
+            self.in_shape[0], self.size, self.stride, self.pad,
+        )
+        self._band_cache = (thr, weights, kernel)
+        return kernel
+
+    def forward_batch_pooled(self, fmb: FeatureMapBatch, pool=None):
+        """conv (+ *pool*) on the exact integer band kernel, or ``None``.
+
+        *pool* is an optional max-pool layer applied to the conv output in
+        the same pass.  ``None`` means the layer or the input does not
+        qualify (float layer, non-level input) and nothing was computed.
+        """
+        self._require_initialized()
+        kernel = self._band_kernel(fmb.scale)
+        if kernel is None:
+            return None
+        levels = kernel.run(
+            fmb.data, pool and (pool.size, pool.stride, pool.padding)
+        )
+        if levels is None:
+            return None
+        return FeatureMapBatch(levels, scale=self.out_quant.scale)
 
     def _convolve(self, data, scale, batched: bool) -> np.ndarray:
         """The GEMM: LUT-dequantized level codes when possible, else values.
@@ -420,7 +443,7 @@ class ConvolutionalLayer(Layer):
 
     def forward(self, fm: FeatureMap) -> FeatureMap:
         self._require_initialized()
-        levels = self._integer_forward(fm.data, fm.scale, batched=False)
+        levels = self._integer_forward(fm.data, fm.scale)
         if levels is not None:
             return FeatureMap(levels, scale=self.out_quant.scale)
         z = self._convolve(fm.data, fm.scale, batched=False)
@@ -434,6 +457,9 @@ class ConvolutionalLayer(Layer):
     def forward_batch(self, fmb: FeatureMapBatch, history=None) -> FeatureMapBatch:
         self._require_initialized()
         self._check_history(history)
+        fused = self.forward_batch_pooled(fmb)
+        if fused is not None:
+            return fused
         out_c, out_h, out_w = self.out_shape
         frame_bytes = out_c * out_h * out_w * 4
         chunk = max(1, _CONV_BATCH_FRAME_BUDGET // max(1, frame_bytes))
@@ -457,9 +483,6 @@ class ConvolutionalLayer(Layer):
         return FeatureMapBatch(out, scale=first.scale)
 
     def _forward_batch_chunk(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
-        levels = self._integer_forward(fmb.data, fmb.scale, batched=True)
-        if levels is not None:
-            return FeatureMapBatch(levels, scale=self.out_quant.scale)
         z = self._convolve(fmb.data, fmb.scale, batched=True)
         z = self._epilogue(z, channel_axis=1)
         if self.out_quant is not None:

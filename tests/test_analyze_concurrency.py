@@ -368,6 +368,41 @@ class TestHotPathRules:
         )
         assert _rules(findings) == ["AST-PROMOTE"]
 
+    def test_where_between_python_floats_is_a_float64_temp(self):
+        source = textwrap.dedent(
+            """
+            import numpy as np
+            class Binarizer:
+                scale: float = 1.0
+                def quantize(self, x):
+                    return np.where(x >= 0, {pos}, {neg}).astype(np.float32)
+            """
+        )
+        for pos, neg in (("self.scale", "-self.scale"), ("1.0", "-1.0")):
+            findings = lint_ast(
+                source.format(pos=pos, neg=neg), "repro/core/quantize.py"
+            )
+            assert _rules(findings) == ["AST-F64-TEMP"]
+            # only dtype-preserving hot paths are in scope
+            assert lint_ast(source.format(pos=pos, neg=neg), "repro/cli.py") == []
+        typed = source.format(
+            pos="np.float32(self.scale)", neg="np.float32(-self.scale)"
+        )
+        assert lint_ast(typed, "repro/core/quantize.py") == []
+
+    def test_offload_mvtu_is_on_the_hot_path_lint(self):
+        from repro.analyze.astlint import default_paths
+
+        assert any(
+            path.replace("\\", "/").endswith("finn/mvtu.py")
+            for path in default_paths()
+        )
+        findings = lint_ast(
+            "import numpy as np\ndef acc(n):\n    return np.zeros(n)\n",
+            "repro/finn/mvtu.py",
+        )
+        assert _rules(findings) == ["AST-F64-TEMP"]
+
 
 class TestRepoIsClean:
     def test_self_lint_passes_on_the_repo_source(self):

@@ -42,6 +42,21 @@ class TestBinaryQuantizer:
         assert set(np.unique(levels)).issubset({0, 1})
         assert np.array_equal(q.from_levels(levels), q.quantize(x))
 
+    @pytest.mark.parametrize("scale", [1.0, 0.37, 1 / 3, -0.2, 1e-45, 3e38])
+    def test_bit_identical_to_the_float64_select(self, rng, scale):
+        """The arithmetic select equals ``np.where`` through float64 then
+        rounded once to float32 — signed zeros, NaN and infinities too."""
+        q = BinaryQuantizer(scale=scale)
+        x = rng.normal(size=(3, 50)).astype(np.float32)
+        x.flat[:5] = [0.0, -0.0, np.nan, np.inf, -np.inf]
+        want = np.where(x >= 0, scale, -scale).astype(np.float32)
+        got = q.quantize(x)
+        assert got.dtype == np.float32 and got.shape == x.shape
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        again = q.from_levels(q.to_levels(x))
+        assert again.dtype == np.float32
+        assert np.array_equal(again.view(np.uint32), want.view(np.uint32))
+
     def test_ste_mask_clips_outside_unit_interval(self):
         q = BinaryQuantizer()
         mask = q.ste_mask(np.array([-2.0, -1.0, 0.0, 1.0, 1.5]))

@@ -221,6 +221,185 @@ class TestMVTUFloat32ExactPath:
         )
 
 
+def _w1a3_pair(rng, c_in, c_out, ksize, h, w, pool):
+    """A real binary conv (+ optional maxpool) layer pair with hostile BN
+    constants: negative gains (sign -1 channels) and zero gains (constant
+    channels whose thresholds are the +-2**62 sentinels, one pinned at
+    level 0 and one at level 2**bits - 1)."""
+    cfg = (
+        f"[net]\nwidth={w}\nheight={h}\nchannels={c_in}\n\n"
+        f"[convolutional]\nbatch_normalize=1\nfilters={c_out}\nsize={ksize}\n"
+        f"stride=1\npad=1\nactivation=relu\nbinary=1\nactivation_bits=3\n"
+    )
+    if pool is not None:
+        cfg += f"\n[maxpool]\nsize={pool[0]}\nstride={pool[1]}\n"
+        if len(pool) == 3:
+            cfg += f"padding={pool[2]}\n"
+    net = Network.from_cfg(cfg)
+    net.initialize(rng)
+    conv = net.layers[0]
+    gains = rng.uniform(0.5, 2.0, size=c_out) * rng.choice([-1.0, 1.0], size=c_out)
+    conv.biases = rng.normal(size=c_out).astype(np.float32)
+    if c_out >= 3:
+        gains[:2] = 0.0
+        conv.biases[:2] = (-5.0, 5.0)
+    conv.scales = gains.astype(np.float32)
+    conv.rolling_mean = (rng.normal(size=c_out) * 0.5).astype(np.float32)
+    conv.rolling_var = rng.uniform(0.5, 2.0, size=c_out).astype(np.float32)
+    return conv, (net.layers[1] if pool is not None else None)
+
+
+def _level_batch(rng, batch, shape):
+    """Random 3-bit codes; frame 0 all zeros, frame 1 all at 2**bits - 1."""
+    levels = rng.integers(0, 8, size=(batch,) + tuple(shape)).astype(np.int32)
+    if batch > 0:
+        levels[0] = 0
+    if batch > 1:
+        levels[1] = 7
+    return levels
+
+
+#: (c_in, c_out, ksize, h, w, pool) — pool is (size, stride[, padding]) or
+#: None; padding defaults to Darknet's size - 1.
+BAND_CASES = [
+    (16, 5, 3, 13, 13, (2, 1)),    # the padded stride-1 pool before 13x13
+    (3, 4, 3, 13, 13, (2, 2)),
+    (1, 3, 3, 5, 7, None),         # smaller than one band
+    (7, 6, 1, 9, 11, (2, 2)),      # 1x1 conv, no padding
+    (5, 4, 3, 9, 11, (2, 2, 0)),   # unpadded pool drops the odd row/column
+    (64, 3, 3, 47, 47, (2, 2)),    # 3 bands at the shipped constants
+    (64, 3, 3, 47, 45, None),
+    (64, 4, 1, 1, 1, (2, 2)),      # a single padded pool window
+]
+
+
+class TestBandKernel:
+    """The band-tiled conv -> pool -> threshold kernel against the two
+    independent references it does not share code with: the single-frame
+    chain ``pool.forward(conv.forward(x))`` and ``MVTU(bitserial=True)``.
+
+    Registered in ``repro.isa.passes.witness.AXIOM_KERNEL_TESTS`` as the
+    kernel-level test of the ``fused-chain-compose`` axiom.
+    """
+
+    def _check(self, rng, c_in, c_out, ksize, h, w, pool, batch):
+        from repro.core.fused import fused_conv_maxpool_batch
+        from repro.finn.accelerator import compile_stages
+
+        conv, pool_layer = _w1a3_pair(rng, c_in, c_out, ksize, h, w, pool)
+        layers = [conv] if pool_layer is None else [conv, pool_layer]
+        in_scale = 0.25 / np.sqrt(c_in * ksize * ksize)
+        levels = _level_batch(rng, batch, conv.in_shape)
+        fmb = FeatureMapBatch(levels, scale=in_scale)
+        (serial,) = compile_stages(layers, in_scale, conv.in_shape, bitserial=True)
+        (stage,) = compile_stages(layers, in_scale, conv.in_shape)
+
+        def chain(frame):
+            out = conv.forward(frame)
+            return out if pool_layer is None else pool_layer.forward(out)
+
+        expected = [chain(frame).data for frame in fmb.frames()]
+        for frame, want in zip(fmb.frames(), expected):
+            np.testing.assert_array_equal(serial.forward(frame).data, want)
+
+        got = {
+            "cpu": conv.forward_batch_pooled(fmb, pool_layer),
+            "finn": stage.forward_batch(fmb),
+        }
+        if pool_layer is None:
+            got["layer"] = conv.forward_batch(fmb)
+        else:
+            got["fused"] = fused_conv_maxpool_batch(conv, pool_layer, fmb)
+        out_shape = layers[-1].out_shape
+        for name, result in got.items():
+            assert result is not None, name
+            assert result.data.dtype == np.int32, name
+            assert result.data.shape == (batch,) + tuple(out_shape), name
+            assert result.scale == conv.out_quant.scale, name
+            for i, want in enumerate(expected):
+                np.testing.assert_array_equal(result.data[i], want, err_msg=name)
+        return np.stack(expected) if expected else None
+
+    @pytest.mark.parametrize("batch", [0, 1, 5])
+    @pytest.mark.parametrize("case", BAND_CASES)
+    def test_equals_single_frame_chain_and_bitserial(self, rng, case, batch):
+        self._check(rng, *case, batch)
+
+    def test_shipped_constants_give_three_ragged_bands(self):
+        from repro.core import fused
+
+        rows = fused._band_rows(64 * 9, 47, 47, 2)
+        assert rows % 2 == 0 and 2 * rows < 47 <= 3 * rows and 47 % rows
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_geometry_many_bands(self, seed, monkeypatch):
+        """Random odd maps with the band shrunk to a few rows, so small
+        maps span many bands with a ragged last one."""
+        from repro.core import fused
+
+        rng = np.random.default_rng(1000 + seed)
+        c_in = int(rng.integers(1, 65))
+        ksize = int(rng.choice([1, 3]))
+        h, w = (int(2 * rng.integers(2, 9) + 1) for _ in range(2))
+        pool = [None, (2, 2), (2, 1), (2, 2, 0)][seed % 4]
+        monkeypatch.setattr(fused, "_BAND_COL_BYTES", 4 * c_in * ksize**2 * w * 2)
+        monkeypatch.setattr(fused, "_BAND_MIN_POSITIONS", 1)
+        assert -(-h // fused._band_rows(c_in * ksize**2, h, w, 2)) >= 3
+        out = self._check(rng, c_in, 6, ksize, h, w, pool, batch=2)
+        # constant channels sit at the two ends of the level range
+        assert (out[:, 0] == 0).all() and (out[:, 1] == 7).all()
+
+    def test_geometry_beyond_float32_exactness_falls_back(self, rng, monkeypatch):
+        """c_in * k**2 * 255 >= 2**24: the kernel must decline, not run."""
+        from repro.core.fused import BandKernel
+        from repro.finn.accelerator import compile_stages
+
+        c_in = (1 << 24) // 255 + 1
+        conv, _ = _w1a3_pair(rng, c_in, 3, 1, 3, 3, None)
+        in_scale = 0.25 / np.sqrt(c_in)
+        (stage,) = compile_stages([conv], in_scale, conv.in_shape)
+        assert conv._band_kernel(in_scale) is None
+        assert stage.conv._band_kernel is None
+
+        def never(*args, **kwargs):
+            raise AssertionError("band kernel ran on an inexact geometry")
+
+        monkeypatch.setattr(BandKernel, "run", never)
+        fmb = FeatureMapBatch(_level_batch(rng, 3, conv.in_shape), scale=in_scale)
+        assert conv.forward_batch_pooled(fmb) is None
+        batched = conv.forward_batch(fmb)
+        offloaded = stage.forward_batch(fmb)
+        for i, frame in enumerate(fmb.frames()):
+            want = conv.forward(frame).data
+            np.testing.assert_array_equal(batched.data[i], want)
+            np.testing.assert_array_equal(offloaded.data[i], want)
+
+    def test_non_level_input_declines(self, rng):
+        conv, pool_layer = _w1a3_pair(rng, 4, 5, 3, 8, 8, (2, 2))
+        for bad in (
+            rng.integers(0, 8, size=(2, 4, 8, 8)).astype(np.int32) - 1,
+            rng.integers(0, 8, size=(2, 4, 8, 8)).astype(np.int32) + 250,
+            rng.random(size=(2, 4, 8, 8)).astype(np.float32),
+        ):
+            assert conv.forward_batch_pooled(FeatureMapBatch(bad, 0.1), pool_layer) is None
+
+    def test_axiom_registry_names_this_test(self):
+        from repro.isa.passes.witness import AX_FUSED_CHAIN, AXIOM_KERNEL_TESTS
+
+        path, cls, name = AXIOM_KERNEL_TESTS[AX_FUSED_CHAIN].split("::")
+        assert __file__.replace("\\", "/").endswith(path)
+        assert cls == type(self).__name__ and hasattr(self, name)
+
+    def test_scratch_is_returned_to_the_workspace(self, rng):
+        conv, pool_layer = _w1a3_pair(rng, 8, 16, 3, 30, 30, (2, 2))
+        fmb = FeatureMapBatch(_level_batch(rng, 2, conv.in_shape), scale=0.05)
+        arena = Arena(min_bytes=1)
+        with workspace.install(arena):
+            out = conv.forward_batch_pooled(fmb, pool_layer)
+        # only the result is still checked out
+        assert [b.nbytes for b in arena._in_use.values()] == [out.data.nbytes]
+
+
 class TestArena:
     """Allocator semantics the VM's liveness release depends on."""
 

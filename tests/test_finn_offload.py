@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import repro.finn  # noqa: F401  (registers fabric.so)
-from repro.core.tensor import FeatureMap
+from repro.core.tensor import FeatureMap, FeatureMapBatch
 from repro.finn.mvtu import Folding
 from repro.finn.offload_backend import FabricBackend, export_offload
 from repro.nn.config import Section
@@ -177,6 +177,34 @@ class TestExportRoundtrip:
                     full.layers[0].out_quant.scale,
                 )
             )
+
+    @pytest.mark.parametrize("batch", [0, 1, 3])
+    def test_reference_forward_batch_equals_forward_batch(
+        self, rng, tmp_path, batch
+    ):
+        """The degraded-mode CPU walk and the fabric batch path agree
+        byte for byte, dtype and scale included, empty batch too."""
+        full = _trained(rng, FULL_CFG)
+        binparam = str(tmp_path / "binparam-mini")
+        export_offload(
+            full.layers[1:4],
+            input_scale=full.layers[0].out_quant.scale,
+            input_shape=full.layers[0].out_shape,
+            directory=binparam,
+        )
+        backend = FabricBackend()
+        section = Section("offload", {"library": "fabric.so", "weights": binparam})
+        out_shape = backend.init(section, full.layers[0].out_shape)
+        levels = rng.integers(
+            0, 8, size=(batch,) + tuple(full.layers[0].out_shape)
+        ).astype(np.int32)
+        fmb = FeatureMapBatch(levels, scale=full.layers[0].out_quant.scale)
+        fabric = backend.forward_batch(fmb)
+        reference = backend.reference_forward_batch(fmb)
+        assert reference.data.shape == fabric.data.shape == (batch,) + tuple(out_shape)
+        assert reference.data.dtype == fabric.data.dtype == np.int32
+        assert reference.scale == fabric.scale
+        assert reference.data.tobytes() == fabric.data.tobytes()
 
     def test_missing_directory(self):
         backend = FabricBackend()

@@ -299,7 +299,7 @@ def bench_serve(
     requests: int = 64,
     arrival_rate_hz: Optional[float] = None,
     max_batch: int = 8,
-    max_delay_s: float = 0.002,
+    max_delay_s: Optional[float] = None,
     queue_depth: int = 32,
     cpu_workers: int = 2,
     seed: int = 0,
@@ -317,6 +317,8 @@ def bench_serve(
     dependence).  Arrivals never wait for completions, so overload is
     possible by design: shed requests are counted, accepted ones are
     awaited, and the server's full metrics snapshot lands in the report.
+    *max_delay_s* ``None`` means :class:`~repro.serve.ServeConfig`'s own
+    batch deadline.
 
     *faults*, when given, is a :meth:`repro.faults.FaultPlan.parse` spec
     (e.g. ``"fabric-raise@0,3;fabric-corrupt%0.1"``) installed for the
@@ -361,6 +363,8 @@ def bench_serve(
     # Warm the cache before the measured server comes up, so the server's
     # cold start is the warm-restart path (artifact load, not compile).
     PlanCache(cache_dir).get_or_compile(network, name="serve-bench")
+    if max_delay_s is None:
+        max_delay_s = ServeConfig.max_delay_s
     config = ServeConfig(
         max_queue_depth=queue_depth,
         max_batch=max_batch,
@@ -647,7 +651,7 @@ def run_bench(
     serve_requests: int = 64,
     serve_arrival_hz: Optional[float] = None,
     serve_max_batch: int = 8,
-    serve_max_delay_s: float = 0.002,
+    serve_max_delay_s: Optional[float] = None,
     serve_queue_depth: int = 32,
     serve_cpu_workers: int = 2,
     serve_faults: Optional[str] = None,

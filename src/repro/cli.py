@@ -335,7 +335,9 @@ def _serve_kwargs(args: argparse.Namespace) -> dict:
         "serve_requests": args.requests if args.requests is not None else 64,
         "serve_arrival_hz": args.arrival_hz,
         "serve_max_batch": args.max_batch,
-        "serve_max_delay_s": args.max_delay_ms / 1e3,
+        "serve_max_delay_s": (
+            None if args.max_delay_ms is None else args.max_delay_ms / 1e3
+        ),
         "serve_queue_depth": args.queue_depth,
         "serve_cpu_workers": args.cpu_workers,
         "serve_faults": args.faults,
@@ -777,8 +779,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="mean arrival rate; omit for back-to-back")
         parser.add_argument("--max-batch", type=int, default=8,
                             help="dynamic batcher size trigger (default 8)")
-        parser.add_argument("--max-delay-ms", type=float, default=2.0,
-                            help="dynamic batcher deadline trigger (default 2)")
+        parser.add_argument("--max-delay-ms", type=float, default=None,
+                            help="dynamic batcher deadline trigger, paid "
+                                 "only while every worker is busy "
+                                 "(default: ServeConfig.max_delay_s)")
         parser.add_argument("--queue-depth", type=int, default=32,
                             help="admission-control queue limit (default 32)")
         parser.add_argument("--cpu-workers", type=int, default=2,

@@ -21,7 +21,6 @@ direction flip when ``gamma < 0``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,37 +240,34 @@ def derive_thresholds(
                            0, 2**bits - 1)
     """
     gamma = np.asarray(gamma, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)[:, np.newaxis]
+    mean = np.asarray(mean, dtype=np.float64)[:, np.newaxis]
     var = np.asarray(var, dtype=np.float64)
-    channels = gamma.shape[0]
     n_thresh = (1 << bits) - 1
     inv_sigma = gamma / np.sqrt(var + eps)
-
-    thresholds = np.zeros((channels, n_thresh), dtype=np.int64)
-    signs = np.ones(channels, dtype=np.int8)
-    # Output level >= k  <=>  y >= out_scale * (k - 0.5); solve for acc.
+    # Output level >= k  <=>  y >= out_scale * (k - 0.5); solve for acc, all
+    # (channel, level) pairs at once.  The level values are scalar products
+    # so a float32 ``out_scale`` rounds exactly as it would element by element.
+    y = np.array(
+        [out_scale * (k - 0.5) for k in range(1, n_thresh + 1)], dtype=np.float64
+    )
+    constant = inv_sigma == 0.0
+    slope = np.where(constant, 1.0, inv_sigma)[:, np.newaxis]
+    acc_real = (mean + (y - beta) / slope) / in_scale
+    # acc >= ceil(.) for rising channels, acc <= floor(.) for falling ones
+    # (their thresholds descend in k; apply() counts hits, order is irrelevant).
+    edge = np.where(
+        slope > 0, np.ceil(acc_real - 1e-9), np.floor(acc_real + 1e-9)
+    )
+    # Constant channel: level is beta-determined, independent of acc.
+    edge[constant] = 0.0
+    if not np.all(np.abs(edge) < 2.0**63):
+        raise OverflowError("a derived threshold does not fit int64")
     huge = np.int64(2**62)
-    for ch in range(channels):
-        slope = inv_sigma[ch]
-        for k in range(1, n_thresh + 1):
-            y_k = out_scale * (k - 0.5)
-            if slope == 0.0:
-                # Constant channel: level is beta-determined, independent of acc.
-                always = beta[ch] >= y_k
-                thresholds[ch, k - 1] = -huge if always else huge
-                continue
-            acc_real = (mean[ch] + (y_k - beta[ch]) / slope) / in_scale
-            if slope > 0:
-                thresholds[ch, k - 1] = int(math.ceil(acc_real - 1e-9))
-            else:
-                thresholds[ch, k - 1] = int(math.floor(acc_real + 1e-9))
-        if slope < 0:
-            signs[ch] = -1
-            # For <= comparisons the per-level thresholds descend in k; keep
-            # them as computed (apply() counts hits, order is irrelevant).
-        if slope == 0.0 and signs[ch] < 0:  # pragma: no cover - defensive
-            signs[ch] = 1
+    thresholds = np.where(
+        constant[:, np.newaxis], np.where(beta >= y, -huge, huge), edge.astype(np.int64)
+    )
+    signs = np.where(inv_sigma < 0, -1, 1)
     return ThresholdActivation(
         thresholds=thresholds, signs=signs.astype(np.int8), bits=bits
     )

@@ -3,7 +3,7 @@
 Turns the batched forward pass of PR 1 into a request/response system:
 a bounded admission queue that sheds load with :class:`Overloaded`, a
 dynamic batcher that coalesces requests into ``FeatureMapBatch`` flushes
-(max-batch-size or max-latency-deadline), a heterogeneous worker pool
+(max-batch-size, max-latency-deadline or idle worker), a heterogeneous worker pool
 modeling the paper's single serialized FINN fabric engine next to N CPU
 workers, and a metrics registry exported as JSON through ``repro
 serve-bench``.
@@ -25,6 +25,7 @@ fleet-scale chaos sites of :mod:`repro.faults` (``shard.kill``,
 from repro.serve.batcher import (
     FLUSH_DEADLINE,
     FLUSH_FORCED,
+    FLUSH_IDLE,
     FLUSH_SIZE,
     DynamicBatcher,
     Flush,
@@ -91,6 +92,7 @@ __all__ = [
     "to_feature_batch",
     "FLUSH_SIZE",
     "FLUSH_DEADLINE",
+    "FLUSH_IDLE",
     "FLUSH_FORCED",
     "MetricsRegistry",
     "percentile",

@@ -2,18 +2,29 @@
 
 PR 1 made ``Network.forward_batch`` amortize per-layer Python/BLAS
 overhead across frames; this module decides *which* requests share a
-batch.  The policy is the classic two-trigger one:
+batch.  The policy is work-conserving, with three triggers:
 
 * **size trigger** — flush as soon as ``max_batch`` requests are pending
   (throughput-optimal, no request waits once a full batch exists);
 * **deadline trigger** — flush a partial batch once its *oldest* request
-  has waited ``max_delay_s`` (bounds the latency a straggler pays for
-  batching; a single idle request never waits longer than the deadline).
+  has waited ``max_delay_s`` (bounds the latency a request pays for
+  batching while every worker is busy);
+* **idle trigger** — flush a partial batch at once when the caller
+  reports ``idle``: a worker is free and nothing more is queued to
+  coalesce.  Holding requests back only buys a larger batch while the
+  workers are busy anyway; behind a free worker it is pure added latency
+  (the paper's §III-F pipeline likewise hands a free core the most
+  mature ready job rather than letting it sit behind a timer).
 
-The batcher is a pure state machine over an explicit ``now`` parameter —
-it never reads a clock — so flush semantics are tested without any
-wall-clock dependence.  The serving thread owns the clock and drives
-:meth:`add` / :meth:`poll`.
+Under load the batches are therefore "whatever arrived while the workers
+were busy", capped by size and deadline; on an idle server a request is
+dispatched the moment it is popped.  With ``idle=False`` on every call
+the machine is exactly the classic two-trigger batcher.
+
+The batcher is a pure state machine over explicit ``now`` and ``idle``
+parameters — it never reads a clock, a queue or a thread pool — so flush
+semantics are tested without any wall-clock dependence.  The serving
+thread owns the clock and the pool and drives :meth:`add` / :meth:`poll`.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from repro.serve.queue import InferenceRequest
 #: Flush causes, recorded in the metrics registry per flush.
 FLUSH_SIZE = "size"
 FLUSH_DEADLINE = "deadline"
+FLUSH_IDLE = "idle"
 FLUSH_FORCED = "forced"
 
 
@@ -43,7 +55,7 @@ class Flush:
 
 
 class DynamicBatcher:
-    """Coalesce requests; flush on max-batch-size or max-latency-deadline."""
+    """Coalesce requests; flush on max batch size, deadline or idle worker."""
 
     def __init__(self, max_batch: int, max_delay_s: float) -> None:
         if max_batch < 1:
@@ -65,28 +77,32 @@ class DynamicBatcher:
             return None
         return self._oldest_at + self.max_delay_s
 
-    def add(self, request: InferenceRequest, now: float) -> Optional[Flush]:
+    def add(
+        self, request: InferenceRequest, now: float, idle: bool = False
+    ) -> Optional[Flush]:
         """Accept one request; returns a size-triggered flush when full.
 
         A deadline that already passed is honored on the same call, so a
         caller that was blocked in ``queue.pop`` past the deadline flushes
-        immediately rather than waiting a full extra period.
+        immediately rather than waiting a full extra period.  *idle* says
+        a worker is free and no further request is queued: the batch —
+        this request included — is flushed at once.
         """
         if self._oldest_at is None:
             self._oldest_at = now
         self._pending.append(request)
         if len(self._pending) >= self.max_batch:
             return self._emit(FLUSH_SIZE)
-        if now >= self._oldest_at + self.max_delay_s:
-            return self._emit(FLUSH_DEADLINE)
-        return None
+        return self.poll(now, idle)
 
-    def poll(self, now: float) -> Optional[Flush]:
-        """Deadline check: flush the partial batch once it waited too long."""
+    def poll(self, now: float, idle: bool = False) -> Optional[Flush]:
+        """Flush the partial batch once it waited too long or a worker is free."""
         if self._oldest_at is None:
             return None
         if now >= self._oldest_at + self.max_delay_s:
             return self._emit(FLUSH_DEADLINE)
+        if idle:
+            return self._emit(FLUSH_IDLE)
         return None
 
     def flush(self) -> Optional[Flush]:
@@ -112,5 +128,6 @@ __all__ = [
     "to_feature_batch",
     "FLUSH_SIZE",
     "FLUSH_DEADLINE",
+    "FLUSH_IDLE",
     "FLUSH_FORCED",
 ]

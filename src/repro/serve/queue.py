@@ -161,6 +161,7 @@ class BoundedRequestQueue:
         self._not_empty = threading.Condition(self._lock)
         self._ids = itertools.count()
         self._closed = False
+        self._wakeups = 0
         self.accepted = 0
         self.shed = 0
 
@@ -191,10 +192,16 @@ class BoundedRequestQueue:
 
     # -- consumer (batcher) side -------------------------------------------
 
-    def pop(self, timeout: Optional[float] = None) -> Optional[InferenceRequest]:
+    def pop(
+        self, timeout: Optional[float] = None, wakeups: Optional[int] = None
+    ) -> Optional[InferenceRequest]:
         """Oldest pending request, waiting up to *timeout*; None on timeout.
 
-        Returns None immediately when the queue is closed and drained.
+        Returns None immediately when the queue is closed and drained, and
+        — when *wakeups* is given — when :meth:`wake` was called since the
+        caller read that value from :attr:`wakeups`.  A consumer that
+        reads the generation, checks some outside condition and then pops
+        can therefore never sleep through a ``wake`` that raced the check.
         """
         if faults.stall(faults.QUEUE_POP):
             # An injected stalled tick: behave exactly like a timed-out wait.
@@ -203,10 +210,23 @@ class BoundedRequestQueue:
             if not self._items:
                 if self._closed:
                     return None
-                self._not_empty.wait(timeout)
+                if wakeups is None or wakeups == self._wakeups:
+                    self._not_empty.wait(timeout)
             if not self._items:
                 return None
             return self._items.popleft()
+
+    def wake(self) -> None:
+        """End the consumer's current (or next stale) wait without a request."""
+        with self._not_empty:
+            self._wakeups += 1
+            self._not_empty.notify_all()
+
+    @property
+    def wakeups(self) -> int:
+        """Generation counter of :meth:`wake` calls (see :meth:`pop`)."""
+        with self._lock:
+            return self._wakeups
 
     def drain(self) -> List[InferenceRequest]:
         """Remove and return every pending request (used at shutdown)."""

@@ -5,13 +5,20 @@ Request flow::
     client.submit(frame) ──► BoundedRequestQueue (admission control, shed)
                                    │ pop
                              batcher thread ──► DynamicBatcher
-                                   │ flush (size | deadline | forced)
-                             HeterogeneousWorkerPool
-                               ├─ N CPU workers          (CPU-tagged jobs)
+                                   │ flush (size | deadline | idle | forced)
+                             HeterogeneousWorkerPool ──► queue.wake()
+                               ├─ N CPU workers          (a worker went idle)
                                └─ 1 fabric executor      (FABRIC-tagged jobs,
                                   FabricGate-serialized offload execution)
                                    │ PlanVM.run
                              RequestFuture.set_result ──► client
+
+Batching is work-conserving: a popped request is dispatched at once
+when nothing more is queued behind it and a worker of the server's
+resource is free (cause ``idle``); requests are held back for a larger
+batch — up to ``max_batch`` or ``max_delay_s`` — only while every worker
+is busy, and a worker that runs out of work wakes the batcher thread so
+whatever accumulated meanwhile goes out with it.
 
 Results are **bit-identical** to calling ``Network.forward_batch``
 directly on the same frames: the server only decides *which* frames share
@@ -68,7 +75,8 @@ class ServeConfig:
     #: Size trigger: flush as soon as this many requests are pending.
     max_batch: int = 8
     #: Deadline trigger: flush a partial batch once its oldest request has
-    #: waited this long (bounds the latency cost of batching).
+    #: waited this long (bounds the latency cost of batching while every
+    #: worker is busy; behind a free worker nothing waits at all).
     max_delay_s: float = 0.005
     #: CPU workers next to the single fabric executor.
     cpu_workers: int = 2
@@ -198,6 +206,7 @@ class InferenceServer:
             breaker=breaker,
             watchdog=watchdog,
             on_worker_death=lambda resource: self.metrics.observe_worker_death(),
+            on_idle=lambda resource: self.queue.wake(),
         )
         self._stop_event = threading.Event()
         self._drain_on_stop = True
@@ -300,21 +309,31 @@ class InferenceServer:
     # -- internals ---------------------------------------------------------
 
     def _batcher_loop(self) -> None:
+        wakeups = self.queue.wakeups
         while not self._stop_event.is_set():
             deadline = self.batcher.next_deadline()
             if deadline is None:
                 timeout = _IDLE_WAIT_S
             else:
                 timeout = max(0.0, deadline - self.clock())
-            request = self.queue.pop(timeout=timeout)
+            request = self.queue.pop(timeout, wakeups)
+            # The wake-up generation is read *before* the idleness check it
+            # guards: a worker that goes idle after the check has already
+            # moved the queue past this value, so the next pop returns at
+            # once instead of sleeping out the deadline.
+            wakeups = self.queue.wakeups
+            depth = self.queue.depth
+            # Idle only once the burst already queued has been drained into
+            # the batch: those requests cost no waiting to coalesce.
+            idle = depth == 0 and self.pool.idle(self.resource)
             now = self.clock()
             if request is not None:
-                flush = self.batcher.add(request, now)
+                flush = self.batcher.add(request, now, idle)
             else:
-                flush = self.batcher.poll(now)
+                flush = self.batcher.poll(now, idle)
             if flush is not None:
                 self._dispatch(flush)
-            self.metrics.observe_queue_depth(self.queue.depth)
+            self.metrics.observe_queue_depth(depth)
         # Shutdown: drain what was accepted (or fail it fast).
         leftovers = self.queue.drain()
         if self._drain_on_stop:

@@ -88,7 +88,11 @@ class HeterogeneousWorkerPool:
 
     *execute* is called with each :class:`BatchJob` on a worker thread; any
     exception it raises is routed to the job's request futures (one bad
-    batch never kills the pool).
+    batch never kills the pool).  The pool knows how many workers of each
+    resource hold no job: :meth:`idle` answers whether a job submitted now
+    would start at once, and *on_idle* is told when a finishing worker
+    makes that true — the serving layer's work-conserving batcher flushes
+    on it.
     """
 
     def __init__(
@@ -99,14 +103,21 @@ class HeterogeneousWorkerPool:
         breaker=None,
         watchdog=None,
         on_worker_death: Optional[Callable[[str], None]] = None,
+        on_idle: Optional[Callable[[str], None]] = None,
     ) -> None:
         if cpu_workers < 1:
             raise ValueError("need at least one CPU worker")
         self._execute = execute
         self._name = name
         self._lock = threading.Lock()
-        self._work_ready = threading.Condition(self._lock)
+        # One condition per resource on the one pool lock: a submitted job
+        # wakes one worker of its own resource, not the whole pool.
+        self._work_ready = {
+            resource: threading.Condition(self._lock) for resource in (CPU, FABRIC)
+        }
         self._queues: Dict[str, Deque[BatchJob]] = {CPU: deque(), FABRIC: deque()}
+        #: Workers per resource that hold no job (parked, or about to park).
+        self._free: Dict[str, int] = {CPU: cpu_workers, FABRIC: 1}
         self._stopping = False
         self._drain = True
         self._threads: List[threading.Thread] = []
@@ -118,6 +129,9 @@ class HeterogeneousWorkerPool:
         self.watchdog = watchdog
         #: Called with the dead worker's resource tag after each respawn.
         self.on_worker_death = on_worker_death
+        #: Called (outside the pool lock) with the resource tag each time a
+        #: worker finishes a job and :meth:`idle` has become true.
+        self.on_idle = on_idle
         self.worker_deaths = 0
 
     @property
@@ -142,27 +156,42 @@ class HeterogeneousWorkerPool:
             thread.start()
 
     def submit(self, job: BatchJob) -> None:
-        with self._work_ready:
+        with self._lock:
             if self._stopping:
                 raise ServerClosed("worker pool is shutting down")
             self._queues[job.resource].append(job)
-            self._work_ready.notify_all()
+            self._work_ready[job.resource].notify()
 
     def pending(self) -> int:
         with self._lock:
             return sum(len(queue) for queue in self._queues.values())
 
+    def idle(self, resource: str) -> bool:
+        """True when a *resource* worker is free and no queued job claims it.
+
+        A job submitted now would start at once instead of waiting behind
+        another — the condition under which holding requests back for a
+        larger batch only adds latency.
+        """
+        with self._lock:
+            return self._idle(resource)
+
+    def _idle(self, resource: str) -> bool:
+        return self._free[resource] > len(self._queues[resource])
+
     def _worker(self, resource: str) -> None:
         queue = self._queues[resource]
+        work_ready = self._work_ready[resource]
         while True:
-            with self._work_ready:
+            with work_ready:  # the pool lock, through this resource's condition
                 while not queue:
                     if self._stopping:
                         return
-                    self._work_ready.wait()
+                    work_ready.wait()
                 if self._stopping and not self._drain:
                     return
                 job = queue.popleft()
+                self._free[resource] -= 1
             try:
                 faults.fire(faults.WORKER)
             except faults.WorkerDeath:
@@ -176,6 +205,10 @@ class HeterogeneousWorkerPool:
                 job.fail(exc)
             with self._lock:
                 self.executed += 1
+                self._free[resource] += 1
+                went_idle = self._idle(resource)
+            if went_idle and self.on_idle is not None:
+                self.on_idle(resource)
 
     def _die(self, resource: str, job: BatchJob) -> bool:
         """Injected worker death: requeue the job, respawn a replacement.
@@ -187,10 +220,11 @@ class HeterogeneousWorkerPool:
         During shutdown the death is a no-op — exiting mid-drain would
         strand queued jobs forever.
         """
-        with self._work_ready:
+        with self._lock:
             if self._stopping:
                 return False
             self._queues[resource].appendleft(job)
+            self._free[resource] += 1
             self.worker_deaths += 1
             replacement = threading.Thread(
                 target=self._worker,
@@ -203,10 +237,14 @@ class HeterogeneousWorkerPool:
             # then either sees a started, joinable replacement or none at
             # all — never a tracked-but-unstarted thread.
             replacement.start()
-            self._work_ready.notify_all()
+            self._notify_everyone()
         if self.on_worker_death is not None:
             self.on_worker_death(resource)
         return True
+
+    def _notify_everyone(self) -> None:
+        for work_ready in self._work_ready.values():
+            work_ready.notify_all()
 
     def shutdown(self, timeout: Optional[float] = None, drain: bool = True) -> bool:
         """Stop the workers; True iff all exited before *timeout*.
@@ -216,14 +254,14 @@ class HeterogeneousWorkerPool:
         :class:`ServerClosed` immediately.
         """
         failed: List[BatchJob] = []
-        with self._work_ready:
+        with self._lock:
             self._stopping = True
             self._drain = drain
             if not drain:
                 for queue in self._queues.values():
                     failed.extend(queue)
                     queue.clear()
-            self._work_ready.notify_all()
+            self._notify_everyone()
         for job in failed:
             job.fail(ServerClosed("worker pool shut down before execution"))
         ok = join_threads(self._threads, timeout)

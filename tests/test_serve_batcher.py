@@ -1,8 +1,9 @@
-"""Dynamic batcher flush semantics (size vs deadline) — no wall clock.
+"""Dynamic batcher flush semantics (size, deadline, idle) — no wall clock.
 
-The batcher is a pure state machine over explicit ``now`` values, so
-every trigger combination is pinned deterministically: size-triggered
-flushes, deadline-triggered flushes, a single straggler request, and the
+The batcher is a pure state machine over explicit ``now`` and ``idle``
+values, so every trigger combination is pinned deterministically:
+size-triggered flushes, deadline-triggered flushes, a single straggler
+request, idle-triggered flushes behind a free worker, and the
 bit-identity of served batches against calling ``forward_batch`` directly.
 """
 
@@ -15,6 +16,7 @@ from repro.nn.network import Network
 from repro.serve.batcher import (
     FLUSH_DEADLINE,
     FLUSH_FORCED,
+    FLUSH_IDLE,
     FLUSH_SIZE,
     DynamicBatcher,
     to_feature_batch,
@@ -97,6 +99,65 @@ class TestDeadlineTrigger:
     def test_empty_poll_is_noop(self):
         batcher = DynamicBatcher(max_batch=4, max_delay_s=0.1)
         assert batcher.poll(now=1e9) is None
+
+
+class TestIdleTrigger:
+    def test_add_flushes_at_once_behind_a_free_worker(self, rng):
+        batcher = DynamicBatcher(max_batch=8, max_delay_s=10.0)
+        flush = batcher.add(_request(rng, 3), now=1.0, idle=True)
+        assert flush is not None and flush.cause == FLUSH_IDLE
+        assert [r.id for r in flush.requests] == [3]
+        assert batcher.pending == 0
+        assert batcher.next_deadline() is None
+
+    def test_poll_flushes_what_accumulated_while_busy(self, rng):
+        # Workers busy: requests accumulate.  A worker frees up before the
+        # deadline: the partial batch goes out with it, in arrival order.
+        batcher = DynamicBatcher(max_batch=8, max_delay_s=10.0)
+        for i in range(3):
+            assert batcher.add(_request(rng, i), now=0.1 * i) is None
+        assert batcher.poll(now=0.5) is None
+        flush = batcher.poll(now=0.5, idle=True)
+        assert flush is not None and flush.cause == FLUSH_IDLE
+        assert [r.id for r in flush.requests] == [0, 1, 2]
+
+    def test_idle_poll_on_empty_batcher_is_noop(self):
+        batcher = DynamicBatcher(max_batch=4, max_delay_s=0.1)
+        assert batcher.poll(now=0.0, idle=True) is None
+
+    def test_size_and_deadline_name_the_flush_before_idle(self, rng):
+        # A full or overdue batch is reported as such even when a worker
+        # is also free: the idle cause counts only flushes that the other
+        # two triggers would not have made.
+        batcher = DynamicBatcher(max_batch=2, max_delay_s=1.0)
+        batcher.add(_request(rng, 0), now=0.0)
+        assert batcher.add(_request(rng, 1), now=0.0, idle=True).cause == FLUSH_SIZE
+        batcher.add(_request(rng, 2), now=5.0)
+        assert batcher.poll(now=6.0, idle=True).cause == FLUSH_DEADLINE
+        assert batcher.add(_request(rng, 3), now=7.0, idle=True).cause == FLUSH_IDLE
+
+    def test_idle_false_is_the_two_trigger_machine(self, rng):
+        # Explicit idle=False on every call: the same flushes, event for
+        # event, as the calls that never mention idleness.
+        schedule = [("add", 0.0), ("add", 0.3), ("poll", 0.9), ("poll", 1.0),
+                    ("add", 1.2), ("add", 1.3), ("add", 1.4), ("add", 3.0)]
+        plain = DynamicBatcher(max_batch=3, max_delay_s=1.0)
+        explicit = DynamicBatcher(max_batch=3, max_delay_s=1.0)
+        seen = []
+        for i, (kind, now) in enumerate(schedule):
+            if kind == "add":
+                a = plain.add(_request(rng, i), now)
+                b = explicit.add(_request(rng, i), now, idle=False)
+            else:
+                a, b = plain.poll(now), explicit.poll(now, idle=False)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.cause == b.cause
+                assert [r.id for r in a.requests] == [r.id for r in b.requests]
+                seen.append(a.cause)
+            assert plain.next_deadline() == explicit.next_deadline()
+        assert seen == [FLUSH_DEADLINE, FLUSH_SIZE]
+        assert plain.pending == explicit.pending == 1
 
 
 class TestForcedFlush:

@@ -1,12 +1,14 @@
 """Model-based randomized testing of :class:`DynamicBatcher`.
 
-The production batcher is a state machine over explicit ``now`` values,
-which makes it perfectly replayable: this test drives it with seeded
-random event sequences (interleaved ``add``/``poll`` calls on a
-non-decreasing virtual timeline, random ``max_batch``/``max_delay_s``
+The production batcher is a state machine over explicit ``now`` and
+``idle`` values, which makes it perfectly replayable: this test drives it
+with seeded random event sequences (interleaved ``add``/``poll`` calls on
+a non-decreasing virtual timeline, random ``max_batch``/``max_delay_s``
 knobs per case) and checks every step against ``ModelBatcher``, a naive
-reimplementation of the two-trigger policy kept deliberately simple
-enough to audit by eye.
+reimplementation of the policy kept deliberately simple enough to audit
+by eye.  Every seed runs twice: with ``idle=False`` on every event (the
+classic two-trigger machine, the schedules this file has always run) and
+with a random ``idle`` input on each event (the work-conserving machine).
 
 Invariants, checked after every event and at the final forced flush:
 
@@ -17,7 +19,9 @@ Invariants, checked after every event and at the final forced flush:
 * **no deadline overrun** — whenever an event observes the batcher at
   time ``now``, no request is left pending past its batch's deadline;
 * **deadline bookkeeping** — ``next_deadline()`` is ``None`` iff nothing
-  is pending, else ``oldest arrival + max_delay_s``.
+  is pending, else ``oldest arrival + max_delay_s``;
+* **work conservation** — nothing is ever pending after an event that
+  observed ``idle=True`` (a free worker and an empty request queue).
 
 On failure the test *shrinks by seed-prefix replay*: it re-runs the same
 seed with ever-shorter event prefixes to find the minimal failing
@@ -34,6 +38,7 @@ from repro.core.tensor import FeatureMap
 from repro.serve.batcher import (
     FLUSH_DEADLINE,
     FLUSH_FORCED,
+    FLUSH_IDLE,
     FLUSH_SIZE,
     DynamicBatcher,
 )
@@ -45,12 +50,16 @@ CASES = 40
 #: One shared dummy frame — the batcher never looks inside it.
 _FRAME = FeatureMap(np.zeros((1, 1, 1), dtype=np.float32))
 
-#: (kind, now) event rows; kind is "add" or "poll".
-Event = Tuple[str, float]
+#: (kind, now, idle) event rows; kind is "add" or "poll", idle is what the
+#: caller observed: a free worker and nothing more queued.
+Event = Tuple[str, float, bool]
+
+#: Share of events that observe ``idle=True`` in the idle-input schedules.
+IDLE_RATE = 0.3
 
 
 class ModelBatcher:
-    """The two-trigger policy, written the naive way: a list and an if."""
+    """The three-trigger policy, written the naive way: a list and an if."""
 
     def __init__(self, max_batch: int, max_delay_s: float) -> None:
         self.max_batch = max_batch
@@ -65,17 +74,21 @@ class ModelBatcher:
         self.pending = []
         return ids
 
-    def add(self, rid: int, now: float):
+    def add(self, rid: int, now: float, idle: bool):
         self.pending.append((rid, now))
         if len(self.pending) >= self.max_batch:
             return self._take(), FLUSH_SIZE
         if now >= self.pending[0][1] + self.max_delay_s:
             return self._take(), FLUSH_DEADLINE
+        if idle:
+            return self._take(), FLUSH_IDLE
         return None
 
-    def poll(self, now: float):
+    def poll(self, now: float, idle: bool):
         if self.pending and now >= self.pending[0][1] + self.max_delay_s:
             return self._take(), FLUSH_DEADLINE
+        if self.pending and idle:
+            return self._take(), FLUSH_IDLE
         return None
 
     def flush(self):
@@ -84,9 +97,14 @@ class ModelBatcher:
         return self._take(), FLUSH_FORCED
 
 
-def _generate(seed: int):
-    """One random case: knobs plus a non-decreasing event schedule."""
+def _generate(seed: int, idle_rate: float = 0.0):
+    """One random case: knobs plus a non-decreasing event schedule.
+
+    The idle input is drawn from its own stream, so a seed's knobs, kinds
+    and times are the same schedule at every *idle_rate*.
+    """
     rng = np.random.default_rng((20180621, seed))
+    idle_rng = np.random.default_rng((20180621, seed, 1))
     max_batch = int(rng.integers(1, 7))
     max_delay_s = float(rng.choice([0.0, 0.001, 0.005, 0.02]))
     steps = [0.0, 0.0005, 0.001, 0.004, 0.01, 0.03]
@@ -94,7 +112,8 @@ def _generate(seed: int):
     now = 0.0
     for _ in range(int(rng.integers(20, 120))):
         now += float(rng.choice(steps))
-        events.append(("add" if rng.random() < 0.7 else "poll", now))
+        kind = "add" if rng.random() < 0.7 else "poll"
+        events.append((kind, now, bool(idle_rng.random() < idle_rate)))
     return max_batch, max_delay_s, events
 
 
@@ -112,7 +131,7 @@ def _run_case(
             return None
         return [r.id for r in flush.requests], flush.cause
 
-    def check(step: int, kind: str, now: float, got, want) -> Optional[str]:
+    def check(step, kind, now, idle, got, want) -> Optional[str]:
         if got != want:
             return (
                 f"step {step} ({kind} @ {now:g}): "
@@ -120,6 +139,11 @@ def _run_case(
             )
         if got is not None:
             flushed.extend(got[0])
+        if idle and real.pending:
+            return (
+                f"step {step} ({kind} @ {now:g}): {real.pending} request(s) "
+                f"left pending behind a free worker"
+            )
         # No pending request may sit past its deadline at an observation.
         deadline = real.next_deadline()
         if real.pending == 0:
@@ -138,16 +162,17 @@ def _run_case(
                 )
         return None
 
-    for step, (kind, now) in enumerate(events):
+    for step, (kind, now, idle) in enumerate(events):
         if kind == "add":
             rid = len(added)
             added.append(rid)
-            got = describe_flush(real.add(InferenceRequest(rid, _FRAME, now), now))
-            want = model.add(rid, now)
+            request = InferenceRequest(rid, _FRAME, now)
+            got = describe_flush(real.add(request, now, idle))
+            want = model.add(rid, now, idle)
         else:
-            got = describe_flush(real.poll(now))
-            want = model.poll(now)
-        error = check(step, kind, now, got, want)
+            got = describe_flush(real.poll(now, idle))
+            want = model.poll(now, idle)
+        error = check(step, kind, now, idle, got, want)
         if error:
             return error
 
@@ -166,9 +191,9 @@ def _run_case(
     return None
 
 
-def _shrink(seed: int) -> str:
+def _shrink(seed: int, idle_rate: float = 0.0) -> str:
     """Find the minimal failing event prefix of *seed*'s schedule."""
-    max_batch, max_delay_s, events = _generate(seed)
+    max_batch, max_delay_s, events = _generate(seed, idle_rate)
     shortest = events
     for length in range(1, len(events) + 1):
         if _run_case(max_batch, max_delay_s, events[:length]) is not None:
@@ -176,7 +201,8 @@ def _shrink(seed: int) -> str:
             break
     error = _run_case(max_batch, max_delay_s, shortest)
     return (
-        f"seed={seed} max_batch={max_batch} max_delay_s={max_delay_s} "
+        f"seed={seed} idle_rate={idle_rate} max_batch={max_batch} "
+        f"max_delay_s={max_delay_s} "
         f"minimal prefix ({len(shortest)}/{len(events)} events): "
         f"{shortest!r}\n{error}"
     )
@@ -185,37 +211,61 @@ def _shrink(seed: int) -> str:
 class TestBatcherAgainstModel:
     @pytest.mark.parametrize("seed", range(CASES))
     def test_random_schedule_matches_model(self, seed):
+        # idle=False on every event: the two-trigger machine.
         max_batch, max_delay_s, events = _generate(seed)
+        assert not any(idle for _, _, idle in events)
         if _run_case(max_batch, max_delay_s, events) is not None:
             pytest.fail(_shrink(seed), pytrace=False)
 
-    def test_schedules_exercise_every_flush_cause(self):
-        # Meta-check: the generator actually reaches all three causes
-        # (otherwise the model agreement would be vacuous for some).
-        causes = set()
+    @pytest.mark.parametrize("seed", range(CASES))
+    def test_random_idle_schedule_matches_model(self, seed):
+        max_batch, max_delay_s, events = _generate(seed, IDLE_RATE)
+        if _run_case(max_batch, max_delay_s, events) is not None:
+            pytest.fail(_shrink(seed, IDLE_RATE), pytrace=False)
+
+    def test_idle_input_leaves_the_rest_of_the_schedule_alone(self):
         for seed in range(CASES):
-            max_batch, max_delay_s, events = _generate(seed)
-            real = DynamicBatcher(max_batch, max_delay_s)
-            for i, (kind, now) in enumerate(events):
-                flush = (
-                    real.add(InferenceRequest(i, _FRAME, now), now)
-                    if kind == "add"
-                    else real.poll(now)
-                )
-                if flush is not None:
-                    causes.add(flush.cause)
-            final = real.flush()
-            if final is not None:
-                causes.add(final.cause)
-        assert causes == {FLUSH_SIZE, FLUSH_DEADLINE, FLUSH_FORCED}
+            plain, with_idle = _generate(seed), _generate(seed, IDLE_RATE)
+            assert plain[:2] == with_idle[:2]
+            assert [e[:2] for e in plain[2]] == [e[:2] for e in with_idle[2]]
+
+    def test_schedules_exercise_every_flush_cause(self):
+        # Meta-check: the generator actually reaches every cause
+        # (otherwise the model agreement would be vacuous for some).
+        classic = {FLUSH_SIZE, FLUSH_DEADLINE, FLUSH_FORCED}
+        for idle_rate, expected in (
+            (0.0, classic),
+            (IDLE_RATE, classic | {FLUSH_IDLE}),
+        ):
+            causes = set()
+            for seed in range(CASES):
+                max_batch, max_delay_s, events = _generate(seed, idle_rate)
+                real = DynamicBatcher(max_batch, max_delay_s)
+                for i, (kind, now, idle) in enumerate(events):
+                    flush = (
+                        real.add(InferenceRequest(i, _FRAME, now), now, idle)
+                        if kind == "add"
+                        else real.poll(now, idle)
+                    )
+                    if flush is not None:
+                        causes.add(flush.cause)
+                final = real.flush()
+                if final is not None:
+                    causes.add(final.cause)
+            assert causes == expected
 
     def test_shrinker_reports_minimal_prefix(self, monkeypatch):
         # Sabotage the generator's schedule length knowledge by checking
         # the shrinker on a hand-made failure: a model that disagrees at
         # event 3 must be pinned to a 4-event prefix, not the full run.
-        events = [("add", 0.0), ("poll", 0.0), ("add", 0.1), ("add", 0.2)]
+        events = [
+            ("add", 0.0, False),
+            ("poll", 0.0, False),
+            ("add", 0.1, False),
+            ("add", 0.2, False),
+        ]
 
-        def fake_generate(seed):
+        def fake_generate(seed, idle_rate=0.0):
             return 10, 5.0, events  # never flushes by itself
 
         broken = _run_case(10, 5.0, events)

@@ -86,6 +86,35 @@ class TestBoundedRequestQueue:
         assert not thread.is_alive()
         assert box["request"] is request
 
+    def test_wake_ends_a_blocked_pop_without_a_request(self):
+        queue = BoundedRequestQueue(limit=2)
+        seen = queue.wakeups
+        box = {}
+
+        def consumer():
+            box["request"] = queue.pop(timeout=30.0, wakeups=seen)
+
+        thread = threading.Thread(target=consumer)
+        thread.start()
+        queue.wake()
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert box["request"] is None
+        assert queue.wakeups == seen + 1
+
+    def test_pop_does_not_sleep_through_a_wake_it_missed(self, rng):
+        # wake() landed after the consumer read the generation and before
+        # it popped: the stale pop returns at once instead of waiting.
+        queue = BoundedRequestQueue(limit=2)
+        seen = queue.wakeups
+        queue.wake()
+        assert queue.pop(timeout=30.0, wakeups=seen) is None
+        # A current generation waits out its timeout as before ...
+        assert queue.pop(timeout=0.01, wakeups=queue.wakeups) is None
+        # ... and a queued request is returned whatever the generation.
+        request = queue.submit(_frame(rng))
+        assert queue.pop(timeout=30.0, wakeups=seen) is request
+
     def test_close_refuses_and_drains(self, rng):
         queue = BoundedRequestQueue(limit=4)
         kept = [queue.submit(_frame(rng)) for _ in range(2)]

@@ -9,10 +9,16 @@ The acceptance invariants of the serving subsystem:
   error, the shed count lands in the metrics, and accepted requests still
   complete correctly;
 * at most one FINN-offload execution is ever in flight (the fabric is a
-  serialized resource).
+  serialized resource);
+* batching is work-conserving: a request behind a free worker is
+  dispatched at once (flush cause ``idle``), requests accumulate only
+  while every worker is busy, and a worker going idle never leaves a
+  request waiting out the batch deadline.
 """
 
+import contextlib
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +38,7 @@ from repro.serve import (
     ServeConfig,
     ServerClosed,
 )
+from repro.util.clock import VirtualClock
 
 
 def _frames(rng, shape, count):
@@ -71,6 +78,49 @@ def _hybrid_offload_network(rng, tmp_path):
             dst.rolling_var = src.rolling_var.copy()
     hybrid.layers[1].backend.load_weights()
     return hybrid
+
+
+@contextlib.contextmanager
+def _held_in_vm(server):
+    """Hold every batch inside ``server.vm.run`` until the block exits.
+
+    Yields a semaphore released once per batch that entered the VM, so a
+    test knows — without sleeping — when a worker is busy.
+    """
+    release = threading.Event()
+    entered = threading.Semaphore(0)
+    run = server.vm.run
+
+    def held(*args, **kwargs):
+        entered.release()
+        assert release.wait(60)
+        return run(*args, **kwargs)
+
+    server.vm.run = held
+    try:
+        yield entered
+    finally:
+        release.set()
+        del server.vm.run
+
+
+def _occupy_workers(server, entered, frames):
+    """One idle-flushed request per worker; returns once all are in the VM."""
+    futures = []
+    for frame in frames:
+        futures.append(server.submit(frame))
+        assert entered.acquire(timeout=60)
+    return futures
+
+
+def _wait_until(predicate, timeout=60.0):
+    """Spin (1 ms naps) until *predicate* holds; False on timeout."""
+    give_up = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= give_up:
+            return False
+        time.sleep(0.001)
+    return True
 
 
 def _assert_served_matches_direct(network, frames, config):
@@ -254,14 +304,28 @@ class TestLifecycle:
     def test_stop_drains_accepted_requests(self, rng):
         network = _mlp4(rng)
         config = ServeConfig(
-            max_batch=64, max_delay_s=30.0, max_queue_depth=64, warmup=False
+            max_batch=64, max_delay_s=30.0, max_queue_depth=64, warmup=False,
+            cpu_workers=1,
         )
-        # A huge deadline and batch size: nothing would flush on its own;
-        # stop(drain=True) must force the pending batch out.
-        frames = _frames(rng, network.input_shape, 5)
+        # A huge deadline and batch size behind a busy worker: nothing
+        # would flush on its own; stop(drain=True) must force the pending
+        # batch out.
+        frames = _frames(rng, network.input_shape, 6)
         server = InferenceServer(network, config).start()
-        futures = [server.submit(frame) for frame in frames]
-        assert server.stop(timeout=30, drain=True)
+        with _held_in_vm(server) as entered:
+            futures = _occupy_workers(server, entered, frames[:1])
+            futures += [server.submit(frame) for frame in frames[1:]]
+            stopped = []
+            stopper = threading.Thread(
+                target=lambda: stopped.append(server.stop(timeout=30, drain=True))
+            )
+            stopper.start()
+            # The batcher thread exits once the forced flush is dispatched;
+            # only then is the worker let go to drain it.
+            server._batcher_thread.join(30)
+            assert not server._batcher_thread.is_alive()
+        stopper.join(30)
+        assert stopped == [True]
         direct = network.forward_batch(FeatureMapBatch.from_maps(frames))
         for expected, future in zip(direct.frames(), futures):
             assert np.array_equal(future.result(timeout=0).data, expected.data)
@@ -270,17 +334,29 @@ class TestLifecycle:
     def test_stop_without_drain_fails_pending(self, rng):
         network = _mlp4(rng)
         config = ServeConfig(
-            max_batch=64, max_delay_s=30.0, max_queue_depth=64, warmup=False
+            max_batch=64, max_delay_s=30.0, max_queue_depth=64, warmup=False,
+            cpu_workers=1,
         )
+        frames = _frames(rng, network.input_shape, 4)
         server = InferenceServer(network, config).start()
-        futures = [
-            server.submit(frame)
-            for frame in _frames(rng, network.input_shape, 3)
-        ]
-        assert server.stop(timeout=30, drain=False)
-        for future in futures:
-            with pytest.raises(ServerClosed):
-                future.result(timeout=5)
+        with _held_in_vm(server) as entered:
+            (running,) = _occupy_workers(server, entered, frames[:1])
+            futures = [server.submit(frame) for frame in frames[1:]]
+            stopped = []
+            stopper = threading.Thread(
+                target=lambda: stopped.append(server.stop(timeout=30, drain=False))
+            )
+            stopper.start()
+            # Pending requests fail while the one worker is still busy ...
+            for future in futures:
+                with pytest.raises(ServerClosed):
+                    future.result(timeout=30)
+        # ... and the batch that was already executing completes.
+        stopper.join(30)
+        assert stopped == [True]
+        assert np.array_equal(
+            running.result(timeout=5).data, network.forward(frames[0]).data
+        )
 
     def test_warmup_runs_the_servers_own_vm_unobserved(self, rng, tmp_path):
         from repro import faults
@@ -376,3 +452,203 @@ class TestConcurrentClients:
         for e, g in zip(expected, results):
             assert g is not None
             assert np.array_equal(g.data, e.data)
+
+
+class TestWorkConservingBatching:
+    """The idle trigger, on a virtual clock that only the test advances."""
+
+    CONFIG = dict(max_batch=4, max_delay_s=0.005, max_queue_depth=16, warmup=False)
+
+    def test_lone_request_on_idle_server_needs_no_clock_advance(self, rng):
+        network = _mlp4(rng)
+        frame = _frames(rng, network.input_shape, 1)[0]
+        clock = VirtualClock()
+        with InferenceServer(network, ServeConfig(**self.CONFIG), clock=clock) as server:
+            out = server.infer(frame, timeout_s=60)
+            snapshot = server.metrics.snapshot()
+        assert clock() == 0.0  # nobody had to wait out (virtual) time
+        assert np.array_equal(out.data, network.forward(frame).data)
+        assert snapshot["flush_causes"] == {"idle": 1}
+        assert snapshot["batch_histogram"] == {"1": 1}
+
+    def test_requests_accumulate_into_a_size_batch_while_workers_busy(self, rng):
+        network = _mlp4(rng)
+        frames = _frames(rng, network.input_shape, 6)
+        clock = VirtualClock()
+        config = ServeConfig(cpu_workers=2, **self.CONFIG)
+        with InferenceServer(network, config, clock=clock) as server:
+            with _held_in_vm(server) as entered:
+                futures = _occupy_workers(server, entered, frames[:2])
+                assert not server.pool.idle(CPU)
+                futures += [server.submit(frame) for frame in frames[2:]]
+                # max_batch requests behind two busy workers: one size
+                # flush, queued in the pool until a worker frees up.
+                assert _wait_until(lambda: server.pool.pending() == 1)
+            served = [future.result(timeout=60) for future in futures]
+            snapshot = server.metrics.snapshot()
+        assert clock() == 0.0
+        assert snapshot["flush_causes"] == {"idle": 2, "size": 1}
+        assert snapshot["batch_histogram"] == {"1": 2, "4": 1}
+        for frame, got in zip(frames, served):
+            assert np.array_equal(got.data, network.forward(frame).data)
+
+    def test_partial_batch_behind_busy_worker_waits_for_the_deadline(self, rng):
+        network = _mlp4(rng)
+        frames = _frames(rng, network.input_shape, 3)
+        clock = VirtualClock()
+        config = ServeConfig(cpu_workers=1, **self.CONFIG)
+        with InferenceServer(network, config, clock=clock) as server:
+            with _held_in_vm(server) as entered:
+                futures = _occupy_workers(server, entered, frames[:1])
+                futures += [server.submit(frame) for frame in frames[1:]]
+                # Nothing but the deadline can flush the two; virtual time
+                # stands still until the test moves it past the deadline.
+                assert _wait_until(lambda: server.batcher.pending == 2)
+                assert server.pool.pending() == 0
+                clock.advance(0.005)
+                assert _wait_until(lambda: server.pool.pending() == 1)
+            for future in futures:
+                future.result(timeout=60)
+            snapshot = server.metrics.snapshot()
+        assert snapshot["flush_causes"] == {"deadline": 1, "idle": 1}
+        assert snapshot["batch_histogram"] == {"1": 1, "2": 1}
+
+    def test_worker_going_idle_takes_what_accumulated(self, rng):
+        network = _mlp4(rng)
+        frames = _frames(rng, network.input_shape, 3)
+        clock = VirtualClock()
+        config = ServeConfig(cpu_workers=1, **self.CONFIG)
+        with InferenceServer(network, config, clock=clock) as server:
+            with _held_in_vm(server) as entered:
+                futures = _occupy_workers(server, entered, frames[:1])
+                futures += [server.submit(frame) for frame in frames[1:]]
+            # The worker finishes: its wake-up — not the deadline, the
+            # virtual clock never moves — flushes the partial batch.
+            for future in futures:
+                future.result(timeout=60)
+            snapshot = server.metrics.snapshot()
+        assert clock() == 0.0
+        assert snapshot["flush_causes"].get("deadline", 0) == 0
+        assert snapshot["flush_causes"]["idle"] >= 2
+        assert snapshot["completed"] == 3
+
+    def test_fabric_server_flushes_idle_onto_its_one_executor(self, rng, tmp_path):
+        network = _hybrid_offload_network(rng, tmp_path)
+        frames = _frames(rng, network.input_shape, 4)
+        direct = network.forward_batch(FeatureMapBatch.from_maps(frames))
+        clock = VirtualClock()
+        config = ServeConfig(cpu_workers=3, **self.CONFIG)
+        with InferenceServer(network, config, clock=clock) as server:
+            assert server.resource == FABRIC
+            served = [server.infer(frame, timeout_s=60) for frame in frames[:2]]
+            with _held_in_vm(server) as entered:
+                # Free CPU workers do not make a fabric server idle.
+                futures = _occupy_workers(server, entered, frames[2:3])
+                assert server.pool.idle(CPU) and not server.pool.idle(FABRIC)
+                futures.append(server.submit(frames[3]))
+            served += [future.result(timeout=60) for future in futures]
+            gate = server.fabric_gate
+            snapshot = server.metrics.snapshot()
+        assert clock() == 0.0
+        assert snapshot["flush_causes"] == {"idle": 4}
+        assert gate.max_in_flight == 1
+        assert gate.acquisitions == 4
+        for expected, got in zip(direct.frames(), served):
+            assert got.scale == expected.scale
+            assert np.array_equal(got.data, expected.data)
+
+    def test_worker_death_leaves_the_free_worker_count_exact(self, rng):
+        from repro import faults
+
+        network = _mlp4(rng)
+        frames = _frames(rng, network.input_shape, 4)
+        clock = VirtualClock()
+        config = ServeConfig(cpu_workers=2, **self.CONFIG)
+        with faults.install(faults.FaultPlan.parse("worker-death@0"), clock=clock):
+            with InferenceServer(network, config, clock=clock) as server:
+                # The first job kills its worker; the respawn serves it.
+                first = server.infer(frames[0], timeout_s=60)
+                assert server.pool.worker_deaths == 1
+                with _held_in_vm(server) as entered:
+                    futures = _occupy_workers(server, entered, frames[1:2])
+                    # Two workers, one busy: still exactly one free (once
+                    # the respawn has put down the job it just answered) ...
+                    assert _wait_until(lambda: server.pool.idle(CPU))
+                    futures += _occupy_workers(server, entered, frames[2:3])
+                    # ... and none once both hold a job.
+                    assert not server.pool.idle(CPU)
+                    futures.append(server.submit(frames[3]))
+                served = [first] + [f.result(timeout=60) for f in futures]
+                snapshot = server.metrics.snapshot()
+        assert clock() == 0.0
+        assert snapshot["resilience"]["worker_deaths"] == 1
+        assert snapshot["flush_causes"] == {"idle": 4}
+        for frame, got in zip(frames, served):
+            assert np.array_equal(got.data, network.forward(frame).data)
+
+    def test_worker_going_idle_between_check_and_pop_is_not_lost(self, rng):
+        # The lost-wake-up interleaving, forced: the batcher has seen "no
+        # free worker" for request B, and before it gets back to
+        # queue.pop the one worker finishes and signals.  The stale wait
+        # must end at once; a lost wake-up would leave B pending for the
+        # 30 s (real-time) pop timeout, far beyond result()'s patience.
+        network = _mlp4(rng)
+        first, second = _frames(rng, network.input_shape, 2)
+        clock = VirtualClock()
+        config = ServeConfig(
+            max_batch=4, max_delay_s=30.0, cpu_workers=1, warmup=False
+        )
+        with InferenceServer(network, config, clock=clock) as server:
+            checked, woken = threading.Event(), threading.Event()
+            add, wake = server.batcher.add, server.queue.wake
+
+            def add_after_the_worker_went_idle(request, now, idle=False):
+                if request.frame is second:
+                    assert not idle
+                    checked.set()
+                    assert woken.wait(60)
+                return add(request, now, idle)
+
+            def wake_and_tell():
+                wake()
+                woken.set()
+
+            server.batcher.add = add_after_the_worker_went_idle
+            server.queue.wake = wake_and_tell
+            with _held_in_vm(server) as entered:
+                (running,) = _occupy_workers(server, entered, [first])
+                pending = server.submit(second)
+                assert checked.wait(60)
+            out = pending.result(timeout=10)
+            running.result(timeout=10)
+            snapshot = server.metrics.snapshot()
+        assert clock() == 0.0
+        assert np.array_equal(out.data, network.forward(second).data)
+        assert snapshot["flush_causes"] == {"idle": 2}
+
+    @pytest.mark.integration
+    def test_no_lost_wakeup_over_sequential_requests(self, rng):
+        # Real clock, 1000 back-to-back requests: each one is submitted
+        # right as the worker that served the previous one goes idle — the
+        # window in which a lost wake-up would park the request until the
+        # deadline.  The deadline is far beyond the test's patience, so a
+        # single lost wake-up shows as a deadline flush (or a timeout).
+        import sys
+
+        network = _mlp4(rng)
+        frames = _frames(rng, network.input_shape, 8)
+        config = ServeConfig(
+            max_batch=4, max_delay_s=5.0, cpu_workers=1, warmup=False
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over mid-handoff, often
+        try:
+            with InferenceServer(network, config) as server:
+                for i in range(1000):
+                    server.infer(frames[i % len(frames)], timeout_s=60)
+                snapshot = server.metrics.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert snapshot["completed"] == 1000
+        assert snapshot["flush_causes"].get("deadline", 0) == 0
+        assert snapshot["flush_causes"] == {"idle": 1000}

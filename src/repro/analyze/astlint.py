@@ -4,7 +4,7 @@ The integer kernels are the reproduction's arithmetic contract: they
 must stay integer (a silently promoted float makes the fabric numbers
 *wrong*, not slow — §III-D) and they must stay vectorized (a per-pixel
 Python loop melts the §III-C NEON speedups back into the generic
-baseline).  Three rules:
+baseline).  The rules:
 
 * ``AST-FLOAT-LIT`` — a bare float literal participating in arithmetic
   inside an integer-kernel function (name mentions ``i8``/``u8``/
@@ -27,6 +27,11 @@ baseline).  Three rules:
   ``dtype=``, or an ``np.where`` selecting between two Python floats
   (literals, or ``self.<field>`` annotated ``float`` in the module) —
   all double the temporary's footprint and break dtype preservation.
+* ``AST-HASH-COPY`` — anywhere in the package, a ``hashlib`` constructor
+  or ``.update(...)`` fed a ``.tobytes()`` call or an ``np.concatenate``
+  result: the array is copied whole before a byte is hashed.  Hash the
+  contiguous array itself (buffer protocol), chunk by chunk
+  (:class:`repro.nn.layers.base.StreamSink`).
 
 Suppression: a finding is dropped when its own line, the line above it,
 or the enclosing ``def`` line carries ``# analyze: allow(RULE-ID)``.
@@ -129,21 +134,45 @@ def default_paths() -> List[str]:
     return paths
 
 
+def package_paths() -> List[str]:
+    """Every ``.py`` file of the repro package (AST-HASH-COPY's scope)."""
+    import repro
+
+    return sorted(
+        os.path.join(directory, name)
+        for directory, _dirs, names in os.walk(os.path.dirname(repro.__file__))
+        for name in names
+        if name.endswith(".py")
+    )
+
+
 def lint_hot_paths(paths: Optional[Sequence[str]] = None) -> List[Finding]:
-    """Run the hot-path rules over *paths* (default: core + neon)."""
+    """Run every rule over *paths*; by default the hot-path kernels get
+    every rule and the rest of the package AST-HASH-COPY alone."""
     findings: List[Finding] = []
-    for path in paths if paths is not None else default_paths():
+    hot = paths if paths is not None else default_paths()
+    hash_copy_only = {path: False for path in hot}
+    if paths is None:
+        for path in package_paths():
+            hash_copy_only.setdefault(path, True)
+    for path, only in hash_copy_only.items():
         with open(path) as handle:
             source = handle.read()
-        findings.extend(lint_source(source, filename=path))
+        findings.extend(
+            lint_source(source, filename=path, hash_copy_only=only)
+        )
     return findings
 
 
-def lint_source(source: str, filename: str = "<string>") -> List[Finding]:
+def lint_source(
+    source: str, filename: str = "<string>", hash_copy_only: bool = False
+) -> List[Finding]:
     tree = ast.parse(source, filename=filename)
     lines = source.splitlines()
     label = relative_to_package(filename)
-    findings: List[Finding] = []
+    findings = _lint_hash_copies(tree, label, lines)
+    if hash_copy_only:
+        return findings
     float_fields = _float_fields(tree)
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -346,6 +375,41 @@ def _lint_f64_temps(
     return findings
 
 
+def _lint_hash_copies(tree, label: str, lines: List[str]) -> List[Finding]:
+    """Flag a ``hashlib`` constructor / ``.update`` fed a whole-array copy."""
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not isinstance(
+            node.func, ast.Attribute
+        ):
+            continue
+        owner = node.func.value
+        if node.func.attr != "update" and not (
+            isinstance(owner, ast.Name) and owner.id == "hashlib"
+        ):
+            continue
+        for arg in node.args:
+            if (
+                isinstance(arg, ast.Call)
+                and isinstance(arg.func, ast.Attribute)
+                and arg.func.attr in ("tobytes", "concatenate")
+                and not is_suppressed(lines, node.lineno, "AST-HASH-COPY")
+            ):
+                findings.append(
+                    Finding(
+                        WARNING,
+                        "AST-HASH-COPY",
+                        f"{label}:{node.lineno}",
+                        f".{arg.func.attr}() copies the whole array before "
+                        f"a byte of it is hashed",
+                        hint="pass the C-contiguous array itself to update() "
+                        "(buffer protocol), chunk by chunk — see "
+                        "repro.nn.layers.base.StreamSink",
+                    )
+                )
+    return findings
+
+
 def _lint_promotions(func, label: str, lines: List[str]) -> List[Finding]:
     """Flag width-ambiguous ``astype(float)`` / ``dtype=int`` spellings."""
     findings: List[Finding] = []
@@ -387,6 +451,7 @@ __all__ = [
     "lint_hot_paths",
     "lint_source",
     "default_paths",
+    "package_paths",
     "is_suppressed",
     "relative_to_package",
     "DEFAULT_MODULES",

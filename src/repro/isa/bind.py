@@ -37,11 +37,19 @@ def weights_digest(network) -> str:
     Offload layers keep their parameters in the backend's own export
     directory (Fig. 4), so this digest covers exactly the weights the
     Darknet stream carries — the same set :meth:`Network.
-    load_weights_array` would reload.
+    load_weights_array` would reload.  Each layer's chunks are fed to the
+    hasher in place (one pass, no concatenated copy); the value equals
+    ``sha256(network.save_weights_array().tobytes())``.  It is recomputed
+    from the live arrays on every call — never memoized, because weights
+    can be edited in place.
     """
-    return hashlib.sha256(
-        network.save_weights_array().tobytes()
-    ).hexdigest()
+    from repro.nn.layers.base import StreamSink
+
+    hasher = hashlib.sha256()
+    sink = StreamSink(hasher.update)
+    for layer in network.layers:
+        layer.save_weights(sink)
+    return hasher.hexdigest()
 
 
 def cfg_digest(network) -> str:

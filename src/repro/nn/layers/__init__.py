@@ -5,6 +5,7 @@ from repro.nn.layers.base import (
     ArraySource,
     Layer,
     LayerWorkload,
+    StreamSink,
     WeightSink,
     WeightSource,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "WeightSink",
     "ArraySource",
     "ArraySink",
+    "StreamSink",
     "ConvolutionalLayer",
     "ConnectedLayer",
     "MaxpoolLayer",

@@ -261,10 +261,16 @@ class WeightSink:
 
 
 class ArraySource(WeightSource):
-    """In-memory weight source over a flat float32 array."""
+    """In-memory weight source over a flat float32 array.
 
-    def __init__(self, values: np.ndarray) -> None:
+    ``read`` copies, because *values* normally belongs to the caller.
+    The file loader passes ``owned=True`` for the private buffer it just
+    read, and layers then keep disjoint writable slices of it.
+    """
+
+    def __init__(self, values: np.ndarray, owned: bool = False) -> None:
         self._values = np.asarray(values, dtype=np.float32).ravel()
+        self._owned = owned
         self._cursor = 0
 
     def read(self, count: int) -> np.ndarray:
@@ -276,7 +282,7 @@ class ArraySource(WeightSource):
             )
         chunk = self._values[self._cursor : end]
         self._cursor = end
-        return chunk.copy()
+        return chunk if self._owned else chunk.copy()
 
     @property
     def remaining(self) -> int:
@@ -292,13 +298,26 @@ class ArraySink(WeightSink):
     def write(self, values: np.ndarray) -> None:
         self._chunks.append(np.asarray(values, dtype=np.float32).ravel())
 
-    def tobytes(self) -> bytes:
-        return self.concatenated().tobytes()
-
     def concatenated(self) -> np.ndarray:
         if not self._chunks:
             return np.zeros(0, dtype=np.float32)
         return np.concatenate(self._chunks)
+
+
+class StreamSink(WeightSink):
+    """Weight sink handing each chunk's float32 buffer to *consume*.
+
+    *consume* is a hasher's ``update`` or a file's ``write``: the Darknet
+    byte stream reaches it chunk by chunk, never concatenated, and a
+    chunk that is already contiguous float32 is passed without a copy.
+    The bytes equal ``ArraySink.concatenated().tobytes()``.
+    """
+
+    def __init__(self, consume) -> None:
+        self._consume = consume
+
+    def write(self, values: np.ndarray) -> None:
+        self._consume(np.ascontiguousarray(values, dtype=np.float32))
 
 
 __all__ = [
@@ -308,6 +327,7 @@ __all__ = [
     "WeightSink",
     "ArraySource",
     "ArraySink",
+    "StreamSink",
     "forward_frame_loop",
     "slice_frame_history",
 ]

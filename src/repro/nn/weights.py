@@ -3,6 +3,9 @@
 Darknet's binary format is a 3-int32 version header (``major, minor,
 revision``), a seen-images counter (``uint64`` from format 0.2, ``uint32``
 before) and then the raw float32 parameters of every layer in network order.
+Loading is all-or-nothing (a file whose payload is not exactly the network's
+parameters is refused before any layer changes) and costs one read; saving
+streams to a temporary file that is renamed into place.
 The paper's offload layers instead read a *binparam* directory produced by
 FINN's export flow (Fig. 4: ``weights=binparam-tincy-yolo/``); our
 re-interpretation stores per-layer ``.npy`` files plus a small JSON manifest
@@ -18,7 +21,7 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from repro.nn.layers.base import ArraySink, ArraySource
+from repro.nn.layers.base import ArraySource, StreamSink
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nn.network import Network
@@ -27,36 +30,58 @@ MAJOR, MINOR, REVISION = 0, 2, 0
 
 
 def save_weights(network: "Network", path: str, seen: int = 0) -> None:
-    """Write *network*'s parameters as a Darknet ``.weights`` file."""
-    sink = ArraySink()
-    for layer in network.layers:
-        layer.save_weights(sink)
-    with open(path, "wb") as handle:
-        handle.write(struct.pack("<iii", MAJOR, MINOR, REVISION))
-        handle.write(struct.pack("<Q", seen))
-        handle.write(sink.tobytes())
+    """Write *network*'s parameters as a Darknet ``.weights`` file.
+
+    Each layer's chunks stream straight into ``path + ".tmp"``, which is
+    then renamed over *path*: a crash or a full disk mid-save leaves the
+    previous file in place, never a torn one.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as handle:
+        handle.write(struct.pack("<iiiQ", MAJOR, MINOR, REVISION, seen))
+        sink = StreamSink(handle.write)
+        for layer in network.layers:
+            layer.save_weights(sink)
+    os.replace(tmp, path)
 
 
 def load_weights(network: "Network", path: str) -> int:
-    """Load a Darknet ``.weights`` file into *network*; returns ``seen``."""
+    """Load a Darknet ``.weights`` file into *network*; returns ``seen``.
+
+    All or nothing: the payload size (from ``fstat``) must be exactly the
+    ``4 * network.num_params()`` bytes the layers consume, and a truncated
+    header or a misaligned, short or oversized payload is refused before
+    any layer is assigned.  The payload is read once into one private
+    buffer and each layer keeps its own writable slice of it.
+    """
+    expected = network.num_params()
     with open(path, "rb") as handle:
         header = handle.read(12)
         if len(header) != 12:
             raise ValueError(f"{path}: truncated weight file header")
         major, minor, revision = struct.unpack("<iii", header)
-        if (major, minor) >= (0, 2) or major >= 1000 or minor >= 1000:
-            (seen,) = struct.unpack("<Q", handle.read(8))
-        else:
-            (seen,) = struct.unpack("<I", handle.read(4))
-        blob = handle.read()
-    if len(blob) % 4:
-        raise ValueError(f"{path}: weight payload is not float32-aligned")
-    values = np.frombuffer(blob, dtype="<f4")
-    source = ArraySource(values)
+        wide = (major, minor) >= (0, 2) or major >= 1000 or minor >= 1000
+        counter = struct.Struct("<Q" if wide else "<I")
+        packed = handle.read(counter.size)
+        if len(packed) != counter.size:
+            raise ValueError(f"{path}: truncated weight file header")
+        (seen,) = counter.unpack(packed)
+        size = os.fstat(handle.fileno()).st_size - handle.tell()
+        if size % 4:
+            raise ValueError(f"{path}: weight payload is not float32-aligned")
+        if size // 4 > expected:
+            raise ValueError(
+                f"{path}: {size // 4 - expected} unconsumed weight floats"
+            )
+        values = np.fromfile(handle, dtype="<f4", count=expected)
+    if values.size < expected:
+        raise ValueError(
+            f"{path}: weight stream exhausted: wanted {expected} floats, "
+            f"{values.size} in the payload"
+        )
+    source = ArraySource(values, owned=True)
     for layer in network.layers:
         layer.load_weights(source)
-    if source.remaining:
-        raise ValueError(f"{path}: {source.remaining} unconsumed weight floats")
     return int(seen)
 
 

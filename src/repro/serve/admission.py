@@ -57,7 +57,7 @@ def frame_digest(frame: FeatureMap) -> str:
     hasher.update(str(data.dtype).encode())
     hasher.update(repr(data.shape).encode())
     hasher.update(repr(float(frame.scale)).encode())
-    hasher.update(data.tobytes())
+    hasher.update(data)  # buffer protocol: hashed in place, no bytes copy
     return hasher.hexdigest()
 
 

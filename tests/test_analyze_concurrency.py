@@ -404,6 +404,41 @@ class TestHotPathRules:
         assert _rules(findings) == ["AST-F64-TEMP"]
 
 
+    def test_hashing_a_whole_array_copy_is_flagged_package_wide(self):
+        source = textwrap.dedent(
+            """
+            import hashlib
+            import numpy as np
+            def digest(chunks):
+                {body}
+            """
+        )
+        for body in (
+            "return hashlib.sha256(chunks[0].tobytes()).hexdigest()",
+            "h = hashlib.sha256(); h.update(np.concatenate(chunks))",
+            "h = hashlib.sha256(); h.update(chunks[0].tobytes())",
+        ):
+            # not a hot-path rule: it holds anywhere in the package
+            findings = lint_ast(source.format(body=body), "repro/serve/x.py")
+            assert _rules(findings) == ["AST-HASH-COPY"]
+        for body in (
+            "h = hashlib.sha256(); h.update(np.ascontiguousarray(chunks[0]))",
+            "h = hashlib.sha256(); h.update(repr(chunks).encode())",
+            "return chunks[0].tobytes()",
+            "h = hashlib.sha256()\n    # analyze: allow(AST-HASH-COPY)\n"
+            "    h.update(chunks[0].tobytes())",
+        ):
+            assert lint_ast(source.format(body=body), "repro/serve/x.py") == []
+
+    def test_hash_copy_rule_walks_the_whole_package(self):
+        from repro.analyze.astlint import default_paths, package_paths
+
+        everything = [path.replace("\\", "/") for path in package_paths()]
+        assert set(default_paths()) < set(package_paths())
+        for module in ("serve/admission.py", "nn/weights.py", "isa/bind.py"):
+            assert any(path.endswith(module) for path in everything)
+
+
 class TestRepoIsClean:
     def test_self_lint_passes_on_the_repo_source(self):
         # The CI gate: repro analyze --self must stay clean.

@@ -191,14 +191,20 @@ class TestServerColdStart:
 
     @staticmethod
     def _count_weight_hashes(network, monkeypatch):
-        """Every weights digest serializes the weights exactly once."""
+        """Every weights digest makes one pass over every layer's
+        ``save_weights``, whichever sink it feeds; count the passes at
+        the first layer."""
         calls = []
-        original = network.save_weights_array
+        first = network.layers[0]
+        original = first.save_weights
         monkeypatch.setattr(
-            network,
-            "save_weights_array",
-            lambda: (calls.append(1), original())[1],
+            first,
+            "save_weights",
+            lambda sink: (calls.append(1), original(sink))[1],
         )
+        weights_digest(network)
+        assert calls == [1]  # the probe sees the digest itself
+        del calls[:]
         return calls
 
     def test_one_start_hashes_the_weights_once(

@@ -5,6 +5,8 @@ the admission controller never read a wall clock — so every refill,
 rejection and eviction path is driven deterministically.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,25 @@ class TestFrameDigest:
         strided = FeatureMap(np.asarray(data), scale=1.0)
         compact = FeatureMap(np.ascontiguousarray(data), scale=1.0)
         assert frame_digest(strided) == frame_digest(compact)
+
+    def test_in_place_hashing_keeps_the_tobytes_value(self):
+        ramp = np.arange(2 * 4 * 6).reshape(2, 4, 6)
+        frames = [
+            FeatureMap(ramp.astype(np.float32), scale=1.0),
+            FeatureMap(ramp.astype(np.float32)[:, ::2, ::3], scale=1.0),
+            FeatureMap(ramp.astype(np.uint8), scale=0.5),
+            FeatureMap(ramp.astype(np.uint8).transpose(2, 1, 0), scale=0.5),
+        ]
+        for frame in frames:
+            hasher = hashlib.sha256()
+            hasher.update(str(frame.data.dtype).encode())
+            hasher.update(repr(frame.data.shape).encode())
+            hasher.update(repr(float(frame.scale)).encode())
+            hasher.update(frame.data.tobytes())
+            assert frame_digest(frame) == hasher.hexdigest()
+        assert frame_digest(frames[0]) == (
+            "c739e2826241cbe73e3215788acfdecf9ff61c1bae8ebe5ae222da2bceb80bb8"
+        )
 
 
 class TestTokenBucket:

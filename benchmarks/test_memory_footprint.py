@@ -10,7 +10,12 @@ hidden-layer weights fit the XCZU3EG's on-chip block RAM.
 
 from repro.finn.device import XCZU3EG
 from repro.nn.network import Network
-from repro.nn.zoo import mlp4_config, tincy_yolo_config, tiny_yolo_config
+from repro.nn.zoo import (
+    cnv6_config,
+    mlp4_config,
+    tincy_yolo_config,
+    tiny_yolo_config,
+)
 from repro.perf.memory import compression_factor, network_memory
 from repro.util.tables import format_table
 
@@ -22,6 +27,7 @@ def test_memory_footprint(benchmark, report):
             ("Tiny YOLO", tiny_yolo_config()),
             ("Tincy YOLO", tincy_yolo_config()),
             ("MLP-4", mlp4_config()),
+            ("CNV-6", cnv6_config()),
         ):
             network = Network(config)
             rows[name] = {

@@ -20,13 +20,15 @@ baseline).  The rules:
   models (:mod:`repro.neon.gemmlowp`) document their loops with
   ``# analyze: allow(AST-NESTED-LOOP)``.
 * ``AST-F64-TEMP`` — a numpy call that silently allocates a float64
-  temporary on a hot path (``core/``, ``neon/``, ``engine/fused.py``,
+  temporary on a hot path (``core/``, ``neon/``, ``nn/layers/``,
   ``finn/mvtu.py``): an allocator (``np.zeros``/``np.empty``/``np.ones``/
   ``np.full``) without a ``dtype=``, a ufunc (``np.maximum`` & co.)
   mixing a bare float literal into an array with neither ``out=`` nor
   ``dtype=``, or an ``np.where`` selecting between two Python floats
   (literals, or ``self.<field>`` annotated ``float`` in the module) —
   all double the temporary's footprint and break dtype preservation.
+  Checked in ``def`` bodies and in module- and class-level code alike
+  (a ``lambda`` in an activation table is as hot as a ``def``).
 * ``AST-HASH-COPY`` — anywhere in the package, a ``hashlib`` constructor
   or ``.update(...)`` fed a ``.tobytes()`` call or an ``np.concatenate``
   result: the array is copied whole before a byte is hashed.  Hash the
@@ -59,7 +61,7 @@ _ALLOW_RE = re.compile(r"#\s*analyze:\s*allow\(([A-Z0-9_,\s-]+)\)")
 
 #: Paths where AST-F64-TEMP applies (dtype-preserving hot paths).
 _F64_SCOPE_RE = re.compile(
-    r"(^|[/\\])(core|neon)[/\\]|engine[/\\]fused\.py$|finn[/\\]mvtu\.py$"
+    r"(^|[/\\])(core|neon|nn[/\\]layers)[/\\]|finn[/\\]mvtu\.py$"
 )
 
 #: numpy allocators that default to float64 without ``dtype=`` — mapped
@@ -124,13 +126,9 @@ def default_paths() -> List[str]:
         for name in sorted(os.listdir(directory)):
             if name.endswith(".py"):
                 paths.append(os.path.join(directory, name))
-    # The fused-kernel dispatcher and the offload's MVTU live outside the
-    # package directories above but are exactly the dtype-preserving hot
-    # paths AST-F64-TEMP exists to guard.
-    for parts in (("engine", "fused.py"), ("finn", "mvtu.py")):
-        extra = os.path.join(root, *parts)
-        if os.path.isfile(extra):
-            paths.append(extra)
+    # The offload's MVTU lives outside the package directories above but
+    # is exactly the dtype-preserving hot path AST-F64-TEMP exists to guard.
+    paths.append(os.path.join(root, "finn", "mvtu.py"))
     return paths
 
 
@@ -148,36 +146,68 @@ def package_paths() -> List[str]:
 
 def lint_hot_paths(paths: Optional[Sequence[str]] = None) -> List[Finding]:
     """Run every rule over *paths*; by default the hot-path kernels get
-    every rule and the rest of the package AST-HASH-COPY alone."""
+    every rule and the rest of the package the path-scoped ones alone
+    (AST-HASH-COPY everywhere, AST-F64-TEMP where its scope says)."""
     findings: List[Finding] = []
     hot = paths if paths is not None else default_paths()
-    hash_copy_only = {path: False for path in hot}
+    kernel_rules = {path: True for path in hot}
     if paths is None:
         for path in package_paths():
-            hash_copy_only.setdefault(path, True)
-    for path, only in hash_copy_only.items():
+            kernel_rules.setdefault(path, False)
+    for path, kernel in kernel_rules.items():
         with open(path) as handle:
             source = handle.read()
         findings.extend(
-            lint_source(source, filename=path, hash_copy_only=only)
+            lint_source(source, filename=path, kernel_rules=kernel)
         )
     return findings
 
 
 def lint_source(
-    source: str, filename: str = "<string>", hash_copy_only: bool = False
+    source: str, filename: str = "<string>", kernel_rules: bool = True
 ) -> List[Finding]:
+    """Lint one file's *source*.  AST-HASH-COPY and (inside its path
+    scope) AST-F64-TEMP follow the file's location; the kernel rules
+    (nested loops, float literals, builtin-width casts) run when
+    *kernel_rules* says the file is a hot-path kernel."""
     tree = ast.parse(source, filename=filename)
     lines = source.splitlines()
     label = relative_to_package(filename)
     findings = _lint_hash_copies(tree, label, lines)
-    if hash_copy_only:
-        return findings
-    float_fields = _float_fields(tree)
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            findings.extend(_lint_function(node, label, lines, float_fields))
+    funcs = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    if kernel_rules:
+        for func in funcs:
+            findings.extend(_lint_function(func, label, lines))
+    if _F64_SCOPE_RE.search(label):
+        float_fields = _float_fields(tree)
+        scopes = [(_outside_defs(tree), "<module>")] + [
+            (ast.walk(func), func.name)
+            for func in funcs
+            if not _def_suppressed(lines, func, "AST-F64-TEMP")
+        ]
+        for nodes, owner in scopes:
+            findings.extend(
+                _lint_f64_temps(nodes, owner, label, lines, float_fields)
+            )
     return findings
+
+
+def _outside_defs(tree):
+    """Every node of *tree* that no ``def`` encloses: module- and
+    class-level statements, lambdas and dict-literal values included."""
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        yield node
+        pending.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        )
 
 
 def _float_fields(tree) -> frozenset:
@@ -194,9 +224,7 @@ def _float_fields(tree) -> frozenset:
     )
 
 
-def _lint_function(
-    func, label: str, lines: List[str], float_fields: frozenset = frozenset()
-) -> List[Finding]:
+def _lint_function(func, label: str, lines: List[str]) -> List[Finding]:
     findings: List[Finding] = []
     depth = _max_for_depth(func)
     if depth >= 3 and not _def_suppressed(lines, func, "AST-NESTED-LOOP"):
@@ -216,10 +244,6 @@ def _lint_function(
     ):
         findings.extend(_lint_float_literals(func, label, lines))
     findings.extend(_lint_promotions(func, label, lines))
-    if _F64_SCOPE_RE.search(label) and not _def_suppressed(
-        lines, func, "AST-F64-TEMP"
-    ):
-        findings.extend(_lint_f64_temps(func, label, lines, float_fields))
     return findings
 
 
@@ -298,11 +322,16 @@ def _is_python_float(node, float_fields: frozenset) -> bool:
 
 
 def _lint_f64_temps(
-    func, label: str, lines: List[str], float_fields: frozenset = frozenset()
+    nodes,
+    owner: str,
+    label: str,
+    lines: List[str],
+    float_fields: frozenset = frozenset(),
 ) -> List[Finding]:
-    """Flag numpy calls that allocate float64 temporaries on a hot path."""
+    """Flag numpy calls among *nodes* (the code of *owner*) that allocate
+    float64 temporaries on a hot path."""
     findings: List[Finding] = []
-    for node in ast.walk(func):
+    for node in nodes:
         if not isinstance(node, ast.Call) or not isinstance(
             node.func, ast.Attribute
         ):
@@ -325,7 +354,7 @@ def _lint_f64_temps(
                         WARNING,
                         "AST-F64-TEMP",
                         f"{label}:{node.lineno}",
-                        f"np.{attr} without dtype= in {func.name} defaults "
+                        f"np.{attr} without dtype= in {owner} defaults "
                         f"to float64; the hot path allocates a double-width "
                         f"temporary",
                         hint="pass the intended dtype= explicitly (the "
@@ -344,7 +373,7 @@ def _lint_f64_temps(
                         "AST-F64-TEMP",
                         f"{label}:{node.lineno}",
                         f"np.where selects between two Python floats in "
-                        f"{func.name}; the result is a float64 array",
+                        f"{owner}; the result is a float64 array",
                         hint="select between scalars of the intended dtype "
                         "(np.float32(scale)) instead of casting afterwards",
                     )
@@ -366,7 +395,7 @@ def _lint_f64_temps(
                         "AST-F64-TEMP",
                         f"{label}:{node.lineno}",
                         f"np.{attr} mixes a bare float literal into the "
-                        f"array in {func.name} with neither out= nor "
+                        f"array in {owner} with neither out= nor "
                         f"dtype=; numpy promotes the result to float64",
                         hint="wrap the literal in the array's dtype "
                         "(np.float32(0.0)) or supply out=",

@@ -68,6 +68,22 @@ def verify_plan(
     *input_interval* is the assumed value range of the network input
     (images are letterboxed into ``[0, 1]``).
     """
+    return _interpret(plan, input_interval)[1]
+
+
+def abstract_values(
+    plan: ExecutionPlan,
+    input_interval: Tuple[float, float] = (0.0, 1.0),
+) -> Dict[int, AbstractValue]:
+    """What :func:`verify_plan` derives about every buffer of *plan*,
+    keyed by the producing step's index (``INPUT`` for the network input)
+    — the static types a run's real arrays can be checked against."""
+    return _interpret(plan, input_interval)[0]
+
+
+def _interpret(
+    plan: ExecutionPlan, input_interval: Tuple[float, float]
+) -> Tuple[Dict[int, AbstractValue], List[Finding]]:
     findings: List[Finding] = []
     state: Dict[int, AbstractValue] = {
         INPUT: AbstractValue(
@@ -107,7 +123,7 @@ def verify_plan(
             )
             out = replace(out, shape=tuple(step.out_shape))
         state[step.index] = out
-    return findings
+    return state, findings
 
 
 def check_requantizer(
@@ -448,6 +464,7 @@ __all__ = [
     "FLOAT",
     "LEVELS",
     "BIPOLAR",
+    "abstract_values",
     "AbstractValue",
     "verify_plan",
     "check_requantizer",

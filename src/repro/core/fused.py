@@ -48,13 +48,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core import workspace
-from repro.core.ops import _maxpool2d_into
+from repro.core.ops import _F32_EXACT, _maxpool2d_into
 from repro.core.quantize import fits_uint8
 from repro.core.tensor import FeatureMapBatch, conv_output_size, pool_output_size
 from repro.core.thresholds import ThresholdActivation
-
-#: float32 represents every integer up to here exactly.
-_F32_EXACT = 1 << 24
 
 #: Byte budget for one band's float32 column block.  A band's columns are
 #: written once and read once by the GEMM; a quarter of the 4 MiB L2 keeps

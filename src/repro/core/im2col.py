@@ -23,8 +23,30 @@ from repro.core import workspace
 from repro.core.tensor import conv_output_size
 
 
+def _padded_map(x: np.ndarray, pad: int, fill: float, dtype) -> np.ndarray:
+    """*x* with *pad* cells of *fill* around its last two axes, as *dtype*.
+
+    One copy of the map does both; ``x`` itself comes back when neither is
+    asked for, otherwise a workspace buffer the caller releases.
+    """
+    dtype = x.dtype if dtype is None else np.dtype(dtype)
+    if pad == 0 and dtype == x.dtype:
+        return x
+    h, w = x.shape[-2:]
+    padded = workspace.empty(x.shape[:-2] + (h + 2 * pad, w + 2 * pad), dtype)
+    if pad > 0:
+        padded.fill(fill)
+    padded[..., pad : pad + h, pad : pad + w] = x
+    return padded
+
+
 def im2col(
-    x: np.ndarray, ksize: int, stride: int, pad: int, fill: float = 0.0
+    x: np.ndarray,
+    ksize: int,
+    stride: int,
+    pad: int,
+    fill: float = 0.0,
+    dtype=None,
 ) -> np.ndarray:
     """Lower ``x`` of shape ``(C, H, W)`` to a ``(C*K*K, OH*OW)`` matrix.
 
@@ -35,16 +57,14 @@ def im2col(
     The lowering preserves ``x.dtype`` end to end — integer level codes come
     out as integer columns (padding included), never promoted to float — and
     gathers with a single strided copy into a workspace-managed buffer.
+    With *dtype* given the columns come out in that dtype instead (level
+    codes widened to the GEMM dtype); the cast rides on the padding copy
+    of the map, before the ``K**2``-inflating gather.
     """
     c, h, w = x.shape
     out_h = conv_output_size(h, ksize, stride, pad)
     out_w = conv_output_size(w, ksize, stride, pad)
-    if pad > 0:
-        padded = workspace.empty((c, h + 2 * pad, w + 2 * pad), x.dtype)
-        padded.fill(fill)
-        padded[:, pad : pad + h, pad : pad + w] = x
-    else:
-        padded = x
+    padded = _padded_map(x, pad, fill, dtype)
     # Gather with stride tricks: windows (C, K, K, OH, OW) -> (C*K*K, OH*OW).
     s0, s1, s2 = padded.strides
     windows = np.lib.stride_tricks.as_strided(
@@ -53,33 +73,37 @@ def im2col(
         strides=(s0, s1, s2, s1 * stride, s2 * stride),
         writeable=False,
     )
-    cols = workspace.empty((c * ksize * ksize, out_h * out_w), x.dtype)
+    cols = workspace.empty((c * ksize * ksize, out_h * out_w), padded.dtype)
     np.copyto(cols.reshape(c, ksize, ksize, out_h, out_w), windows)
-    if pad > 0:
+    if padded is not x:
         workspace.release(padded)
     return cols
 
 
 def im2col_batch(
-    x: np.ndarray, ksize: int, stride: int, pad: int, fill: float = 0.0
+    x: np.ndarray,
+    ksize: int,
+    stride: int,
+    pad: int,
+    fill: float = 0.0,
+    dtype=None,
+    side_by_side: bool = False,
 ) -> np.ndarray:
     """Batched :func:`im2col`: ``(N, C, H, W)`` to ``(N, C*K*K, OH*OW)``.
 
     Frame ``i`` of the result equals ``im2col(x[i], ...)`` exactly (same
     gather, same dtype); the batch is lowered in one strided pass so batched
     GEMM consumers get their multiplicand without a per-frame Python loop.
+    *dtype* has the same meaning as in :func:`im2col`.  With
+    *side_by_side* the result is one ``(C*K*K, N*OH*OW)`` multiplicand,
+    frame ``i`` in columns ``i*OH*OW : (i+1)*OH*OW``.
     """
     if x.ndim != 4:
         raise ValueError(f"batched im2col expects (N, C, H, W), got {x.shape}")
     n, c, h, w = x.shape
     out_h = conv_output_size(h, ksize, stride, pad)
     out_w = conv_output_size(w, ksize, stride, pad)
-    if pad > 0:
-        padded = workspace.empty((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
-        padded.fill(fill)
-        padded[:, :, pad : pad + h, pad : pad + w] = x
-    else:
-        padded = x
+    padded = _padded_map(x, pad, fill, dtype)
     s0, s1, s2, s3 = padded.strides
     windows = np.lib.stride_tricks.as_strided(
         padded,
@@ -87,9 +111,17 @@ def im2col_batch(
         strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
         writeable=False,
     )
-    cols = workspace.empty((n, c * ksize * ksize, out_h * out_w), x.dtype)
-    np.copyto(cols.reshape(n, c, ksize, ksize, out_h, out_w), windows)
-    if pad > 0:
+    ckk, positions = c * ksize * ksize, out_h * out_w
+    if side_by_side:
+        cols = workspace.empty((ckk, n * positions), padded.dtype)
+        np.copyto(
+            cols.reshape(c, ksize, ksize, n, out_h, out_w),
+            windows.transpose(1, 2, 3, 0, 4, 5),
+        )
+    else:
+        cols = workspace.empty((n, ckk, positions), padded.dtype)
+        np.copyto(cols.reshape(n, c, ksize, ksize, out_h, out_w), windows)
+    if padded is not x:
         workspace.release(padded)
     return cols
 

@@ -36,6 +36,20 @@ _CONV_BATCH_COL_BUDGET = 1 << 26
 #: pass.
 _POOL_BATCH_BUDGET = 1 << 25
 
+#: float32 represents every integer up to here exactly.
+_F32_EXACT = 1 << 24
+
+#: GEMM-width floor of the exact-integer batch route, in output positions
+#: per frame: a narrower map lays the columns of all frames side by side
+#: and multiplies once.  Measured at batch 8 on one BLAS thread (whole
+#: ``conv2d_batch``, per-frame -> batch-wide, ms; docs/ENGINE.md, "W1A1:
+#: one byte per activation"): 1x1 of 2304 taps 0.48 -> 0.25, 3x3 of 1152
+#: 1.39 -> 0.57, 8x8 3.15 -> 2.61, 10x10 (CNV-6 conv 4) 2.65 -> 2.46,
+#: 12x12 (conv 3) 1.75 -> 1.86.  From ~128 columns a frame fills the BLAS
+#: panels on its own and the transposing copy-out of the wide product is
+#: pure cost.
+_EXACT_GEMM_MIN_POSITIONS = 128
+
 
 def _dequantized_cols(cols_raw: np.ndarray, lut: np.ndarray) -> np.ndarray:
     """Gather ``lut[cols_raw]`` into a fresh workspace buffer.
@@ -106,10 +120,7 @@ def conv2d(
     if lut is not None:
         cols = _lut_lowered_cols(x, lut.astype(dt, copy=False), ksize, stride, pad)
     else:
-        cols_raw = im2col(x, ksize, stride, pad)
-        cols = cols_raw.astype(dt, copy=False)
-        if cols is not cols_raw:
-            workspace.release(cols_raw)
+        cols = im2col(x, ksize, stride, pad, dtype=dt)
     out = workspace.empty((c_out, out_h * out_w), dt)
     np.matmul(gemm_weights, cols, out=out)
     workspace.release(cols)
@@ -129,6 +140,7 @@ def conv2d_batch(
     stride: int = 1,
     pad: int = 0,
     lut: np.ndarray = None,
+    exact: bool = False,
 ) -> np.ndarray:
     """Batched :func:`conv2d`: ``(N, C, H, W)`` in, ``(N, C_out, OH, OW)`` out.
 
@@ -140,6 +152,11 @@ def conv2d_batch(
 
     ``lut`` has the same meaning as in :func:`conv2d`: lower narrow integer
     codes, dequantize into the GEMM dtype with a single gather.
+
+    ``exact`` is the caller's proof (:func:`accumulates_exactly`) that no
+    summation order can round an accumulator.  For integer ``x`` — never
+    for a float one — a map narrower than the GEMM-width floor then has
+    the columns of all its frames laid side by side and multiplied once.
     """
     if x.ndim != 4:
         raise ValueError(f"batched conv expects (N, C, H, W), got {x.shape}")
@@ -165,6 +182,13 @@ def conv2d_batch(
     gemm_lut = lut.astype(dt, copy=False) if lut is not None else None
     cols_bytes = c_in * ksize * ksize * positions * np.dtype(dt).itemsize
     chunk = max(1, _CONV_BATCH_COL_BUDGET // max(1, cols_bytes))
+    wide = (
+        exact
+        and n > 1
+        and lut is None
+        and x.dtype.kind in "iu"
+        and positions < _EXACT_GEMM_MIN_POSITIONS
+    )
     out = workspace.empty((n, c_out, positions), dt)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
@@ -173,11 +197,19 @@ def conv2d_batch(
                 x[start:stop], gemm_lut, ksize, stride, pad
             )
         else:
-            cols_raw = im2col_batch(x[start:stop], ksize, stride, pad)
-            cols = cols_raw.astype(dt, copy=False)
-            if cols is not cols_raw:
-                workspace.release(cols_raw)
-        np.matmul(gemm_weights, cols, out=out[start:stop])
+            cols = im2col_batch(
+                x[start:stop], ksize, stride, pad, dtype=dt, side_by_side=wide
+            )
+        if wide:
+            acc = workspace.empty((c_out, cols.shape[1]), dt)
+            np.matmul(gemm_weights, cols, out=acc)
+            np.copyto(
+                out[start:stop],
+                acc.reshape(c_out, stop - start, positions).transpose(1, 0, 2),
+            )
+            workspace.release(acc)
+        else:
+            np.matmul(gemm_weights, cols, out=out[start:stop])
         workspace.release(cols)
     if bias is not None:
         b = np.asarray(bias).reshape(1, c_out, 1)
@@ -377,6 +409,22 @@ def maxpool2d_backward(
     return grad_padded[:, pad_before : pad_before + h, pad_before : pad_before + w]
 
 
+def accumulates_exactly(dtype, scale: float, fan_in: int) -> bool:
+    """True when ``+-1`` weights against such a map sum exactly in float32.
+
+    The map must hold unit-scale integer codes whose *dtype* bounds every
+    partial sum of a *fan_in*-term dot product below ``2**24`` — then each
+    accumulator is an exact integer in float32 and no summation order can
+    round.  The proof reads only the dtype (``int8`` sign codes, ``uint8``
+    levels), never the data, and a float map never passes it.
+    """
+    dtype = np.dtype(dtype)
+    if dtype.kind not in "iu" or scale != 1.0:
+        return False
+    info = np.iinfo(dtype)
+    return fan_in * max(-int(info.min), int(info.max)) < _F32_EXACT
+
+
 def relu(x: np.ndarray) -> np.ndarray:
     """Rectified linear unit (modification (a) replaces leaky with this)."""
     return np.maximum(x, 0)
@@ -385,6 +433,40 @@ def relu(x: np.ndarray) -> np.ndarray:
 def leaky_relu(x: np.ndarray, slope: float = 0.1) -> np.ndarray:
     """Darknet's leaky activation (fixed 0.1 slope)."""
     return np.where(x > 0, x, slope * x)
+
+
+def sign_codes(x: np.ndarray) -> np.ndarray:
+    """BinaryNet's sign activation as ``int8`` ``+-1`` codes (scale 1).
+
+    ``x >= 0`` gives ``+1`` and everything else ``-1`` — so ``-0.0`` is
+    ``+1`` and NaN is ``-1`` — decided by one compare written straight into
+    the 1-byte result (from :mod:`repro.core.workspace`): a W1A1 activation
+    is stored as the small integer it is, and its dtype is what lets the
+    next binary layer prove its accumulators exact.
+    """
+    codes = workspace.empty(x.shape, np.int8)
+    np.greater_equal(x, 0, out=codes.view(np.bool_))  # 1 / 0
+    codes += codes
+    codes -= 1
+    return codes
+
+
+#: The cfg ``activation=`` names of the conv and connected layers.  ``sign``
+#: is BinaryNet's binary activation (the W1A1 regime of MLP-4 / CNV-6).
+ACTIVATIONS = {
+    "linear": lambda x: x,
+    "relu": relu,
+    "leaky": leaky_relu,
+    "sign": sign_codes,
+}
+
+
+def as_map_dtype(z: np.ndarray) -> np.ndarray:
+    """*z* in the dtype a feature map stores it in: float results travel
+    as float32, integer codes (:func:`sign_codes`) as they are."""
+    if z.dtype.kind == "f" and z.dtype != np.float32:
+        return z.astype(np.float32)
+    return z
 
 
 def batchnorm_inference(
@@ -439,6 +521,24 @@ def fully_connected(
     return out
 
 
+def fully_connected_batch(
+    x: np.ndarray, weights: np.ndarray, exact: bool = False
+) -> np.ndarray:
+    """Dense layer over stacked frames: ``(N, in)`` -> ``(N, out)``.
+
+    BLAS gemv (one frame) and gemm (stacked frames) round float32
+    accumulations differently, so the product stays one
+    :func:`fully_connected` per frame — unless the caller proves the
+    accumulators *exact* (:func:`accumulates_exactly`): integer sums have
+    no rounding to differ in, and the whole batch is one GEMM (weights
+    on the left: BLAS runs ``W @ x.T`` about twice as fast as ``x @ W.T``
+    for a handful of frames).
+    """
+    if exact:
+        return np.ascontiguousarray((weights @ x.T).T)
+    return np.stack([fully_connected(row, weights) for row in x], axis=0)
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along *axis*."""
     shifted = x - np.max(x, axis=axis, keepdims=True)
@@ -458,10 +558,15 @@ __all__ = [
     "maxpool2d_batch",
     "maxpool2d_argmax",
     "maxpool2d_backward",
+    "accumulates_exactly",
     "relu",
     "leaky_relu",
+    "sign_codes",
+    "ACTIVATIONS",
+    "as_map_dtype",
     "batchnorm_inference",
     "fully_connected",
+    "fully_connected_batch",
     "softmax",
     "sigmoid",
 ]

@@ -20,6 +20,23 @@ from typing import Iterator, Sequence
 import numpy as np
 
 
+def _values(data: np.ndarray, scale: float) -> np.ndarray:
+    """``data * scale`` as ``float32``, rounded exactly once.
+
+    Unit-scale integer codes (the W1A1 ``int8`` ``+-1`` maps) widen
+    directly: an integer of at most 32 bits is exact in float64 and
+    ``* 1.0`` is the identity, so the direct cast and the float64 product
+    round the same integer to float32 the same single time.  Every other
+    scale keeps the float64 product, which is what pins the W1A3 values.
+    """
+    if scale == 1.0:
+        if data.dtype == np.float32:
+            return data
+        if data.dtype.kind in "iu" and data.dtype.itemsize <= 4:
+            return data.astype(np.float32)
+    return (data.astype(np.float64) * scale).astype(np.float32)
+
+
 @dataclass
 class FeatureMap:
     """A ``(C, H, W)`` feature map with an optional quantization scale.
@@ -58,9 +75,7 @@ class FeatureMap:
 
     def values(self) -> np.ndarray:
         """Return the represented (dequantized) values as ``float32``."""
-        if self.scale == 1.0 and self.data.dtype == np.float32:
-            return self.data
-        return (self.data.astype(np.float64) * self.scale).astype(np.float32)
+        return _values(self.data, self.scale)
 
     def copy(self) -> "FeatureMap":
         return FeatureMap(self.data.copy(), self.scale)
@@ -121,9 +136,7 @@ class FeatureMapBatch:
 
     def values(self) -> np.ndarray:
         """Return the represented (dequantized) values as ``float32``."""
-        if self.scale == 1.0 and self.data.dtype == np.float32:
-            return self.data
-        return (self.data.astype(np.float64) * self.scale).astype(np.float32)
+        return _values(self.data, self.scale)
 
     def frame(self, index: int) -> FeatureMap:
         """Frame *index* as a :class:`FeatureMap` (a view, not a copy)."""

@@ -26,6 +26,7 @@ Design notes:
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -66,7 +67,9 @@ class Arena:
     def empty(self, shape, dtype) -> np.ndarray:
         """An uninitialized array of *shape*/*dtype*, recycled if possible."""
         dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        # math.prod, not np.prod: ~6 us a call, ~30 calls per small frame
+        count = math.prod(shape) if isinstance(shape, (tuple, list)) else shape
+        nbytes = int(count) * dtype.itemsize
         if nbytes < self.min_bytes:
             return np.empty(shape, dtype=dtype)
         best = -1

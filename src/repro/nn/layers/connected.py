@@ -11,19 +11,19 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.ops import batchnorm_inference, fully_connected, leaky_relu, relu
+from repro.core.ops import (
+    ACTIVATIONS,
+    accumulates_exactly,
+    as_map_dtype,
+    batchnorm_inference,
+    fully_connected,
+    fully_connected_batch,
+)
 from repro.core.quantize import BinaryQuantizer, UnsignedUniformQuantizer
 from repro.core.tensor import FeatureMap, FeatureMapBatch
 from repro.nn.config import Section
 from repro.nn.layers.base import Layer, LayerWorkload, WeightSink, WeightSource
 from repro.nn.layers.convolutional import BN_EPS
-
-_ACTIVATIONS = {
-    "linear": lambda x: x,
-    "relu": relu,
-    "leaky": leaky_relu,
-    "sign": lambda x: np.where(x >= 0, 1.0, -1.0),
-}
 
 
 class ConnectedLayer(Layer):
@@ -35,7 +35,7 @@ class ConnectedLayer(Layer):
         super().__init__(section)
         self.output = section.get_int("output")
         activation = section.get_str("activation", "linear")
-        if activation not in _ACTIVATIONS:
+        if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation '{activation}'")
         self.activation = activation
         self.batch_normalize = bool(section.get_int("batch_normalize", 0))
@@ -110,24 +110,24 @@ class ConnectedLayer(Layer):
             )
         else:
             z = z + self.biases
-        z = _ACTIVATIONS[self.activation](z)
+        z = ACTIVATIONS[self.activation](z)
         z = z.reshape(self.output, 1, 1)
         if self.out_quant is not None:
             levels = self.out_quant.to_levels(z)
             return FeatureMap(levels, scale=self.out_quant.scale)
-        return FeatureMap(z.astype(np.float32))
+        return FeatureMap(as_map_dtype(z))
 
     def forward_batch(self, fmb: FeatureMapBatch, history=None) -> FeatureMapBatch:
         self._require_initialized()
         self._check_history(history)
-        weights = self.effective_weights()
-        x = fmb.values().reshape(fmb.batch, -1)
-        # BLAS gemv (one frame) and gemm (stacked frames) round float32
-        # accumulations differently, so the matrix product stays per-frame
-        # to keep batched outputs bit-identical; the epilogue (BN,
-        # activation, quantization) is elementwise and vectorizes freely.
-        z = np.stack(
-            [fully_connected(x[i], weights) for i in range(fmb.batch)], axis=0
+        # The epilogue (BN, activation, quantization) is elementwise and
+        # vectorizes freely; the product is one GEMM only for +-1 weights
+        # against integer codes (a sign layer's int8 output).
+        z = fully_connected_batch(
+            fmb.values().reshape(fmb.batch, -1),
+            self.effective_weights(),
+            exact=self.binary
+            and accumulates_exactly(fmb.data.dtype, fmb.scale, self.inputs),
         )
         if self.batch_normalize:
             z = batchnorm_inference(
@@ -136,12 +136,12 @@ class ConnectedLayer(Layer):
             )
         else:
             z = z + self.biases[None, :]
-        z = _ACTIVATIONS[self.activation](z)
+        z = ACTIVATIONS[self.activation](z)
         z = z.reshape(fmb.batch, self.output, 1, 1)
         if self.out_quant is not None:
             levels = self.out_quant.to_levels(z)
             return FeatureMapBatch(levels, scale=self.out_quant.scale)
-        return FeatureMapBatch(z.astype(np.float32))
+        return FeatureMapBatch(as_map_dtype(z))
 
     def workload(self) -> LayerWorkload:
         self._require_initialized()

@@ -22,11 +22,12 @@ import numpy as np
 from repro.core import workspace
 from repro.core.fused import BandKernel
 from repro.core.ops import (
+    ACTIVATIONS,
+    accumulates_exactly,
+    as_map_dtype,
     batchnorm_inference,
     conv2d,
     conv2d_batch,
-    leaky_relu,
-    relu,
 )
 from repro.core.quantize import (
     BinaryQuantizer,
@@ -48,14 +49,6 @@ BN_EPS = 1e-6  # darknet's .000001f
 #: batched kernels — bit-identical by the `conv2d_batch` per-frame GEMM
 #: guarantee, with no separate per-frame code path).
 _CONV_BATCH_FRAME_BUDGET = 1 << 23
-
-_ACTIVATIONS = {
-    "linear": lambda x: x,
-    "relu": relu,
-    "leaky": leaky_relu,
-    # BinaryNet-style binary activation (the W1A1 regime of MLP-4 / CNV-6).
-    "sign": lambda x: np.where(x >= 0, 1.0, -1.0),
-}
 
 
 def _lut_conv_inputs(data: np.ndarray, scale: float):
@@ -91,7 +84,7 @@ class ConvolutionalLayer(Layer):
             self.pad = self.size // 2 if section.get_int("pad", 0) else 0
         self.batch_normalize = bool(section.get_int("batch_normalize", 0))
         activation = section.get_str("activation", "linear")
-        if activation not in _ACTIVATIONS:
+        if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation '{activation}'")
         self.activation = activation
         self.binary = bool(section.get_int("binary", 0))
@@ -388,14 +381,26 @@ class ConvolutionalLayer(Layer):
         return FeatureMapBatch(levels, scale=self.out_quant.scale)
 
     def _convolve(self, data, scale, batched: bool) -> np.ndarray:
-        """The GEMM: LUT-dequantized level codes when possible, else values.
+        """The GEMM: integer codes as they are, LUT-dequantized level
+        codes when possible, else values.
 
-        Both routes produce bit-identical float32 operands (the LUT
-        reproduces ``values()`` per element), so the result never depends on
-        which one ran.
+        All routes produce bit-identical float32 operands (a widened
+        unit-scale code and the LUT both reproduce ``values()`` per
+        element), so the result never depends on which one ran.
         """
         conv = conv2d_batch if batched else conv2d
         weights = self.effective_weights()
+        if self.binary and accumulates_exactly(
+            data.dtype, scale, weights[0].size
+        ):
+            # +-1 weights against unit-scale integer codes (a sign layer's
+            # int8 output): exact accumulators, so a batch of narrow maps
+            # may share one GEMM.
+            if not batched:
+                return conv2d(data, weights, None, self.stride, self.pad)
+            return conv2d_batch(
+                data, weights, None, self.stride, self.pad, exact=True
+            )
         lut_in = _lut_conv_inputs(data, scale)
         if lut_in is not None:
             codes, lut = lut_in
@@ -437,7 +442,7 @@ class ConvolutionalLayer(Layer):
             np.maximum(z, 0, out=z)
         elif self.activation != "linear":
             pre = z
-            z = _ACTIVATIONS[self.activation](z)
+            z = ACTIVATIONS[self.activation](z)
             workspace.release(pre)
         return z
 
@@ -452,7 +457,7 @@ class ConvolutionalLayer(Layer):
             levels = self.out_quant.to_levels(z)
             workspace.release(z)
             return FeatureMap(levels, scale=self.out_quant.scale)
-        return FeatureMap(z if z.dtype == np.float32 else z.astype(np.float32))
+        return FeatureMap(as_map_dtype(z))
 
     def forward_batch(self, fmb: FeatureMapBatch, history=None) -> FeatureMapBatch:
         self._require_initialized()
@@ -489,7 +494,7 @@ class ConvolutionalLayer(Layer):
             levels = self.out_quant.to_levels(z)
             workspace.release(z)
             return FeatureMapBatch(levels, scale=self.out_quant.scale)
-        return FeatureMapBatch(z if z.dtype == np.float32 else z.astype(np.float32))
+        return FeatureMapBatch(as_map_dtype(z))
 
     # -- accounting -------------------------------------------------------------
 

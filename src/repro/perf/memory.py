@@ -76,8 +76,13 @@ def _conv_like_memory(layer, regime: str) -> LayerMemory:
             aux_bits = 24 * ((1 << quant.bits) - 1) * n_out
         else:
             aux_bits = 32 * bn_params
-        act_bits = (quant.bits if quant is not None else 8) * out_elems
-        return LayerMemory(layer.ltype, weight_bits, aux_bits, act_bits)
+        if quant is not None:
+            act_bits = quant.bits
+        else:  # W1A1 (MLP-4 / CNV-6, Table II): a sign activation is 1 bit
+            act_bits = 1 if layer.activation == "sign" else 8
+        return LayerMemory(
+            layer.ltype, weight_bits, aux_bits, act_bits * out_elems
+        )
     raise ValueError(f"unknown memory regime '{regime}'")
 
 

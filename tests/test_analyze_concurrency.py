@@ -390,6 +390,64 @@ class TestHotPathRules:
         )
         assert lint_ast(typed, "repro/core/quantize.py") == []
 
+    def test_f64_temps_are_seen_outside_def_bodies_and_in_the_layers(self):
+        # The W1A1 sign activation lived in a module-level dict of lambdas
+        # in nn/layers/ — outside every def and outside the old scope.
+        table = textwrap.dedent(
+            """
+            import numpy as np
+            _ACTIVATIONS = {{
+                "linear": lambda x: x,
+                "sign": lambda x: {select},
+            }}
+            sign = lambda x: {select}
+            class Layer:
+                activate = staticmethod(lambda x: {select})
+            """
+        )
+        bad = table.format(select="np.where(x >= 0, 1.0, -1.0)")
+        for path in ("repro/nn/layers/connected.py", "repro/core/ops.py"):
+            findings = lint_ast(bad, path)
+            assert _rules(findings) == ["AST-F64-TEMP"] * 3
+            assert all("<module>" in f.message for f in findings)
+        assert lint_ast(bad, "repro/nn/network.py") == []
+        # the path scope, not the kernel-file flag, decides: nn/layers/ is
+        # linted as part of the package walk, not as a kernel directory
+        assert _rules(
+            lint_ast(bad, "repro/nn/layers/connected.py", kernel_rules=False)
+        ) == ["AST-F64-TEMP"] * 3
+        good = table.format(select="np.where(x >= 0, np.int8(1), np.int8(-1))")
+        assert lint_ast(good, "repro/nn/layers/connected.py") == []
+        allowed = bad.replace(
+            "sign = lambda", "# analyze: allow(AST-F64-TEMP)\nsign = lambda"
+        )
+        assert len(lint_ast(allowed, "repro/nn/layers/connected.py")) == 2
+        # a def-line allow still covers the def body and only it
+        in_def = textwrap.dedent(
+            """
+            import numpy as np
+            def sign(x):  # analyze: allow(AST-F64-TEMP)
+                return np.where(x >= 0, 1.0, -1.0)
+            """
+        )
+        assert lint_ast(in_def, "repro/nn/layers/connected.py") == []
+
+    def test_f64_scope_follows_the_kernels(self):
+        from repro.analyze.astlint import default_paths
+
+        alloc = "import numpy as np\ndef acc(n):\n    return np.zeros(n)\n"
+        assert _rules(lint_ast(alloc, "repro/core/fused.py")) == ["AST-F64-TEMP"]
+        assert _rules(lint_ast(alloc, "repro/nn/layers/maxpool.py")) == [
+            "AST-F64-TEMP"
+        ]
+        # engine/fused.py is a numpy-free dispatcher since the band kernel
+        # moved to core/fused.py
+        assert lint_ast(alloc, "repro/engine/fused.py") == []
+        assert not any(
+            path.replace("\\", "/").endswith("engine/fused.py")
+            for path in default_paths()
+        )
+
     def test_offload_mvtu_is_on_the_hot_path_lint(self):
         from repro.analyze.astlint import default_paths
 

@@ -1,9 +1,16 @@
 """Memory-footprint model tests (§I: quantization defuses parameter storage)."""
 
+import numpy as np
 import pytest
 
+from repro.core.tensor import FeatureMapBatch
 from repro.nn.network import Network
-from repro.nn.zoo import mlp4_config, tincy_yolo_config, tiny_yolo_config
+from repro.nn.zoo import (
+    cnv6_config,
+    mlp4_config,
+    tincy_yolo_config,
+    tiny_yolo_config,
+)
 from repro.perf.memory import compression_factor, network_memory
 
 
@@ -57,6 +64,32 @@ class TestQuantizedRegime:
         network = Network(mlp4_config())
         report = network_memory(network, "quantized")
         assert report.weight_bytes < 1e6  # ~2.9 Mbit / 8
+
+    def test_sign_activations_are_priced_at_one_bit(self):
+        # Table II's W1A1 regime: a sign layer has no out_quant, and used
+        # to be booked at 8 bits per activation.
+        mlp4 = network_memory(Network(mlp4_config()), "quantized")
+        assert [l.activation_bits for l in mlp4.layers] == [1024, 1024, 1024, 80]
+        assert mlp4.activation_bytes == 394
+        cnv6 = network_memory(Network(cnv6_config()), "quantized")
+        # the 8-bit ReLU input layer dominates: 64*30*30 bytes of 68 234
+        assert cnv6.layers[0].activation_bits == 8 * 64 * 30 * 30
+        assert [l.activation_bits for l in cnv6.layers[1:]] == [
+            64 * 28 * 28, 128 * 12 * 12, 128 * 10 * 10, 256 * 3 * 3, 256,
+            512, 512, 8 * 10,
+        ]
+        assert cnv6.activation_bytes == 68_234
+
+    def test_cnv6_live_bytes_shrink_with_the_stored_codes(self):
+        # StepStats/peak_live_bytes read the real arrays: with float32
+        # sign maps the -O2 plan peaked at 2 244 608 bytes at batch 8.
+        network = Network(cnv6_config())
+        network.initialize(np.random.default_rng(0))
+        frames = np.random.default_rng(1).random((8, 3, 32, 32), np.float32)
+        vm = network.vm(2)
+        vm.run(FeatureMapBatch(frames))
+        assert vm.last_report.peak_live_bytes == 1_943_552
+        assert vm.last_report.peak_live_bytes < 2_244_608
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError, match="regime"):

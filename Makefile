@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast coverage bench bench-smoke bench-e2e-smoke bench-pytest serve-bench serve-smoke serve-shard-smoke opt-check tv-check isa-roundtrip report demo quickstart analyze lint-zoo clean
+.PHONY: install test test-fast coverage bench-e2e-smoke bench-pytest serve-smoke serve-shard-smoke opt-check tv-check isa-roundtrip report demo quickstart analyze clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -21,16 +21,6 @@ coverage:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ --cov=repro \
 		--cov-report=term-missing --cov-fail-under=$(COV_FAIL_UNDER)
 
-bench:
-	PYTHONPATH=src $(PYTHON) -m repro bench --output BENCH_inference.json --check
-
-# Tiny-shape pass through the whole bench machinery (cnv6, two batch sizes,
-# one repeat, no kernel oracle loop) — exercises the harness in CI without
-# wall-clock assertions, which would flake on shared runners.
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro bench --network cnv6 --batches 1,2 \
-		--repeats 1 --skip-kernel
-
 # The end-to-end benchmark's own checks (BENCHMARK.json, bench/): every
 # workload's code path on mlp4/cnv6 with 1 s phases, then the harness's
 # unit tests.  No timing assertions.
@@ -40,9 +30,6 @@ bench-e2e-smoke:
 
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
-
-serve-bench:
-	PYTHONPATH=src $(PYTHON) -m repro serve-bench --output BENCH_serve.json
 
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_serve_smoke.py -q
@@ -87,9 +74,6 @@ demo:
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro analyze
 	PYTHONPATH=src $(PYTHON) -m repro analyze --self
-
-lint-zoo:
-	PYTHONPATH=src $(PYTHON) -m repro analyze --cfg-only
 
 clean:
 	rm -rf build src/repro.egg-info .pytest_cache .hypothesis

@@ -85,10 +85,6 @@ class ExecutionPlan:
         """True when any step occupies the serialized fabric engine."""
         return any(step.resource == FABRIC for step in self.steps)
 
-    def fabric_steps(self) -> List[PlanStep]:
-        """The steps that must funnel through the single fabric engine."""
-        return [step for step in self.steps if step.resource == FABRIC]
-
     # -- read-only metadata (the static analyzer's view) ---------------------
 
     def edges(self) -> List[Tuple[int, int]]:
@@ -156,18 +152,6 @@ class ExecutionPlan:
         if batch < 0:
             raise ValueError("batch must be non-negative")
         return self.peak_live_bytes(bytes_per_element) * int(batch)
-
-    def total_buffer_bytes(self, bytes_per_element: int = 4) -> int:
-        """Keep-everything footprint per frame: input + every intermediate.
-
-        This is what the legacy ``forward_all``/``forward_batch_all`` walk
-        loops held live by construction; the liveness-scheduled
-        :meth:`peak_live_bytes` is strictly smaller on any network deeper
-        than a couple of layers.
-        """
-        total = self._buffer_elements(INPUT)
-        total += sum(step.out_elements for step in self.steps)
-        return total * bytes_per_element
 
 
 def compile_plan(network) -> ExecutionPlan:

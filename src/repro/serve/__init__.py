@@ -5,8 +5,9 @@ a bounded admission queue that sheds load with :class:`Overloaded`, a
 dynamic batcher that coalesces requests into ``FeatureMapBatch`` flushes
 (max-batch-size, max-latency-deadline or idle worker), a heterogeneous worker pool
 modeling the paper's single serialized FINN fabric engine next to N CPU
-workers, and a metrics registry exported as JSON through ``repro
-serve-bench``.
+workers, and a metrics registry whose JSON snapshot every server
+exposes.  ``repro serve-bench`` drives either topology through
+:mod:`repro.serve.loadgen`, which this package does not import.
 
 PR 5 adds fault tolerance: a :class:`CircuitBreaker` + :class:`FabricWatchdog`
 pair owned by the worker pool, bounded-backoff fabric retries in the

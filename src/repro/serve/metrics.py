@@ -4,8 +4,8 @@ Everything the load-shedding and batching policies promise is observable
 here: queue depth (current and high-water), shed count, batch-size
 histogram split by flush cause, request latency percentiles (p50/p95/p99),
 and completed-request throughput.  :meth:`MetricsRegistry.snapshot`
-returns a plain JSON-safe dict so ``repro bench``/``repro serve-bench``
-can embed it next to the existing ``BENCH_inference.json`` sections.
+returns a plain JSON-safe dict, which ``repro serve-bench`` embeds in its
+report as the ``metrics`` section.
 
 All observation methods take explicit timestamps (the caller owns the
 clock), which keeps the registry deterministic under the virtual clocks

@@ -163,7 +163,7 @@ class TestPlanStructure:
         plan = compile_plan(fake_fabric_network)
         assert [s.resource for s in plan.steps] == [CPU, FABRIC, CPU]
         assert plan.uses_fabric
-        assert [s.index for s in plan.fabric_steps()] == [1]
+        assert [s.index for s in plan.steps if s.resource == FABRIC] == [1]
         assert fake_fabric_network.uses_fabric
 
     def test_empty_network_rejected(self):
@@ -185,7 +185,11 @@ class TestLiveness:
     def test_tincy_peak_strictly_below_keep_everything(self):
         plan = compile_plan(Network(zoo.tincy_yolo_config()))
         peak = plan.peak_live_bytes()
-        total = plan.total_buffer_bytes()
+        # Keep-everything: the input plus every intermediate, 4 B/element.
+        total = 4 * (
+            int(np.prod(plan.input_shape))
+            + sum(step.out_elements for step in plan.steps)
+        )
         # Releasing dead intermediates must shrink the working set on a
         # 15-layer network — by a wide margin, not epsilon.
         assert peak < 0.75 * total

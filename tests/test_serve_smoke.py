@@ -48,17 +48,16 @@ def test_serve_round_trip_smoke(rng):
 
 
 def test_serve_bench_cli_smoke(tmp_path, capsys):
-    out = tmp_path / "BENCH_serve.json"
+    out = tmp_path / "report.json"
     code = main([
         "serve-bench", "--network", "mlp4", "--requests", "12",
         "--max-batch", "4", "--output", str(out),
     ])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["scenario"] == "serve"
     assert report["network"] == "mlp4"
-    assert report["serve"]["requests"] == 12
+    assert report["requests"] == 12
     # No --max-delay-ms: the deadline is the dataclass default, not a restated one.
-    assert report["serve"]["max_delay_ms"] == ServeConfig.max_delay_s * 1e3
-    assert report["serve"]["metrics"]["completed"] == 12
-    assert "serving 12 requests" in capsys.readouterr().out
+    assert report["config"]["max_delay_s"] == ServeConfig.max_delay_s
+    assert report["metrics"]["completed"] == 12
+    assert "single process): 12 requests" in capsys.readouterr().out

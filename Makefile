@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast coverage bench-e2e-smoke bench-pytest serve-smoke serve-shard-smoke opt-check tv-check isa-roundtrip report demo quickstart analyze clean
+.PHONY: install test test-fast coverage bench-e2e-smoke bench-pytest serve-smoke serve-shard-smoke opt-check isa-roundtrip report demo quickstart analyze clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -43,16 +43,12 @@ serve-shard-smoke:
 		--shards 2 --requests 500 --faults "shard-kill@100" --fault-seed 7
 
 # The optimizer's gate: every zoo network at every -O level must stay
-# bit-identical to the frozen legacy reference, and -O2 must strictly beat
-# -O0 on compute instructions and peak buffer liveness.
+# bit-identical to the frozen legacy reference, every pass must prove its
+# rewrite semantics-preserving (translation validation, with the tv_ok
+# marker surviving the binary round-trip), and -O2 must strictly beat -O0
+# on compute instructions and peak buffer liveness.
 opt-check:
 	PYTHONPATH=src $(PYTHON) -m repro opt-check
-
-# Translation validation across the whole zoo at every -O level: every
-# optimizer pass must prove its rewrite semantics-preserving, and the
-# tv_ok provenance marker must survive the binary round-trip.
-tv-check:
-	PYTHONPATH=src $(PYTHON) -m repro opt-check --tv
 
 # Full artifact round trip: compile + serialize the Tincy YOLO plan, verify
 # the encoded form decodes byte-identically and executes bit-identically

@@ -9,9 +9,9 @@ exposes the reproduction's equivalents:
 * ``python -m repro ladder`` — the §III speedup ladder
 * ``python -m repro folding [--device ...]`` — FINN folding search
 * ``python -m repro serve-bench [--shards N] [--output F.json]`` — load
-  generator and SLO gate for one serving process or the shard tier
-* ``python -m repro opt-check`` — every -O level vs the reference oracle,
-  plus the O2-beats-O0 strict-improvement gate
+  generator and SLO gate for the serving front door over N >= 0 shards
+* ``python -m repro opt-check`` — every -O level translation-validated and
+  vs the reference oracle, plus the O2-beats-O0 strict-improvement gate
 * ``python -m repro compile -O2 --out plan.rpb`` — compile + optimize a plan
 * ``python -m repro disasm plan.rpb [--diff other.rpb]`` — disassemble artifacts
 * ``python -m repro analyze [--self] [--json]`` — static analysis passes
@@ -337,13 +337,11 @@ def cmd_opt_check(args: argparse.Namespace) -> int:
     assert the output is bit-identical to the frozen legacy sequential
     oracle.  Additionally require that ``-O2`` strictly *pays*: fewer
     compute instructions and a lower peak-live-element high-water than
-    ``-O0`` on every network.  CI runs this via ``make opt-check``.
-
-    ``--tv`` forces the translation validator on at *every* level (not
-    just the ``-O2`` default): a pass that cannot prove its rewrite
-    aborts the compile with a ``TV-*`` finding, and the ``tv_ok``
+    ``-O0`` on every network.  The translation validator runs at *every*
+    level (not just the ``-O2`` default): a pass that cannot prove its
+    rewrite aborts the compile with a ``TV-*`` finding, and the ``tv_ok``
     provenance marker must survive the binary round-trip.  CI runs this
-    via ``make tv-check``.
+    via ``make opt-check``.
     """
     import numpy as np
 
@@ -370,8 +368,7 @@ def cmd_opt_check(args: argparse.Namespace) -> int:
         for level in sorted(isa.PIPELINES):
             try:
                 program, _stats = isa.compile_network(
-                    network, name=name, level=level,
-                    validate=True if args.tv else None,
+                    network, name=name, level=level, validate=True
                 )
             except isa.TranslationValidationError as exc:
                 failures += 1
@@ -379,7 +376,7 @@ def cmd_opt_check(args: argparse.Namespace) -> int:
                 print(f"FAIL {name} -O{level}: {exc}", file=sys.stderr)
                 continue
             program = isa.decode(isa.encode(program))
-            if args.tv and not program.tv_ok:
+            if not program.tv_ok:
                 failures += 1
                 print(
                     f"FAIL {name} -O{level}: tv_ok provenance marker lost "
@@ -427,12 +424,8 @@ def cmd_opt_check(args: argparse.Namespace) -> int:
     print(
         "opt-check: every level bit-identical to the legacy reference; "
         "-O2 strictly fewer compute instructions and lower peak liveness "
-        "than -O0 on every network"
-        + (
-            "; every pass proved semantics-preserving (tv_ok)"
-            if args.tv
-            else ""
-        )
+        "than -O0 on every network; every pass proved semantics-preserving "
+        "(tv_ok)"
     )
     return 0
 
@@ -548,54 +541,36 @@ def cmd_disasm(args: argparse.Namespace) -> int:
 def cmd_serve_bench(args: argparse.Namespace) -> int:
     """``repro serve-bench`` — load generator and SLO gate for serving.
 
-    Without ``--shards`` it drives one ``InferenceServer`` process;
-    ``--shards N`` drives the multi-process ``ShardedServer`` tier
-    instead, and ``--chaos`` installs the seeded fleet fault plan there.
-    Both go through :func:`repro.serve.loadgen.run_load` and share one
-    report.  A flag the chosen topology cannot honour exits 2; otherwise
-    the exit code is 1 when p99, the degraded fraction or bit identity
-    misses, and 0 when all hold.
+    Drives the ``ShardedServer`` front door through
+    :func:`repro.serve.loadgen.run_load`: over ``--shards N`` shard
+    processes, or with the default ``--shards 0`` over one engine in this
+    process.  The engine flags set every engine.  ``--chaos`` installs the
+    seeded fleet fault plan and needs shards to act on (exit 2 without).
+    Otherwise the exit code is 1 when p99, the degraded fraction or bit
+    identity misses, and 0 when all hold.
     """
     import json
 
     import numpy as np
 
     from repro.nn.network import Network
-    from repro.serve import ServeConfig, ShardTierConfig
+    from repro.serve import ShardTierConfig
     from repro.serve.loadgen import format_report, run_load
 
-    if args.shards:
-        misplaced = {
-            "--max-batch": args.max_batch,
-            "--max-delay-ms": args.max_delay_ms,
-            "--queue-depth": args.queue_depth,
-            "--cpu-workers": args.cpu_workers,
-        }
-    else:
-        misplaced = {"--chaos": args.chaos or None, "--result-cache": args.result_cache}
-    given = [flag for flag, value in misplaced.items() if value is not None]
-    if given:
-        print(
-            f"serve-bench: {', '.join(given)} cannot apply "
-            f"{'with' if args.shards else 'without'} --shards",
-            file=sys.stderr,
-        )
+    if args.chaos and not args.shards:
+        print("serve-bench: --chaos cannot apply without --shards", file=sys.stderr)
         return 2
-
-    def given_only(**knobs) -> dict:
-        return {name: value for name, value in knobs.items() if value is not None}
-
-    if args.shards:
-        config = ShardTierConfig(
-            shards=args.shards, **given_only(result_cache=args.result_cache)
-        )
-    else:
-        config = ServeConfig(**given_only(
-            max_batch=args.max_batch,
-            max_delay_s=None if args.max_delay_ms is None else args.max_delay_ms / 1e3,
-            max_queue_depth=args.queue_depth,
-            cpu_workers=args.cpu_workers,
-        ))
+    knobs = dict(
+        max_batch=args.max_batch,
+        max_delay_s=None if args.max_delay_ms is None else args.max_delay_ms / 1e3,
+        max_queue_depth=args.queue_depth,
+        cpu_workers=args.cpu_workers,
+        result_cache=args.result_cache,
+    )
+    config = ShardTierConfig(
+        shards=args.shards,
+        **{name: value for name, value in knobs.items() if value is not None},
+    )
     network = Network(_load_config(args.network))
     network.initialize(np.random.default_rng(args.seed))
     report = run_load(
@@ -709,19 +684,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--arrival-hz", type=float, default=None,
                          help="mean arrival rate; omit for back-to-back")
     p_serve.add_argument("--max-batch", type=int, default=None,
-                         help="single process: dynamic batcher size trigger "
+                         help="engine: dynamic batcher size trigger "
                               "(default: ServeConfig.max_batch)")
     p_serve.add_argument("--max-delay-ms", type=float, default=None,
-                         help="single process: dynamic batcher deadline "
-                              "trigger, paid only while every worker is "
-                              "busy (default: ServeConfig.max_delay_s)")
+                         help="engine: dynamic batcher deadline trigger, "
+                              "paid only while every worker is busy "
+                              "(default: ServeConfig.max_delay_s)")
     p_serve.add_argument("--queue-depth", type=int, default=None,
-                         help="single process: admission-control queue "
-                              "limit (default: ServeConfig.max_queue_depth)")
+                         help="engine: admission-control queue limit, also "
+                              "the front door's in-flight cap (default: "
+                              "ServeConfig.max_queue_depth)")
     p_serve.add_argument("--cpu-workers", type=int, default=None,
-                         help="single process: CPU workers next to the "
-                              "fabric executor (default: ServeConfig."
-                              "cpu_workers)")
+                         help="engine: CPU workers next to the fabric "
+                              "executor, split over the shards (default: "
+                              "ServeConfig.cpu_workers)")
     p_serve.add_argument("--faults", default=None, metavar="PLAN",
                          help="fault-injection plan, e.g. "
                               "'fabric-raise@0,3;fabric-corrupt%%0.1' "
@@ -735,13 +711,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "(the report still shows the cache-hit "
                               "cold start)")
     p_serve.add_argument("--shards", type=int, default=0,
-                         help="shard processes; >0 drives the multi-process "
-                              "tier instead of the single-process server")
+                         help="shard processes behind the front door; 0 "
+                              "serves through one engine in this process")
     p_serve.add_argument("--chaos", action="store_true",
-                         help="shard tier: install the seeded fleet chaos "
-                              "plan (shard-kill/shard-slow/router-split)")
+                         help="install the seeded fleet chaos plan "
+                              "(shard-kill/shard-slow/router-split); "
+                              "needs --shards")
     p_serve.add_argument("--result-cache", type=int, default=None,
-                         help="shard tier: LRU result-cache entries, 0 "
+                         help="front door: LRU result-cache entries, 0 "
                               "disables (default: ShardTierConfig."
                               "result_cache)")
     p_serve.add_argument("--slo-p99-ms", type=float, default=50.0,
@@ -753,16 +730,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser(
         "opt-check",
-        help="compile the zoo at every -O level and verify bit-identity "
-        "plus the -O2 strict-improvement contract",
+        help="compile the zoo at every -O level, prove every pass (TV) and "
+        "verify bit-identity plus the -O2 strict-improvement contract",
     )
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--frames", type=int, default=2,
                        help="random frames to cross-check (default 2)")
-    p_opt.add_argument("--tv", action="store_true",
-                       help="force translation validation at every level "
-                       "and require the tv_ok provenance marker to "
-                       "survive the binary round-trip")
     p_opt.set_defaults(func=cmd_opt_check)
 
     p_compile = sub.add_parser(

@@ -48,7 +48,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core import workspace
-from repro.core.ops import _F32_EXACT, _maxpool2d_into
+from repro.core.ops import _F32_EXACT, _maxpool2d_into, accumulates_exactly
 from repro.core.quantize import fits_uint8
 from repro.core.tensor import FeatureMapBatch, conv_output_size, pool_output_size
 from repro.core.thresholds import ThresholdActivation
@@ -140,7 +140,10 @@ class BandKernel:
                 f"weight matrix has {ckk} columns; conv geometry needs "
                 f"{in_channels * ksize * ksize}"
             )
-        if ckk * 255 >= _F32_EXACT or activation.thresholds.shape[1] > 255:
+        if (
+            not accumulates_exactly(np.uint8, 1.0, ckk)
+            or activation.thresholds.shape[1] > 255
+        ):
             return None
         signs = activation.signs
         if np.all(signs > 0):

@@ -31,6 +31,7 @@ from repro.core import workspace
 from repro.core.bitpack import bitserial_dot, pack_bits, pack_levels
 from repro.core.fused import BandKernel
 from repro.core.im2col import im2col
+from repro.core.ops import accumulates_exactly
 from repro.core.quantize import narrow_codes
 from repro.core.tensor import FeatureMap, FeatureMapBatch, conv_output_size
 from repro.core.thresholds import ThresholdActivation
@@ -146,13 +147,13 @@ class MVTU:
         elif (
             level_columns.dtype.itemsize == 1
             and np.issubdtype(level_columns.dtype, np.integer)
-            and self.geometry.cols * 256 < (1 << 24)
+            and accumulates_exactly(np.uint8, 1.0, self.geometry.cols)
         ):
             # Single-precision BLAS GEMM, still exact: with +-1 weights and
             # 1-byte level codes every partial sum is an integer bounded by
-            # cols * 255 < 2**24, so each float32 add is exact regardless of
-            # accumulation order — bit-identical to the float64 path, at
-            # half the memory traffic.
+            # cols * 255 < 2**24 (``int8`` codes bound it tighter), so each
+            # float32 add is exact regardless of accumulation order —
+            # bit-identical to the float64 path, at half the memory traffic.
             cols_f = workspace.empty(level_columns.shape, np.float32)
             np.copyto(cols_f, level_columns)
             acc = (self._weights_f32 @ cols_f).astype(np.int64)

@@ -200,8 +200,8 @@ class ConvolutionalLayer(Layer):
             return None
         # Exactness bound for the float32 accumulation: every partial sum
         # stays an exact integer while |sum| < 2**24.
-        c_in = self.in_shape[0]
-        if c_in * self.size * self.size * 255 >= (1 << 24):
+        fan_in = self.in_shape[0] * self.size * self.size
+        if not accumulates_exactly(np.uint8, 1.0, fan_in):
             return None
         params = (
             self.biases, self.scales, self.rolling_mean, self.rolling_var
@@ -248,8 +248,8 @@ class ConvolutionalLayer(Layer):
             return False
         if self.activation not in ("linear", "relu", "leaky"):
             return False
-        c_in = self.in_shape[0]
-        return c_in * self.size * self.size * 255 < (1 << 24)
+        fan_in = self.in_shape[0] * self.size * self.size
+        return accumulates_exactly(np.uint8, 1.0, fan_in)
 
     # -- split-epilogue entry points (the compiler's THRESHOLD lowering) ------
     #

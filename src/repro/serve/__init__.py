@@ -1,26 +1,27 @@
 """``repro.serve`` — request-driven inference serving (docs/SERVING.md).
 
-Turns the batched forward pass of PR 1 into a request/response system:
-a bounded admission queue that sheds load with :class:`Overloaded`, a
-dynamic batcher that coalesces requests into ``FeatureMapBatch`` flushes
-(max-batch-size, max-latency-deadline or idle worker), a heterogeneous worker pool
+One serving engine, :class:`InferenceServer`, turns the batched forward
+pass into a request/response system: a bounded admission queue that
+sheds load with :class:`Overloaded`, a dynamic batcher that coalesces
+requests into ``FeatureMapBatch`` flushes (max-batch-size,
+max-latency-deadline or idle worker), a heterogeneous worker pool
 modeling the paper's single serialized FINN fabric engine next to N CPU
-workers, and a metrics registry whose JSON snapshot every server
-exposes.  ``repro serve-bench`` drives either topology through
+workers, fault tolerance (a :class:`CircuitBreaker` +
+:class:`FabricWatchdog` pair, bounded-backoff fabric retries and a
+bit-identical degraded CPU-reference mode, driven by the deterministic
+fault-injection seams of :mod:`repro.faults`), and a metrics registry
+whose JSON snapshot every server exposes.
+
+One front door, :class:`ShardedServer`, puts N >= 0 such engines behind
+per-tenant token-bucket :class:`AdmissionController` quotas, an LRU
+:class:`ResultCache` keyed by input digest, coalescing of in-flight
+duplicates and a consistent-hashing :class:`Router` with least-loaded
+fallback.  Each shard is a forked process running its own engine on a
+warmed ``.rpb`` plan; with no shards (or none left alive) one engine in
+the calling process serves.  The fleet is certified by the chaos sites
+of :mod:`repro.faults` (``shard.kill``, ``shard.slow``,
+``router.split``).  ``repro serve-bench`` drives the front door through
 :mod:`repro.serve.loadgen`, which this package does not import.
-
-PR 5 adds fault tolerance: a :class:`CircuitBreaker` + :class:`FabricWatchdog`
-pair owned by the worker pool, bounded-backoff fabric retries in the
-server, and a bit-identical degraded CPU-reference mode — all driven by
-the deterministic fault-injection seams of :mod:`repro.faults`.
-
-PR 10 scales the tier out: :class:`ShardedServer` runs N shard
-*processes* (each owning a simulated fabric device and a warmed ``.rpb``
-plan) behind a consistent-hashing :class:`Router` with least-loaded
-fallback, per-tenant token-bucket :class:`AdmissionController` quotas,
-and an LRU :class:`ResultCache` keyed by input digest — certified by the
-fleet-scale chaos sites of :mod:`repro.faults` (``shard.kill``,
-``shard.slow``, ``router.split``).
 """
 
 from repro.serve.batcher import (
@@ -66,7 +67,7 @@ from repro.serve.router import (
     ShardedServer,
     ShardTierConfig,
 )
-from repro.serve.server import InferenceServer, ServeConfig, create_server
+from repro.serve.server import InferenceServer, ServeConfig
 from repro.serve.shard import Shard, ShardError
 from repro.serve.workers import BatchJob, FabricGate, HeterogeneousWorkerPool
 
@@ -112,5 +113,4 @@ __all__ = [
     "ShardTierConfig",
     "Shard",
     "ShardError",
-    "create_server",
 ]

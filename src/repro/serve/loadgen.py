@@ -1,16 +1,16 @@
-"""The ``repro serve-bench`` load generator: one loop, both topologies.
+"""The ``repro serve-bench`` load generator: one loop, one front door.
 
-:func:`run_load` takes the config :func:`~repro.serve.create_server`
-dispatches on (``ServeConfig`` → one ``InferenceServer`` process,
-``ShardTierConfig`` → the ``ShardedServer`` tier) and does the rest once:
-the seeded rotation of distinct frames, the warmed plan cache, the fault
-plan, the optional arrival gaps, and one report with the SLO verdict,
-the bit-identity check and the fault transcript digest.
+:func:`run_load` drives a :class:`~repro.serve.router.ShardedServer`
+built from a :class:`~repro.serve.router.ShardTierConfig` — shard
+processes, or with ``shards=0`` one engine in this process — and does
+the rest once: the seeded rotation of distinct frames, the warmed plan
+cache, the fault plan, the optional arrival gaps, and one report with
+the SLO verdict, the bit-identity check and the fault transcript digest.
 
-Only the submit loop differs.  The tier waits for each result before the
-next submit, so a chaos kill never finds a request in flight and the
-transcript is a pure function of the submission sequence.  One process
-submits everything before waiting, which is what lets batches form.
+With shards, each result is awaited before the next submit, so a chaos
+kill never finds a request in flight and the transcript is a pure
+function of the submission sequence.  Without, everything is submitted
+before waiting, which is what lets the engine's batches form.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import faults as faults_mod
-from repro.core.tensor import FeatureMap, FeatureMapBatch
+from repro.core.tensor import FeatureMap
 from repro.isa import PlanCache
 from repro.serve.queue import Overloaded, RequestFuture
-from repro.serve.router import ShardTierConfig
-from repro.serve.server import ServeConfig, create_server
+from repro.serve.router import ShardedServer, ShardTierConfig
 from repro.util.rng import new_rng
 
 #: How long the run waits on any one result before it fails.
@@ -74,13 +73,13 @@ def run_load(
     p99_slo_ms: float = 50.0,
     degraded_slo: float = 0.05,
 ) -> Dict:
-    """Drive the server *config* describes (default ``ServeConfig()``).
+    """Drive the front door *config* describes (default ``shards=0``).
 
     *requests* (default 100 000 under *chaos*, else 64) rotate through
-    *distinct_frames* seeded frames (default 64 on the tier, 8 in one
-    process); *arrival_hz* draws exponential gaps between submits, else
-    they go back to back.  *faults* is a ``FaultPlan.parse`` spec;
-    *chaos* without it installs :func:`default_chaos_plan`.
+    *distinct_frames* seeded frames (default 64); *arrival_hz* draws
+    exponential gaps between submits, else they go back to back.
+    *faults* is a ``FaultPlan.parse`` spec; *chaos* without it installs
+    :func:`default_chaos_plan`.
     The server starts from a warmed plan cache (*plan_cache_dir*, or an
     ephemeral one), so its cold start is the warm-restart path.
 
@@ -88,10 +87,10 @@ def run_load(
     degraded fraction — degraded inferences, reroutes, inline fallbacks
     and fallback routes over completed requests — within *degraded_slo*.
     ``bit_identical`` compares each distinct frame's first served result
-    byte for byte with ``network.forward_batch``.
+    byte for byte with ``network.forward`` on that frame.
     """
-    config = ServeConfig() if config is None else config
-    closed_loop = isinstance(config, ShardTierConfig)
+    config = ShardTierConfig(shards=0) if config is None else config
+    closed_loop = config.shards > 0
     if requests is None:
         requests = 100_000 if chaos else 64
     if requests < 1:
@@ -99,7 +98,7 @@ def run_load(
     if arrival_hz is not None and arrival_hz <= 0:
         raise ValueError("arrival_hz must be positive")
     if distinct_frames is None:
-        distinct_frames = 64 if closed_loop else 8
+        distinct_frames = 64
     rng = new_rng(seed)
     distinct = [
         FeatureMap(rng.normal(size=network.input_shape).astype(np.float32))
@@ -123,7 +122,7 @@ def run_load(
         if plan is not None:
             injector = stack.enter_context(faults_mod.install(plan))
         served = replace(config, plan_cache_dir=cache_dir, plan_cache_name="serve-bench")
-        server = stack.enter_context(create_server(network, served))
+        server = stack.enter_context(ShardedServer(network, served))
         start = time.perf_counter()
         for index in range(requests):
             if gaps is not None and gaps[index] > 0:
@@ -142,7 +141,7 @@ def run_load(
         for future in in_flight:
             future.result(RESULT_TIMEOUT_S)
         wall = time.perf_counter() - start
-        snapshot = getattr(server, "snapshot", server.metrics.snapshot)()
+        snapshot = server.snapshot()
 
     tier = snapshot["shard_tier"]
     completed = snapshot["completed"]
@@ -151,14 +150,13 @@ def run_load(
     )
     degraded_fraction = degraded / max(1, completed)
     p99_ms = (snapshot["latency"] or {}).get("p99_ms")
-    expected = network.forward_batch(FeatureMapBatch.from_maps(distinct))
     mismatches = []
     for index, future in sorted(first.items()):
-        want, got = expected.frame(index), future.result(RESULT_TIMEOUT_S)
+        want, got = network.forward(distinct[index]), future.result(RESULT_TIMEOUT_S)
         if not np.array_equal(want.data, got.data) or want.scale != got.scale:
             mismatches.append(index)
     report = {
-        "shards": config.shards if closed_loop else 0,
+        "shards": config.shards,
         "requests": int(requests),
         "distinct_frames": len(distinct),
         "arrival_hz": arrival_hz,
@@ -201,35 +199,32 @@ def format_report(report: Dict) -> str:
     """The human-readable summary of a :func:`run_load` report."""
     metrics = report["metrics"]
     tier = metrics["shard_tier"]
+    res = metrics["resilience"]
     slo = report["slo"]
     shards = report["shards"]
     where = f"shard tier): {shards} shards, " if shards else "single process): "
+    cold = ", ".join(
+        f"{name} {info['cold_start_ms']:.2f} ms"
+        for name, info in tier["cold_starts"].items()
+    )
     lines = [
         f"serve-bench ({where}{report['requests']} requests in "
         f"{report['wall_seconds']:.2f}s ({report['throughput_rps']:.0f} req/s)",
         f"  completed: {metrics['completed']}  "
         f"cache hits: {tier['result_cache_hits']}  "
         f"coalesced: {tier['coalesced']}  shed: {metrics['shed']}",
+        f"  deaths: {tier['shard_deaths']}  reroutes: {tier['reroutes']}  "
+        f"fallback routes: {tier['fallback_routes']}  "
+        f"inline: {tier['inline_fallbacks']}  splits: {tier['router_splits']}",
+        f"  cold start: {cold or 'none'}",
+        f"  engine in this process: flushes: {_counts(metrics['flush_causes'])}; "
+        f"batch sizes: {_counts(metrics['batch_histogram'], 'x')}; "
+        f"retries {res['fabric_retries']}, "
+        f"failures: {_counts(res['fabric_failures'])}, "
+        f"breaker trips {res['breaker_trips']}, "
+        f"degraded {res['degraded_inferences']}, "
+        f"worker deaths {res['worker_deaths']}",
     ]
-    if shards:
-        lines.append(
-            f"  deaths: {tier['shard_deaths']}  reroutes: {tier['reroutes']}  "
-            f"fallback routes: {tier['fallback_routes']}  "
-            f"inline: {tier['inline_fallbacks']}  splits: {tier['router_splits']}"
-        )
-    else:
-        cold = metrics["plan_cache"]
-        res = metrics["resilience"]
-        lines += [
-            f"  cold start {cold['cold_start_ms']:.2f} ms ({cold['plan_source']}); "
-            f"flushes: {_counts(metrics['flush_causes'])}; "
-            f"batch sizes: {_counts(metrics['batch_histogram'], 'x')}",
-            f"  resilience: retries {res['fabric_retries']}, "
-            f"failures: {_counts(res['fabric_failures'])}, "
-            f"breaker trips {res['breaker_trips']}, "
-            f"degraded {res['degraded_inferences']}, "
-            f"worker deaths {res['worker_deaths']}",
-        ]
     if "faults" in report:
         lines.append(
             f"  faults: {len(report['faults']['events'])} injected; "

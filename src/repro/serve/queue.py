@@ -64,6 +64,7 @@ class RequestFuture:
         self._exception: Optional[BaseException] = None
         self._cancelled = False
         self._claimed = False
+        self._callbacks: List[Callable[["RequestFuture"], None]] = []
 
     # -- dispatcher side ---------------------------------------------------
 
@@ -76,30 +77,43 @@ class RequestFuture:
             return True
 
     def set_result(self, value: Any) -> None:
-        with self._lock:
-            if self._done.is_set():
-                return
-            self._result = value
-            self._done.set()
+        self._resolve(value, None)
 
     def set_exception(self, exc: BaseException) -> None:
+        self._resolve(None, exc)
+
+    def _resolve(
+        self, value: Any, exc: Optional[BaseException], cancel: bool = False
+    ) -> bool:
+        """First resolution wins; fires the done-callbacks outside the lock."""
         with self._lock:
-            if self._done.is_set():
-                return
+            if self._done.is_set() or (cancel and self._claimed):
+                return False
+            self._cancelled = cancel
+            self._result = value
             self._exception = exc
             self._done.set()
+            callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
+        return True
+
+    def add_done_callback(self, callback: Callable[["RequestFuture"], None]) -> None:
+        """Call ``callback(self)`` once resolved (at once if it is), on the
+        resolving thread — so it must be quick."""
+        with self._lock:
+            if not self._done.is_set():
+                self._callbacks.append(callback)
+                return
+        callback(self)
 
     # -- client side -------------------------------------------------------
 
     def cancel(self) -> bool:
         """Cancel if not yet claimed by the dispatcher; True on success."""
-        with self._lock:
-            if self._claimed or self._done.is_set():
-                return False
-            self._cancelled = True
-            self._exception = RequestCancelled("request cancelled by client")
-            self._done.set()
-            return True
+        return self._resolve(
+            None, RequestCancelled("request cancelled by client"), cancel=True
+        )
 
     def cancelled(self) -> bool:
         with self._lock:

@@ -13,8 +13,10 @@ Three layers, separable on purpose:
   assignment table that makes *exactly-once completion* checkable.  The
   randomized model test drives this class directly — no processes, no
   clocks.
-* :class:`ShardedServer` — the operational tier: owns the
-  :class:`~repro.serve.shard.Shard` processes, the admission controller
+* :class:`ShardedServer` — the front door over N >= 0 engines: owns the
+  :class:`~repro.serve.shard.Shard` processes (each running an
+  :class:`~repro.serve.server.InferenceServer`), the engine in this
+  process that serves when there is no shard, the admission controller
   and result cache from :mod:`repro.serve.admission`, a collector
   thread multiplexing every shard pipe (plus process sentinels, so a
   SIGKILL'd shard is noticed immediately), and a heartbeat thread that
@@ -37,11 +39,11 @@ import hashlib
 import threading
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import faults
-from repro.core.tensor import FeatureMap, FeatureMapBatch
+from repro.core.tensor import FeatureMap
 from repro.serve.admission import (
     AdmissionController,
     QuotaExceeded,
@@ -51,6 +53,7 @@ from repro.serve.admission import (
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.queue import Overloaded, RequestFuture, ServerClosed
 from repro.serve.resilience import HeartbeatMonitor
+from repro.serve.server import InferenceServer, ServeConfig
 from repro.serve.shard import Shard
 
 
@@ -299,18 +302,32 @@ class Router:
             }
 
 
-@dataclass
-class ShardTierConfig:
-    """Knobs of one :class:`ShardedServer` (the multi-process tier)."""
+#: Virtual nodes per shard on the tier's consistent-hash ring.
+VNODES = 64
 
-    #: Shard processes to start.
+#: Per-shard startup handshake budget.
+READY_TIMEOUT_S = 60.0
+
+
+@dataclass
+class ShardTierConfig(ServeConfig):
+    """Knobs of one :class:`ShardedServer`: the front door plus its engines.
+
+    The inherited :class:`~repro.serve.server.ServeConfig` fields
+    configure every engine — each shard's, and the one in this process
+    that serves when there are no shards (``shards=0``) or none is left.
+    ``cpu_workers`` counts the tier's CPU workers: the shards share the
+    host's cores, so they split them (at least one each) rather than
+    each starting the full count.  ``warmup`` applies to the engine in
+    this process only; a shard takes its first request cold.
+    """
+
+    #: Shard processes to start; 0 serves through one engine in this process.
     shards: int = 2
-    #: Fleet-wide dispatched-but-unanswered cap (admission control).
-    max_in_flight: int = 64
-    #: Per-shard in-flight cap before the router falls back (None = no cap).
-    shard_depth: Optional[int] = None
-    #: Virtual nodes per shard on the consistent-hash ring.
-    vnodes: int = 64
+    #: Fleet-wide dispatched-but-unanswered cap (admission control); None
+    #: means ``max_queue_depth``.  Never above it, so an engine behind the
+    #: front door cannot shed a request the front door admitted.
+    max_in_flight: Optional[int] = None
     #: Default per-tenant sustained quota in requests/s (None = unmetered).
     quota_rps: Optional[float] = None
     #: Default per-tenant burst capacity (token-bucket size).
@@ -325,22 +342,21 @@ class ShardTierConfig:
     heartbeat_interval_s: float = 0.2
     #: No pong for this long -> the shard is hung -> treated as dead.
     heartbeat_timeout_s: float = 2.0
-    #: Plan cache directory (None = each shard compiles in-process).
-    plan_cache_dir: Optional[str] = None
-    plan_cache_name: str = "shard"
-    plan_opt_level: int = 2
-    plan_validate: Optional[bool] = None
-    #: multiprocessing start method; fork shares the (unpicklable
-    #: ctypes-backed) network by memory image.
-    start_method: str = "fork"
-    #: Serve in-parent when every shard is gone (the last-resort path).
-    inline_fallback: bool = True
-    #: Per-shard startup handshake budget.
-    ready_timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
+        super().__post_init__()
+        if self.shards < 0:
+            raise ValueError("shards must be non-negative")
+        if self.max_in_flight is None:
+            self.max_in_flight = self.max_queue_depth
+        if self.max_in_flight > self.max_queue_depth:
+            raise ValueError("max_in_flight cannot exceed max_queue_depth")
+        if self.heartbeat_interval_s <= 0:
+            raise ValueError("heartbeat_interval_s must be positive")
+        if self.heartbeat_interval_s >= self.heartbeat_timeout_s:
+            # The monitor checks right after each round of pings, when the
+            # last pong is a full interval old: every shard would expire.
+            raise ValueError("heartbeat_interval_s must be below heartbeat_timeout_s")
 
 
 class _Pending:
@@ -366,17 +382,27 @@ class _Pending:
         self.followers: List[RequestFuture] = []
 
 
+#: Metrics sections only an engine fills (``snapshot()`` reads them off
+#: the engine in this process once it exists).
+_ENGINE_SECTIONS = (
+    "batch_histogram", "flush_causes", "fabric_dispatches", "resilience",
+    "plan_cache", "plan_steps",
+)
+
+
 class ShardedServer:
-    """A fleet of shard processes behind one router front door.
+    """One front door over N >= 0 engines.
 
     Request path: chaos tick → admission (quota, then fleet in-flight
-    cap) → result cache → coalescing → ring routing → pipe dispatch.
+    cap) → result cache → coalescing → ring routing → pipe dispatch to a
+    shard process running an :class:`~repro.serve.server.InferenceServer`
+    — or, with no shard configured or alive, to one in this process.
     A collector thread multiplexes every shard pipe and the process
     sentinels; shard death (SIGKILL, crash, or heartbeat timeout) marks
     the shard dead in the router and re-routes its in-flight requests.
-    Results on the non-degraded path are bit-identical to single-process
-    serving: every shard runs the same validated plan over the same
-    weights.
+    Results on the non-degraded path are bit-identical to
+    ``Network.forward_batch``: every engine runs the same validated plan
+    over the same weights.
     """
 
     def __init__(
@@ -398,9 +424,7 @@ class ShardedServer:
             clock=clock,
         )
         self.result_cache = ResultCache(self.config.result_cache)
-        self.router = Router(
-            shard_depth=self.config.shard_depth, vnodes=self.config.vnodes
-        )
+        self.router = Router(vnodes=VNODES)
         self.monitor = HeartbeatMonitor(self.config.heartbeat_timeout_s)
         self._lock = threading.Lock()
         self._chaos_lock = threading.Lock()
@@ -410,7 +434,7 @@ class ShardedServer:
         self._dead_handled: Set[str] = set()
         self._next_rid = 0
         self._split_ticks = 0
-        self._inline_vm = None
+        self._engine: Optional[InferenceServer] = None
         self._started = False
         self._stopping = False
         self._stop_event = threading.Event()
@@ -424,7 +448,7 @@ class ShardedServer:
         if self._started:
             raise RuntimeError("sharded server already started")
         cfg = self.config
-        if cfg.plan_cache_dir is not None:
+        if cfg.plan_cache_dir is not None and cfg.shards:
             # Warm once in the parent: every shard's cold start is then a
             # cache *hit* — an artifact load, never a compile.
             from repro.isa.cache import PlanCache
@@ -435,23 +459,25 @@ class ShardedServer:
                 opt_level=cfg.plan_opt_level,
                 validate=cfg.plan_validate,
             )
+        # Fork every shard before awaiting any: their engines come up side
+        # by side, and a failed start leaves them all in _shards for stop().
+        # Each shard's engine: its share of the CPU workers and no warm-up
+        # frame (the shards' bring-up is the tier's start; a shard's first
+        # request warms it anyway).
+        workers = max(1, cfg.cpu_workers // max(1, cfg.shards))
+        per_shard = replace(cfg, cpu_workers=workers, warmup=False)
         for index in range(cfg.shards):
-            shard = Shard(
-                index,
-                self.network,
-                cfg.plan_cache_dir,
-                plan_name=cfg.plan_cache_name,
-                opt_level=cfg.plan_opt_level,
-                validate=cfg.plan_validate,
-                start_method=cfg.start_method,
-            )
-            shard.start(cfg.ready_timeout_s)
+            shard = Shard(index, self.network, per_shard).launch()
             self._shards[shard.name] = shard
+        for shard in self._shards.values():
+            shard.wait_ready(READY_TIMEOUT_S)
             self.router.join(shard.name)
             self.monitor.beat(shard.name, self.clock())
             self.metrics.observe_shard_start(
                 shard.name, shard.cold_start_ms, shard.plan_cache_hit
             )
+        if not cfg.shards:
+            self._local()
         self.metrics.mark_started(self.clock())
         self._started = True
         self._collector_thread = threading.Thread(
@@ -488,6 +514,8 @@ class ShardedServer:
             if not shard.join(1.0):
                 shard.kill()
                 shard.join(1.0)
+        if self._engine is not None:
+            self._engine.stop(timeout=timeout_s, drain=drain)
         with self._lock:
             leftovers = list(self._pending.values())
             self._pending.clear()
@@ -593,7 +621,8 @@ class ShardedServer:
             if kill is not None:
                 victim = self._victim(kill[1].invocation)
                 if victim is not None:
-                    victim.kill()
+                    # Recorded before the SIGKILL, so the collector can never
+                    # claim this death first under another cause.
                     self._on_shard_death(victim, cause="chaos-kill")
             if slow is not None:
                 spec, event = slow
@@ -634,11 +663,10 @@ class ShardedServer:
 
     def _dispatch(self, pending: _Pending, rerouted: bool = False) -> None:
         """Route and send one pending request (re-entered on reroute)."""
-        batch = FeatureMapBatch.from_maps([pending.frame])
         while True:
             routed = self.router.route(pending.digest)
             if routed is None:
-                self._run_inline(pending, batch, rerouted)
+                self._serve_locally(pending, rerouted)
                 return
             name, fallback = routed
             shard = self._shards[name]
@@ -647,7 +675,7 @@ class ShardedServer:
             except ValueError:
                 continue  # shard died between route() and assign(); re-route
             try:
-                shard.send_request(pending.rid, batch)
+                shard.send_request(pending.rid, pending.frame)
             except (OSError, ValueError, BrokenPipeError):
                 self.router.complete(pending.rid)
                 self._on_shard_death(shard, cause="send-failed")
@@ -659,41 +687,39 @@ class ShardedServer:
                 self.metrics.observe_reroute()
             return
 
-    def _run_inline(
-        self, pending: _Pending, batch: FeatureMapBatch, rerouted: bool
-    ) -> None:
-        """Last resort: every shard is gone — serve in the parent."""
-        if not self.config.inline_fallback:
-            error = ServerClosed("no shards available")
-            self._fail(pending, error)
-            return
+    def _serve_locally(self, pending: _Pending, rerouted: bool) -> None:
+        """No shard configured or usable: the engine in this process serves."""
         try:
-            out = self._inline().run(batch)
+            future = self._local().submit(pending.frame)
         except Exception as exc:  # noqa: BLE001 — routed to the future
             self._fail(pending, exc)
             return
         if rerouted:
             self.metrics.observe_reroute()
-        self.metrics.observe_inline_fallback()
-        self._finish(pending, next(iter(out.frames())))
+        if self.config.shards:
+            self.metrics.observe_inline_fallback()  # lost the whole fleet
+        future.add_done_callback(lambda done: self._settle(pending, done))
 
-    def _inline(self):
-        """The in-parent VM, built on first use (same plan source)."""
+    def _local(self) -> InferenceServer:
+        """The engine in this process, started on first use."""
         with self._lock:
-            if self._inline_vm is None:
-                from repro.isa import build_vm
-
-                cfg = self.config
-                self._inline_vm, _hit = build_vm(
-                    self.network,
-                    cfg.plan_cache_dir,
-                    name=cfg.plan_cache_name,
-                    opt_level=cfg.plan_opt_level,
-                    validate=cfg.plan_validate,
+            if self._engine is None:
+                engine = InferenceServer(self.network, self.config, clock=self.clock)
+                self._engine = engine.start()
+                cold = engine.metrics.snapshot()["plan_cache"]
+                self.metrics.observe_shard_start(
+                    "local", cold["cold_start_ms"], cold["plan_cache_hit"]
                 )
-            return self._inline_vm
+            return self._engine
 
-    # -- completion (collector thread + inline path) -----------------------
+    # -- completion (collector thread + local engine) ----------------------
+
+    def _settle(self, pending: _Pending, future: RequestFuture) -> None:
+        error = future.exception()
+        if error is None:
+            self._finish(pending, future.result())
+        else:
+            self._fail(pending, error)
 
     def _finish(self, pending: _Pending, out: FeatureMap) -> None:
         with self._lock:
@@ -793,11 +819,11 @@ class ShardedServer:
     def _on_message(self, shard: Shard, message: Tuple) -> None:
         tag = message[0]
         if tag == "res":
-            rid, out_batch = message[1], message[2]
+            rid, out = message[1], message[2]
             with self._lock:
                 pending = self._pending.get(rid)
             if pending is not None:
-                self._finish(pending, next(iter(out_batch.frames())))
+                self._finish(pending, out)
         elif tag == "err":
             rid, detail = message[1], message[2]
             with self._lock:
@@ -806,7 +832,6 @@ class ShardedServer:
                 self._fail(pending, RuntimeError(f"shard error: {detail}"))
         elif tag == "pong":
             now = self.clock()
-            shard.observe_pong(message[1], message[2], now)
             self.monitor.beat(shard.name, now)
             self.metrics.observe_pong(shard.name)
 
@@ -831,16 +856,15 @@ class ShardedServer:
 
     # -- introspection -----------------------------------------------------
 
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
     def live_shard_names(self) -> List[str]:
         return sorted(shard.name for shard in self._live_shards())
 
     def snapshot(self) -> Dict:
         """Everything observable, merged: metrics + tier sections."""
         data = self.metrics.snapshot(now=self.clock())
+        if self._engine is not None:
+            engine = self._engine.metrics.snapshot()
+            data.update((key, engine[key]) for key in _ENGINE_SECTIONS)
         data["admission"] = self.admission.snapshot()
         data["result_cache"] = self.result_cache.snapshot()
         data["router"] = self.router.snapshot()

@@ -444,21 +444,4 @@ class InferenceServer:
                 return out
 
 
-def create_server(network, config=None):
-    """The serving front door for *config*'s topology, not yet started.
-
-    A :class:`~repro.serve.router.ShardTierConfig` builds the
-    multi-process :class:`~repro.serve.router.ShardedServer`; a
-    :class:`ServeConfig` (or ``None``) builds the single-process
-    :class:`InferenceServer`.  Both expose ``start``/``stop``/``infer``
-    and produce bit-identical results on the non-degraded path, so
-    callers can scale out by swapping the config object alone.
-    """
-    from repro.serve.router import ShardedServer, ShardTierConfig
-
-    if isinstance(config, ShardTierConfig):
-        return ShardedServer(network, config)
-    return InferenceServer(network, config)
-
-
-__all__ = ["ServeConfig", "InferenceServer", "create_server", "_IDLE_WAIT_S"]
+__all__ = ["ServeConfig", "InferenceServer", "_IDLE_WAIT_S"]

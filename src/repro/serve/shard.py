@@ -2,30 +2,34 @@
 
 FINN-R scales throughput by replicating the dataflow engine behind a
 dispatcher; the shard tier does the same at process granularity.  Each
-shard is a child process owning its own simulated fabric device and a
-:class:`~repro.isa.vm.PlanVM` warmed from the content-addressed plan
+shard is a child process running one
+:class:`~repro.serve.server.InferenceServer` (queue, batcher, worker
+pool, breaker and fabric retries) warmed from the content-addressed plan
 cache (the parent pre-compiles the ``.rpb`` artifact once, so every
 shard's cold start is an artifact *load*, never a compile), talking to
 the router over one duplex :mod:`multiprocessing` pipe.
 
 Wire protocol (plain tuples; ``Connection.send`` pickles them, which is
-how the ``FeatureMapBatch`` payloads travel)::
+how the ``FeatureMap`` payloads travel)::
 
     parent -> shard                     shard -> parent
-    ("req",  rid, FeatureMapBatch)      ("res",  rid, FeatureMapBatch)
+    ("req",  rid, FeatureMap)           ("res",  rid, FeatureMap)
                                         ("err",  rid, repr(exc))
     ("ping", seq)                       ("pong", seq, served, slow_left)
     ("slow", seconds, count)            -
     ("stop",)                           -
     -                                   ("ready", cold_start_ms, cache_hit)
 
-Messages are processed strictly in order by the child's single loop, so
-a slowed shard still answers heartbeats *between* requests — slow and
-hung are distinguishable, which is exactly what the router's health
-policy needs.  Shards are spawned with the ``fork`` start method by
-default: the network object (which may hold unpicklable offload-backend
-handles) is inherited by memory image instead of being pickled, and a
-fork start is what keeps 3-shard full-scale Tincy tests cheap.
+The child's receive loop hands each request to its server and answers
+from the request future's done-callback, so requests batch inside the
+shard.  ``slow`` stalls sleep *in the receive loop*, so a slowed shard
+still answers heartbeats between requests — slow and hung are
+distinguishable, which is exactly what the router's health policy
+needs.  Shards are spawned with the ``fork`` start method where the
+platform has it: the network object (which may hold unpicklable
+offload-backend handles) is inherited by memory image instead of being
+pickled, and a fork start is what keeps 3-shard full-scale Tincy tests
+cheap.
 """
 
 from __future__ import annotations
@@ -36,36 +40,41 @@ import threading
 import time
 from typing import Optional
 
-from repro.core.tensor import FeatureMapBatch
+from repro.core.tensor import FeatureMap
 
 
-def _shard_main(
-    conn,
-    peer,
-    network,
-    plan_cache_dir: Optional[str],
-    plan_name: str,
-    opt_level: int,
-    validate: Optional[bool],
-) -> None:
-    """Child entry point: warm a plan, then serve the pipe until told to stop."""
+def _shard_main(conn, peer, network, config) -> None:
+    """Child entry point: start an engine, then serve the pipe until told to stop."""
     if peer is not None:
         peer.close()  # the parent's end, inherited across the fork
-    cold_start = time.perf_counter()
     try:
-        from repro.isa import build_vm
+        from repro.serve.server import InferenceServer
 
-        vm, cache_hit = build_vm(
-            network, plan_cache_dir, name=plan_name, opt_level=opt_level,
-            validate=validate,
-        )
+        server = InferenceServer(network, config).start()
     except Exception as exc:  # noqa: BLE001 — reported to the parent
         conn.send(("fail", repr(exc)))
         conn.close()
         return
-    cold_ms = (time.perf_counter() - cold_start) * 1e3
-    conn.send(("ready", cold_ms, cache_hit))
+    cold = server.metrics.snapshot()["plan_cache"]
+    conn.send(("ready", cold["cold_start_ms"], cold["plan_cache_hit"]))
+    # Replies leave from worker threads while this loop answers pings.
+    send_lock = threading.Lock()
     served = 0
+
+    def reply(rid: int, future) -> None:
+        nonlocal served
+        error = future.exception()
+        with send_lock:
+            if error is None:
+                served += 1
+                message = ("res", rid, future.result())
+            else:
+                message = ("err", rid, repr(error))
+            try:
+                conn.send(message)
+            except (OSError, ValueError):
+                pass  # the parent went away; the loop below notices too
+
     slow_left = 0
     slow_s = 0.0
     while True:
@@ -75,24 +84,26 @@ def _shard_main(
             break  # the parent went away; nothing left to serve
         tag = message[0]
         if tag == "req":
-            rid, batch = message[1], message[2]
+            rid = message[1]
             if slow_left > 0:
                 slow_left -= 1
                 time.sleep(slow_s)
             try:
-                out = vm.run(batch)
-            except Exception as exc:  # noqa: BLE001 — routed to the future
-                conn.send(("err", rid, repr(exc)))
+                future = server.submit(message[2])
+            except Exception as exc:  # noqa: BLE001 — routed to the parent
+                with send_lock:
+                    conn.send(("err", rid, repr(exc)))
             else:
-                conn.send(("res", rid, out))
-                served += 1
+                future.add_done_callback(lambda done, rid=rid: reply(rid, done))
         elif tag == "ping":
-            conn.send(("pong", message[1], served, slow_left))
+            with send_lock:
+                conn.send(("pong", message[1], served, slow_left))
         elif tag == "slow":
             slow_s = float(message[1])
             slow_left = int(message[2])
         elif tag == "stop":
             break
+    server.stop(timeout=5.0)
     conn.close()
 
 
@@ -104,29 +115,17 @@ class Shard:
     """Parent-side handle of one shard process.
 
     Owns the process, the parent end of the pipe, and the router-facing
-    state: liveness, the in-flight request ids, and heartbeat bookkeeping.
+    state: liveness and the ping sequence.  *config* is the shard
+    engine's :class:`~repro.serve.server.ServeConfig` (None: defaults).
     All mutable state is guarded by ``_lock`` — the collector thread, the
     heartbeat thread and the submitting client threads all touch it.
     """
 
-    def __init__(
-        self,
-        index: int,
-        network,
-        plan_cache_dir: Optional[str],
-        plan_name: str = "shard",
-        opt_level: int = 2,
-        validate: Optional[bool] = None,
-        start_method: str = "fork",
-    ) -> None:
+    def __init__(self, index: int, network, config=None) -> None:
         self.index = index
         self.name = f"shard{index}"
         self._network = network
-        self._plan_cache_dir = plan_cache_dir
-        self._plan_name = plan_name
-        self._opt_level = opt_level
-        self._validate = validate
-        self._start_method = start_method
+        self._config = config
         self._lock = threading.Lock()
         # Pipe sends are not documented thread-safe; the submit path and
         # the heartbeat thread both write this connection, so every send
@@ -136,18 +135,19 @@ class Shard:
         self.conn = None
         self.cold_start_ms: Optional[float] = None
         self.plan_cache_hit: Optional[bool] = None
-        self.served = 0
-        self.last_pong: Optional[float] = None
         self.ping_seq = 0
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self, ready_timeout_s: float = 60.0) -> "Shard":
         """Fork the shard process and wait for its ``ready`` handshake."""
+        return self.launch().wait_ready(ready_timeout_s)
+
+    def launch(self) -> "Shard":
+        """Fork the shard process; its engine comes up in the background."""
         if self.process is not None:
             raise RuntimeError(f"{self.name} already started")
-        methods = multiprocessing.get_all_start_methods()
-        method = self._start_method if self._start_method in methods else None
+        method = "fork" if fork_available() else None
         ctx = multiprocessing.get_context(method)
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
@@ -156,10 +156,7 @@ class Shard:
                 child_conn,
                 parent_conn if method == "fork" else None,
                 self._network,
-                self._plan_cache_dir,
-                self._plan_name,
-                self._opt_level,
-                self._validate,
+                self._config,
             ),
             name=self.name,
             daemon=True,
@@ -167,6 +164,10 @@ class Shard:
         self.process.start()
         child_conn.close()
         self.conn = parent_conn
+        return self
+
+    def wait_ready(self, ready_timeout_s: float = 60.0) -> "Shard":
+        """Block until the launched shard's ``ready`` handshake arrives."""
         if not self.conn.poll(ready_timeout_s):
             self.kill()
             raise ShardError(f"{self.name} did not come up in {ready_timeout_s}s")
@@ -204,10 +205,10 @@ class Shard:
 
     # -- messaging ---------------------------------------------------------
 
-    def send_request(self, rid: int, batch: FeatureMapBatch) -> None:
-        """Pickle *batch* down the pipe (raises OSError on a dead pipe)."""
+    def send_request(self, rid: int, frame: FeatureMap) -> None:
+        """Pickle *frame* down the pipe (raises OSError on a dead pipe)."""
         with self._send_lock:
-            self.conn.send(("req", rid, batch))
+            self.conn.send(("req", rid, frame))
 
     def send_ping(self) -> int:
         with self._lock:
@@ -220,11 +221,6 @@ class Shard:
     def send_slow(self, seconds: float, count: int) -> None:
         with self._send_lock:
             self.conn.send(("slow", seconds, count))
-
-    def observe_pong(self, seq: int, served: int, now: float) -> None:
-        with self._lock:
-            self.last_pong = now
-            self.served = served
 
     @property
     def sentinel(self) -> int:

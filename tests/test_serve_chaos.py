@@ -23,8 +23,8 @@ counters and cold-start timings — is excluded from the comparison.
 
 Two further scenarios cover the paths the matrix can't reach closed-loop:
 a *hung* shard (stalled mid-request, detected by heartbeat timeout, its
-in-flight work re-routed) and a fully dead fleet (served by the parent's
-inline executor).
+in-flight work re-routed) and a fully dead fleet (served by the engine
+in the parent process).
 """
 
 from dataclasses import dataclass
@@ -43,6 +43,7 @@ from repro.serve import (
     ShardTierConfig,
     frame_digest,
 )
+from repro.serve.router import VNODES
 from repro.serve.shard import fork_available
 
 pytestmark = [
@@ -184,7 +185,7 @@ class TestChaosMatrix:
 
         # 3. The metrics match the script exactly.  Closed-loop submission
         #    means a kill never catches a request in flight: reroutes stay
-        #    zero and nothing ever needs the inline executor.
+        #    zero and nothing ever falls back to the parent's engine.
         tier = snapshot["shard_tier"]
         assert tier["shard_deaths"] == cell.expect_deaths
         assert tier["router_splits"] == cell.expect_splits
@@ -233,7 +234,7 @@ class TestHungShard:
         with ShardedServer(network, config) as server:
             # Pick frames that really route to the victim: rebuild the
             # server's ring locally and check each frame's owner.
-            ring = ConsistentHashRing(config.vnodes)
+            ring = ConsistentHashRing(VNODES)
             for name in server.live_shard_names():
                 ring.add(name)
             owners = {frame_digest(f): ring.lookup(frame_digest(f)) for f in frames}
@@ -256,7 +257,7 @@ class TestHungShard:
         assert snapshot["failed"] == 0
 
     def test_all_shards_dead_serves_inline(self, network, frames, expected):
-        """SIGKILL the whole fleet: the parent's inline executor answers."""
+        """SIGKILL the whole fleet: the parent's own engine answers."""
         import time
 
         config = _tier_config(shards=2)
@@ -276,9 +277,29 @@ class TestHungShard:
 
 
 class TestConfigValidation:
-    def test_zero_shards_rejected(self):
+    def test_negative_shards_rejected(self):
         with pytest.raises(ValueError):
-            ShardTierConfig(shards=0)
+            ShardTierConfig(shards=-1)
+
+    def test_heartbeat_interval_must_be_positive(self):
+        # A zero interval would spin the heartbeat thread on wait(0).
+        for interval in (0.0, -0.1):
+            with pytest.raises(ValueError, match="heartbeat_interval_s"):
+                ShardTierConfig(heartbeat_interval_s=interval)
+
+    def test_heartbeat_interval_must_be_below_the_timeout(self):
+        # The monitor checks right after each round of pings, when the
+        # last pong is one interval old: at interval >= timeout every
+        # healthy shard would expire as heartbeat-timeout.
+        for interval in (2.0, 3.0):
+            with pytest.raises(ValueError, match="heartbeat_timeout_s"):
+                ShardTierConfig(heartbeat_interval_s=interval, heartbeat_timeout_s=2.0)
+        ShardTierConfig(heartbeat_interval_s=1.9, heartbeat_timeout_s=2.0)
+
+    def test_front_door_cannot_admit_more_than_an_engine_queues(self):
+        assert ShardTierConfig(max_queue_depth=16).max_in_flight == 16
+        with pytest.raises(ValueError, match="max_in_flight"):
+            ShardTierConfig(max_queue_depth=16, max_in_flight=17)
 
     def test_fleet_spec_site_pairing_enforced(self):
         with pytest.raises(ValueError):

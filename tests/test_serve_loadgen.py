@@ -1,4 +1,4 @@
-"""The ``repro serve-bench`` load generator over both serving topologies."""
+"""The ``repro serve-bench`` load generator over the front door, N >= 0 shards."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.nn import zoo
 from repro.nn.network import Network
-from repro.serve import ServeConfig, ShardTierConfig
+from repro.serve import ShardTierConfig
 from repro.serve.loadgen import default_chaos_plan, format_report, run_load
 from repro.serve.shard import fork_available
 
@@ -28,7 +28,8 @@ class TestSingleProcess:
         # arrival_hz=None: back-to-back submission, no sleeping — the run
         # has no wall-clock dependence in this mode.
         report = run_load(
-            mlp4, ServeConfig(max_batch=4, cpu_workers=2), requests=10, seed=0
+            mlp4, ShardTierConfig(shards=0, max_batch=4, cpu_workers=2),
+            requests=10, seed=0,
         )
         assert report["shards"] == 0
         assert report["requests"] == 10
@@ -47,7 +48,9 @@ class TestSingleProcess:
     def test_cold_start_is_a_cache_hit(self, mlp4):
         # run_load warms the plan cache before the measured server comes
         # up, so the reported cold start is the warm-restart story.
-        report = run_load(mlp4, ServeConfig(max_batch=2), requests=4, seed=0)
+        report = run_load(
+            mlp4, ShardTierConfig(shards=0, max_batch=2), requests=4, seed=0
+        )
         cold = report["metrics"]["plan_cache"]
         assert cold["plan_cache_hit"] is True
         assert cold["plan_source"] == "cache-hit"
@@ -56,7 +59,8 @@ class TestSingleProcess:
 
     def test_open_loop_arrivals(self, mlp4):
         report = run_load(
-            mlp4, ServeConfig(max_batch=2), requests=6, arrival_hz=5000.0, seed=7
+            mlp4, ShardTierConfig(shards=0, max_batch=2), requests=6,
+            arrival_hz=5000.0, seed=7,
         )
         assert report["arrival_hz"] == 5000.0
         assert report["metrics"]["completed"] == report["metrics"]["accepted"]
@@ -71,7 +75,8 @@ class TestSingleProcess:
         # A one-slot queue under back-to-back submission sheds; shed
         # requests were never served and must not count as throughput.
         report = run_load(
-            mlp4, ServeConfig(max_queue_depth=1, max_batch=1), requests=64
+            mlp4, ShardTierConfig(shards=0, max_queue_depth=1, max_batch=1),
+            requests=64,
         )
         completed = report["metrics"]["completed"]
         assert report["metrics"]["shed"] == report["shed_at_submit"] > 0
@@ -85,7 +90,7 @@ class TestSingleProcess:
         # transcript digest, the SLO section and the bit-identity check.
         def run():
             return run_load(
-                mlp4, ServeConfig(max_batch=4), requests=16,
+                mlp4, ShardTierConfig(shards=0, max_batch=4), requests=16,
                 faults="worker-death@1", fault_seed=3,
             )
 
@@ -229,22 +234,57 @@ class TestServeBenchCli:
         assert "--chaos cannot apply without --shards" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, value",
+        "shards",
+        [pytest.param(0, id="0shards"), pytest.param(2, marks=needs_fork, id="2shards")],
+    )
+    @pytest.mark.parametrize(
+        "flag, value, key, expected",
         [
-            ("--max-batch", "4"),
-            ("--max-delay-ms", "1"),
-            ("--queue-depth", "16"),
-            ("--cpu-workers", "1"),
+            pytest.param("--max-batch", "4", "max_batch", 4, id="max-batch"),
+            pytest.param("--max-delay-ms", "1", "max_delay_s", 0.001, id="max-delay-ms"),
+            pytest.param("--queue-depth", "16", "max_queue_depth", 16, id="queue-depth"),
+            pytest.param("--cpu-workers", "1", "cpu_workers", 1, id="cpu-workers"),
+            pytest.param("--result-cache", "0", "result_cache", 0, id="result-cache"),
         ],
     )
-    def test_single_process_knobs_refused_with_shards(self, flag, value, capsys):
-        code = main(["serve-bench", "--network", "mlp4", "--shards", "2", flag, value])
-        assert code == 2
-        assert f"{flag} cannot apply with --shards" in capsys.readouterr().err
-
-    def test_result_cache_needs_shards(self, capsys):
-        code = main(["serve-bench", "--network", "mlp4", "--result-cache", "0"])
-        assert code == 2
-        assert "--result-cache cannot apply without --shards" in (
-            capsys.readouterr().err
+    def test_knobs_apply(self, flag, value, key, expected, shards, tmp_path):
+        # Every knob configures the one front door and each engine behind
+        # it, whatever the shard count.
+        out = tmp_path / "report.json"
+        code = main([
+            "serve-bench", "--network", "mlp4", "--shards", str(shards),
+            "--requests", "16", flag, value, "--output", str(out),
+            "--slo-p99-ms", "60000",  # knobs under test, not latency
+        ])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["shards"] == shards
+        assert report["config"][key] == expected
+        assert report["config"]["max_in_flight"] <= report["config"]["max_queue_depth"]
+        assert report["metrics"]["admission"]["max_in_flight"] == (
+            report["config"]["max_in_flight"]
         )
+        assert report["metrics"]["result_cache"]["capacity"] == (
+            report["config"]["result_cache"]
+        )
+        assert report["metrics"]["completed"] == 16
+        assert report["bit_identical"] is True
+
+    def test_result_cache_answers_repeats_without_shards(self, mlp4):
+        report = run_load(
+            mlp4, ShardTierConfig(shards=0), requests=16, distinct_frames=4
+        )
+        tier = report["metrics"]["shard_tier"]
+        assert tier["result_cache_hits"] + tier["coalesced"] == 12
+        assert tier["inline_fallbacks"] == 0
+        assert report["slo"]["degraded_fraction"] == 0.0
+        assert report["bit_identical"] is True
+        disabled = run_load(
+            mlp4, ShardTierConfig(shards=0, result_cache=0, coalesce=False),
+            requests=16, distinct_frames=4,
+        )
+        assert disabled["metrics"]["shard_tier"]["result_cache_hits"] == 0
+        assert sum(
+            int(size) * count
+            for size, count in disabled["metrics"]["batch_histogram"].items()
+        ) == 16

@@ -169,6 +169,54 @@ class TestRequestFuture:
         future.set_exception(RuntimeError("late"))
         assert future.result(timeout=0) == 1
 
+    def test_done_callbacks_fire_once_before_or_after_resolution(self):
+        seen = []
+        future = RequestFuture()
+        future.add_done_callback(seen.append)
+        assert seen == []
+        future.set_result(1)
+        future.set_exception(RuntimeError("late"))  # no second firing
+        future.add_done_callback(seen.append)  # already done: runs at once
+        assert seen == [future, future]
+        cancelled = RequestFuture()
+        cancelled.add_done_callback(seen.append)
+        assert cancelled.cancel()
+        assert seen[-1] is cancelled and isinstance(
+            cancelled.exception(timeout=0), RequestCancelled
+        )
+
+    def test_done_callbacks_race_resolution_without_loss(self):
+        # Registrations racing the resolving thread: every callback runs
+        # exactly once, whichever side wins each race.
+        import sys
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                future = RequestFuture()
+                calls = []
+                lock = threading.Lock()
+
+                def record(done, calls=calls, lock=lock):
+                    with lock:
+                        calls.append(done)
+
+                def add_many(future=future, record=record):
+                    for _ in range(20):
+                        future.add_done_callback(record)
+
+                adders = [threading.Thread(target=add_many) for _ in range(4)]
+                for thread in adders:
+                    thread.start()
+                future.set_result("x")
+                for thread in adders:
+                    thread.join(10.0)
+                    assert not thread.is_alive()
+                assert len(calls) == 80
+        finally:
+            sys.setswitchinterval(switch)
+
 
 class TestPercentile:
     def test_nearest_rank_values(self):

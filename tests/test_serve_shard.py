@@ -4,29 +4,31 @@ The chaos matrix (``test_serve_chaos``) certifies the tier under
 injected faults; this file covers the sunny-day contracts: the wire
 protocol and handshake of one :class:`Shard`, warm plan-cache cold
 starts, the result cache / coalescing / quota layers on the submit
-path, the ``create_server`` factory, and the
-:class:`HeartbeatMonitor` bookkeeping — plus bit-identity of the whole
-tier against ``Network.forward_batch``.
+path, the engine each shard runs (fabric retries inside the shard),
+the zero-shard front door, and the :class:`HeartbeatMonitor`
+bookkeeping — plus bit-identity of the whole tier against
+``Network.forward_batch``.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core.tensor import FeatureMap, FeatureMapBatch
 from repro.nn import zoo
 from repro.nn.network import Network
 from repro.serve import (
     ConsistentHashRing,
-    InferenceServer,
     QuotaExceeded,
-    ServeConfig,
     ShardedServer,
     ShardTierConfig,
-    create_server,
     frame_digest,
 )
 from repro.serve.queue import ServerClosed
 from repro.serve.resilience import HeartbeatMonitor
+from repro.serve.router import VNODES
 from repro.serve.shard import Shard, fork_available
 
 needs_fork = pytest.mark.skipif(
@@ -57,7 +59,7 @@ def frames(network):
 @needs_fork
 class TestShardProcess:
     def test_handshake_protocol_and_shutdown(self, network, frames):
-        shard = Shard(0, network, plan_cache_dir=None)
+        shard = Shard(0, network)
         try:
             shard.start(ready_timeout_s=60)
             assert shard.name == "shard0"
@@ -65,13 +67,11 @@ class TestShardProcess:
             assert shard.cold_start_ms is not None and shard.cold_start_ms >= 0
             assert shard.plan_cache_hit is None  # no cache dir -> compiled
 
-            batch = FeatureMapBatch.from_maps([frames[0]])
-            shard.send_request(7, batch)
+            shard.send_request(7, frames[0])
             assert shard.conn.poll(30)
-            tag, rid, out = shard.conn.recv()
+            tag, rid, got = shard.conn.recv()
             assert (tag, rid) == ("res", 7)
-            expected = network.forward_batch(batch)
-            got = next(iter(out.frames()))
+            expected = network.forward_batch(FeatureMapBatch.from_maps([frames[0]]))
             assert np.array_equal(got.data, expected.frame(0).data)
 
             seq = shard.send_ping()
@@ -88,7 +88,7 @@ class TestShardProcess:
             shard.join(10)
 
     def test_double_start_rejected(self, network):
-        shard = Shard(1, network, plan_cache_dir=None)
+        shard = Shard(1, network)
         try:
             shard.start(ready_timeout_s=60)
             with pytest.raises(RuntimeError):
@@ -133,7 +133,7 @@ class TestShardedServerPath:
         # is provably still in flight when the duplicate arrives.
         config = ShardTierConfig(shards=2, result_cache=0)
         with ShardedServer(network, config) as server:
-            ring = ConsistentHashRing(config.vnodes)
+            ring = ConsistentHashRing(VNODES)
             for name in server.live_shard_names():
                 ring.add(name)
             digest = frame_digest(frames[0])
@@ -205,19 +205,89 @@ class TestPlanCacheWarm:
         assert path_again == path and hit_again
 
 
-class TestCreateServerFactory:
-    def test_shard_config_selects_the_sharded_server(self, network):
-        server = create_server(network, ShardTierConfig(shards=2))
-        assert isinstance(server, ShardedServer)
-        assert server.shard_count == 0  # not started yet
+@pytest.mark.integration
+@needs_fork
+class TestShardEngines:
+    def test_fabric_fault_is_retried_inside_the_shard(self, rng, tmp_path):
+        # Each shard runs a full engine, so a fabric fault is retried by
+        # the shard's own retry ladder instead of failing the request.
+        # The forked shards inherit the plan installed before start(), and
+        # a shard has no warm-up frame, so the fault hits a served request.
+        from tests.test_serve_server import _frames, _hybrid_offload_network
 
-    def test_default_and_serve_config_select_the_single_process_server(
-        self, network
-    ):
-        assert isinstance(create_server(network), InferenceServer)
-        assert isinstance(
-            create_server(network, ServeConfig(max_batch=2)), InferenceServer
-        )
+        hybrid = _hybrid_offload_network(rng, tmp_path)
+        frames = _frames(rng, hybrid.input_shape, 4)
+        expected = hybrid.forward_batch(FeatureMapBatch.from_maps(frames))
+        config = ShardTierConfig(shards=2, result_cache=0)
+        with faults.install(faults.FaultPlan.parse("fabric-raise@0")):
+            with ShardedServer(hybrid, config) as server:
+                results = server.infer_many(frames, timeout_s=60)
+                snapshot = server.snapshot()
+        for index, got in enumerate(results):
+            want = expected.frame(index)
+            assert got.scale == want.scale
+            assert np.array_equal(got.data, want.data)
+        assert snapshot["completed"] == len(frames)
+        assert snapshot["failed"] == 0
+
+
+    def test_shard_engines_split_the_cpu_workers(self, network):
+        # Copying the engine must not multiply the host's CPU workers.
+        config = ShardTierConfig(shards=2, cpu_workers=4)
+        with ShardedServer(network, config) as server:
+            engines = [shard._config for shard in server._shards.values()]
+        assert [engine.cpu_workers for engine in engines] == [2, 2]
+        assert all(engine.max_batch == config.max_batch for engine in engines)
+        assert not any(engine.warmup for engine in engines)  # first request warms
+
+
+class TestZeroShards:
+    def test_front_door_without_shards_serves_in_process(self, network, frames):
+        config = ShardTierConfig(shards=0)
+        expected = network.forward_batch(FeatureMapBatch.from_maps(frames))
+        with ShardedServer(network, config) as server:
+            assert server.live_shard_names() == []
+            results = server.infer_many(frames, timeout_s=60)
+            repeat = server.infer(frames[0], timeout_s=60)  # a cache hit
+            snapshot = server.snapshot()
+        for index, got in enumerate(results):
+            want = expected.frame(index)
+            assert got.scale == want.scale
+            assert np.array_equal(got.data, want.data)
+        assert np.array_equal(repeat.data, expected.frame(0).data)
+        tier = snapshot["shard_tier"]
+        assert tier["result_cache_hits"] == 1
+        assert tier["inline_fallbacks"] == 0  # configured local, not a fallback
+        assert tier["shard_deaths"] == 0
+        assert snapshot["completed"] == len(frames) + 1
+        assert snapshot["failed"] == 0
+        # The engine in this process fills the engine sections.
+        assert sum(snapshot["batch_histogram"].values()) >= 1
+        assert snapshot["plan_cache"]["cold_start_ms"] > 0
+
+    def test_in_flight_duplicates_coalesce_without_shards(self, network, frames):
+        config = ShardTierConfig(shards=0, result_cache=0)
+        with ShardedServer(network, config) as server:
+            engine = server._local()
+            release = threading.Event()
+            run = engine.vm.run
+
+            def held(*args, **kwargs):
+                assert release.wait(60)
+                return run(*args, **kwargs)
+
+            engine.vm.run = held
+            try:
+                primary = server.submit(frames[0])
+                follower = server.submit(frames[0])
+            finally:
+                release.set()
+            first, second = primary.result(60), follower.result(60)
+            tier = server.snapshot()["shard_tier"]
+        assert np.array_equal(first.data, second.data)
+        assert second.data is not first.data
+        assert tier["coalesced"] == 1
+        assert tier["inline_fallbacks"] == 0
 
 
 class TestHeartbeatMonitor:

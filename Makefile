@@ -31,8 +31,12 @@ bench-e2e-smoke:
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
+# Serving CI canary: the round trip and CLI smoke, plus the deterministic
+# burst-split case (8 queued requests, 2 free workers -> two batches of 4
+# in the VM at once), so a regression to one-worker bursts fails by count.
 serve-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_serve_smoke.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_serve_smoke.py \
+		"tests/test_serve_server.py::TestWorkConservingBatching::test_queued_burst_splits_over_both_free_workers" -q
 
 # Shard-tier CI canary: 2 shard processes, 500 closed-loop requests, one
 # injected mid-run shard kill.  Exits non-zero unless the SLOs hold and

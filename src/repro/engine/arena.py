@@ -22,6 +22,12 @@ Design notes:
 * ``begin_run()`` forgets in-use buffers without recycling them: a run's
   escaped outputs own their memory from then on (ordinary GC applies), so
   a recycled buffer can never alias a result a caller still holds.
+* The free list is bounded by the high-water mark.  Runs at growing batch
+  sizes would otherwise keep one buffer set per size (a 1..8 sweep on
+  CNV-6 kept 3x its high-water).  Only a miss that must grow the arena
+  trims it: the smallest free buffers go until the bytes the arena owns
+  fit ``max(high-water, live + request)``.  A hit never evicts, so runs
+  of one size settle with no per-run reallocation.
 """
 
 from __future__ import annotations
@@ -52,17 +58,21 @@ class Arena:
 
     _free: List[np.ndarray] = field(default_factory=list)
     _in_use: Dict[int, np.ndarray] = field(default_factory=dict)
+    _free_bytes: int = 0
+    _live_bytes: int = 0
 
     # -- statistics -----------------------------------------------------
     hits: int = 0
     misses: int = 0
     recycled: int = 0
+    evicted: int = 0
     allocated_bytes: int = 0
     high_water_bytes: int = 0
 
     def begin_run(self) -> None:
         """Start a fresh run: outstanding buffers escape to their owners."""
         self._in_use.clear()
+        self._live_bytes = 0
 
     def empty(self, shape, dtype) -> np.ndarray:
         """An uninitialized array of *shape*/*dtype*, recycled if possible."""
@@ -82,16 +92,38 @@ class Arena:
                     break
         if best >= 0:
             buf = self._free.pop(best)
+            self._free_bytes -= buf.nbytes
             self.hits += 1
         else:
+            self._trim(nbytes)
             buf = np.empty(nbytes, dtype=np.uint8)
             self.misses += 1
             self.allocated_bytes += nbytes
         self._in_use[id(buf)] = buf
-        live = sum(b.nbytes for b in self._in_use.values())
-        if live > self.high_water_bytes:
-            self.high_water_bytes = live
+        self._live_bytes += buf.nbytes
+        if self._live_bytes > self.high_water_bytes:
+            self.high_water_bytes = self._live_bytes
         return buf[:nbytes].view(dtype).reshape(shape)
+
+    def _trim(self, nbytes: int) -> None:
+        """Evict the smallest free buffers before a *nbytes* miss.
+
+        Stops once the arena owns no more than ``max(high-water, live +
+        nbytes)``, so the free list never outgrows the largest working set.
+        """
+        live = self._live_bytes + nbytes
+        excess = self._free_bytes + live - max(self.high_water_bytes, live)
+        if excess <= 0:
+            return
+        self._free.sort(key=lambda buf: buf.nbytes)
+        dropped = 0
+        while excess > 0:
+            buf = self._free[dropped]
+            excess -= buf.nbytes
+            self._free_bytes -= buf.nbytes
+            dropped += 1
+        del self._free[:dropped]
+        self.evicted += dropped
 
     def release(
         self, array, guard: Optional[Sequence[np.ndarray]] = None
@@ -116,7 +148,9 @@ class Arena:
                 if held_base is buf or np.shares_memory(held_base, buf):
                     return False
         del self._in_use[id(base)]
+        self._live_bytes -= buf.nbytes
         self._free.append(buf)
+        self._free_bytes += buf.nbytes
         self.recycled += 1
         return True
 
@@ -126,10 +160,11 @@ class Arena:
             "hits": self.hits,
             "misses": self.misses,
             "recycled": self.recycled,
+            "evicted": self.evicted,
             "allocated_bytes": self.allocated_bytes,
             "high_water_bytes": self.high_water_bytes,
             "free_buffers": len(self._free),
-            "free_bytes": sum(b.nbytes for b in self._free),
+            "free_bytes": self._free_bytes,
         }
 
 

@@ -4,13 +4,13 @@ One serving engine, :class:`InferenceServer`, turns the batched forward
 pass into a request/response system: a bounded admission queue that
 sheds load with :class:`Overloaded`, a dynamic batcher that coalesces
 requests into ``FeatureMapBatch`` flushes (max-batch-size,
-max-latency-deadline or idle worker), a heterogeneous worker pool
-modeling the paper's single serialized FINN fabric engine next to N CPU
-workers, fault tolerance (a :class:`CircuitBreaker` +
-:class:`FabricWatchdog` pair, bounded-backoff fabric retries and a
-bit-identical degraded CPU-reference mode, driven by the deterministic
-fault-injection seams of :mod:`repro.faults`), and a metrics registry
-whose JSON snapshot every server exposes.
+max-latency-deadline, or a fair share for each free worker), a
+heterogeneous worker pool modeling the paper's single serialized FINN
+fabric engine next to N CPU workers, fault tolerance (a
+:class:`CircuitBreaker` + :class:`FabricWatchdog` pair, bounded-backoff
+fabric retries and a bit-identical degraded CPU-reference mode, driven by
+the deterministic fault-injection seams of :mod:`repro.faults`), and a
+metrics registry whose JSON snapshot every server exposes.
 
 One front door, :class:`ShardedServer`, puts N >= 0 such engines behind
 per-tenant token-bucket :class:`AdmissionController` quotas, an LRU

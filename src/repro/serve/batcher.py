@@ -10,16 +10,21 @@ batch.  The policy is work-conserving, with three triggers:
   has waited ``max_delay_s`` (bounds the latency a request pays for
   batching while every worker is busy);
 * **idle trigger** — flush a partial batch at once when the caller
-  reports ``idle``: a worker is free and nothing more is queued to
-  coalesce.  Holding requests back only buys a larger batch while the
-  workers are busy anyway; behind a free worker it is pure added latency
-  (the paper's §III-F pipeline likewise hands a free core the most
-  mature ready job rather than letting it sit behind a timer).
+  reports ``idle``: a worker is free and the batch already holds its fair
+  share of the work in sight (:func:`fair_share`).  Holding requests back
+  only buys a larger batch while the workers are busy anyway; behind a
+  free worker it is pure added latency (the paper's §III-F pipeline
+  likewise hands every free core a ready job rather than letting it sit
+  behind a timer).
 
-Under load the batches are therefore "whatever arrived while the workers
-were busy", capped by size and deadline; on an idle server a request is
-dispatched the moment it is popped.  With ``idle=False`` on every call
-the machine is exactly the classic two-trigger batcher.
+With one free worker the fair share is "everything queued", so the batch
+goes out once the burst behind it has been drained into it.  With two
+free workers a queued burst of 8 goes out as two batches of 4 that run at
+the same time.  Under load the batches are therefore "whatever arrived
+while the workers were busy", capped by size and deadline; on an idle
+server a request is dispatched the moment it is popped.  With
+``idle=False`` on every call the machine is exactly the classic
+two-trigger batcher.
 
 The batcher is a pure state machine over explicit ``now`` and ``idle``
 parameters — it never reads a clock, a queue or a thread pool — so flush
@@ -85,8 +90,9 @@ class DynamicBatcher:
         A deadline that already passed is honored on the same call, so a
         caller that was blocked in ``queue.pop`` past the deadline flushes
         immediately rather than waiting a full extra period.  *idle* says
-        a worker is free and no further request is queued: the batch —
-        this request included — is flushed at once.
+        a worker is free and the batch holds its share of the queued work
+        (:func:`fair_share`): the batch — this request included — is
+        flushed at once.
         """
         if self._oldest_at is None:
             self._oldest_at = now
@@ -117,6 +123,18 @@ class DynamicBatcher:
         return Flush(batch, cause)
 
 
+def fair_share(pending: int, depth: int, free: int) -> bool:
+    """The idle trigger's rule: may the *pending* batch go out now?
+
+    True when at least one worker is *free* and the batch holds at least
+    its share of the visible work — the *pending* requests plus the
+    *depth* still queued — split evenly over the free workers.  With one
+    free worker that means nothing more is queued; with none it is never
+    true (a new batch would wait behind another anyway).
+    """
+    return free >= 1 and pending * free >= pending + depth
+
+
 def to_feature_batch(requests: Sequence[InferenceRequest]) -> FeatureMapBatch:
     """Stack the requests' input frames into one ``(N, C, H, W)`` batch."""
     return FeatureMapBatch.from_maps([request.frame for request in requests])
@@ -125,6 +143,7 @@ def to_feature_batch(requests: Sequence[InferenceRequest]) -> FeatureMapBatch:
 __all__ = [
     "DynamicBatcher",
     "Flush",
+    "fair_share",
     "to_feature_batch",
     "FLUSH_SIZE",
     "FLUSH_DEADLINE",

@@ -13,9 +13,11 @@ Request flow::
                                    │ PlanVM.run
                              RequestFuture.set_result ──► client
 
-Batching is work-conserving: a popped request is dispatched at once
-when nothing more is queued behind it and a worker of the server's
-resource is free (cause ``idle``); requests are held back for a larger
+Batching is work-conserving: while a worker of the server's resource is
+free, the pending batch is dispatched as soon as it holds its fair share
+of the queued work (cause ``idle``) — everything queued when one worker
+is free, half of a queued burst when two are, so every free worker gets
+a batch and they run at once.  Requests are held back for a larger
 batch — up to ``max_batch`` or ``max_delay_s`` — only while every worker
 is busy, and a worker that runs out of work wakes the batcher thread so
 whatever accumulated meanwhile goes out with it.
@@ -47,7 +49,12 @@ from repro.faults import FabricError
 from repro.pipeline.scheduler import CPU, FABRIC
 from repro.pipeline.workers import join_threads
 
-from repro.serve.batcher import DynamicBatcher, Flush, to_feature_batch
+from repro.serve.batcher import (
+    DynamicBatcher,
+    Flush,
+    fair_share,
+    to_feature_batch,
+)
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.resilience import (
     USE_PROBE,
@@ -323,9 +330,11 @@ class InferenceServer:
             # once instead of sleeping out the deadline.
             wakeups = self.queue.wakeups
             depth = self.queue.depth
-            # Idle only once the burst already queued has been drained into
-            # the batch: those requests cost no waiting to coalesce.
-            idle = depth == 0 and self.pool.idle(self.resource)
+            # Idle once the batch holds its share of the burst already
+            # queued, split over the free workers: those requests cost no
+            # waiting to coalesce, and every free worker gets a share.
+            pending = self.batcher.pending + (request is not None)
+            idle = fair_share(pending, depth, self.pool.free(self.resource))
             now = self.clock()
             if request is not None:
                 flush = self.batcher.add(request, now, idle)

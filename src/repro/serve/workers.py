@@ -9,6 +9,13 @@ models the same constraint with the same tags from
 ``FABRIC``, CPU jobs fan out over N workers, and all FABRIC jobs funnel
 through the single fabric executor thread.
 
+The pool also counts, per resource, the workers a job submitted now would
+start on (:meth:`HeterogeneousWorkerPool.free`).  The server's batcher
+reads that count to keep every free worker busy: a burst queued while two
+CPU workers are free goes out as two half-size batches that run at once,
+as the paper's demo mode hands every free core a ready job.  The single
+fabric executor never counts more than one.
+
 Belt and suspenders, the :class:`FabricGate` context manager wraps the
 actual offload execution (via ``Network.forward_batch(offload_guard=...)``)
 and records the maximum observed concurrency, so the serialization
@@ -89,10 +96,10 @@ class HeterogeneousWorkerPool:
     *execute* is called with each :class:`BatchJob` on a worker thread; any
     exception it raises is routed to the job's request futures (one bad
     batch never kills the pool).  The pool knows how many workers of each
-    resource hold no job: :meth:`idle` answers whether a job submitted now
-    would start at once, and *on_idle* is told when a finishing worker
-    makes that true — the serving layer's work-conserving batcher flushes
-    on it.
+    resource hold no job: :meth:`free` counts the workers a job submitted
+    now would start on, and *on_idle* is told when a finishing worker
+    frees one — the serving layer's work-conserving batcher splits what
+    is queued over the free workers and flushes on the wake-up.
     """
 
     def __init__(
@@ -130,7 +137,7 @@ class HeterogeneousWorkerPool:
         #: Called with the dead worker's resource tag after each respawn.
         self.on_worker_death = on_worker_death
         #: Called (outside the pool lock) with the resource tag each time a
-        #: worker finishes a job and :meth:`idle` has become true.
+        #: worker finishes a job and leaves :meth:`free` above 0.
         self.on_idle = on_idle
         self.worker_deaths = 0
 
@@ -166,18 +173,19 @@ class HeterogeneousWorkerPool:
         with self._lock:
             return sum(len(queue) for queue in self._queues.values())
 
-    def idle(self, resource: str) -> bool:
-        """True when a *resource* worker is free and no queued job claims it.
+    def free(self, resource: str) -> int:
+        """How many *resource* workers a job submitted now would start on.
 
-        A job submitted now would start at once instead of waiting behind
-        another — the condition under which holding requests back for a
-        larger batch only adds latency.
+        Workers holding no job, less the queued jobs already claiming
+        them.  At 0 a new job waits behind another, the one condition
+        under which holding requests back for a larger batch pays; above
+        1 the batcher splits a queued burst over the free workers.
         """
         with self._lock:
-            return self._idle(resource)
+            return self._free_now(resource)
 
-    def _idle(self, resource: str) -> bool:
-        return self._free[resource] > len(self._queues[resource])
+    def _free_now(self, resource: str) -> int:
+        return max(0, self._free[resource] - len(self._queues[resource]))
 
     def _worker(self, resource: str) -> None:
         queue = self._queues[resource]
@@ -206,7 +214,7 @@ class HeterogeneousWorkerPool:
             with self._lock:
                 self.executed += 1
                 self._free[resource] += 1
-                went_idle = self._idle(resource)
+                went_idle = self._free_now(resource) > 0
             if went_idle and self.on_idle is not None:
                 self.on_idle(resource)
 

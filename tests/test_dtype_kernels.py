@@ -454,10 +454,36 @@ class TestArena:
     def test_stats_snapshot_keys(self):
         stats = Arena().stats()
         for key in (
-            "hits", "misses", "recycled", "allocated_bytes",
+            "hits", "misses", "recycled", "evicted", "allocated_bytes",
             "high_water_bytes", "free_buffers", "free_bytes",
         ):
             assert key in stats
+
+    def test_growth_miss_evicts_smallest_free_buffers_down_to_high_water(self):
+        arena = Arena()
+        arena.empty((20480,), np.uint8)
+        arena.begin_run()  # escaped: high-water 20480, nothing owned
+        small = arena.empty((4096,), np.uint8)
+        large = arena.empty((8192,), np.uint8)
+        assert arena.release(small) and arena.release(large)
+        arena.empty((12288,), np.uint8)  # fits neither free buffer
+        # 12288 free + 12288 requested is 4096 over the high-water mark:
+        # the smallest free buffer goes, the larger one stays.
+        stats = arena.stats()
+        assert stats["evicted"] == 1
+        assert stats["free_buffers"] == 1 and stats["free_bytes"] == 8192
+        assert stats["free_bytes"] + 12288 <= stats["high_water_bytes"]
+
+    def test_hits_never_evict(self):
+        arena = Arena()
+        held = [arena.empty((8192 * k,), np.uint8) for k in (1, 2, 3)]
+        for array in held:
+            assert arena.release(array)
+        for k in (1, 2, 3):
+            arena.release(arena.empty((8192 * k,), np.uint8))
+        stats = arena.stats()
+        assert stats["hits"] == 3 and stats["evicted"] == 0
+        assert stats["free_bytes"] == 6 * 8192
 
 
 class TestWorkspaceHook:
@@ -524,6 +550,41 @@ class TestExecutorArena:
         np.testing.assert_array_equal(second.data, first_copy)
         # The first run's escaped output still owns its memory.
         np.testing.assert_array_equal(first.data, first_copy)
+
+    def test_batch_size_sweep_retains_about_the_high_water(self, rng):
+        # Two ascending 1..8 sweeps: without the bound the free list kept
+        # one buffer set per batch size (3x the high-water on CNV-6).
+        network = self._network(rng)
+        vm = network.vm()
+        for _sweep in range(2):
+            for batch in range(1, 9):
+                vm.run(self._fmb(rng, network, batch))
+        arena = vm.last_report.arena
+        assert arena["evicted"] > 0
+        assert arena["free_bytes"] <= 1.1 * arena["high_water_bytes"]
+
+    def test_same_size_runs_take_no_misses_after_the_first(self, rng):
+        network = self._network(rng)
+        vm = network.vm()
+        fmb = self._fmb(rng, network, 8)
+        vm.run(fmb)
+        first = vm.last_report.arena
+        for _ in range(50):
+            vm.run(fmb)
+        arena = vm.last_report.arena
+        assert arena["misses"] == first["misses"]
+        assert arena["evicted"] == first["evicted"]
+
+    def test_tincy_batch1_runs_keep_zero_misses_per_run(self, rng):
+        network = Network(zoo.tincy_yolo_config())
+        network.initialize(rng)
+        vm = network.vm()
+        fmb = self._fmb(rng, network, 1)
+        vm.run(fmb)
+        misses = vm.last_report.arena["misses"]
+        for _ in range(4):
+            vm.run(fmb)
+            assert vm.last_report.arena["misses"] == misses
 
     def test_arena_budget_scales_with_batch(self, rng):
         network = self._network(rng)

@@ -1,8 +1,12 @@
 """PlanVM equivalence: the decoded artifact executes bit-identically."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.core import workspace
 from repro.core.tensor import FeatureMap, FeatureMapBatch
 from repro.engine.reference import legacy_forward_batch_all
 from repro.isa import (
@@ -15,6 +19,60 @@ from repro.isa import (
 from repro.isa.ops import Program
 from repro.nn import zoo
 from repro.nn.network import Network
+
+
+#: A small Tincy-style W1A3 net: 8-bit first conv, binary-weight 3-bit
+#: hidden convs with max pools, a float last conv.
+W1A3_CFG = """
+[net]
+width=32
+height=32
+channels=3
+
+[convolutional]
+batch_normalize=1
+filters=16
+size=3
+stride=1
+pad=1
+activation=leaky
+activation_bits=3
+
+[maxpool]
+size=2
+stride=2
+
+[convolutional]
+batch_normalize=1
+filters=32
+size=3
+stride=1
+pad=1
+activation=leaky
+binary=1
+activation_bits=3
+
+[maxpool]
+size=2
+stride=2
+
+[convolutional]
+batch_normalize=1
+filters=32
+size=3
+stride=1
+pad=1
+activation=leaky
+binary=1
+activation_bits=3
+
+[convolutional]
+filters=10
+size=1
+stride=1
+pad=0
+activation=linear
+"""
 
 
 def _initialized(config, rng):
@@ -255,3 +313,97 @@ class TestFabricPrograms:
         vm.run(fmb)
         assert gate.acquisitions == 1
         assert gate.in_flight == 0
+
+
+class TestConcurrentRuns:
+    """Two threads in one PlanVM at once — the serving pool's normal case."""
+
+    @staticmethod
+    def _network(kind, rng):
+        if kind == "w1a1":
+            return _initialized(zoo.cnv6_config(), rng)
+        network = Network.from_cfg(W1A3_CFG)
+        network.initialize(rng)
+        return network
+
+    @pytest.mark.parametrize("kind", ["w1a1", "w1a3"])
+    def test_interleaved_batch_sizes_match_forward_batch(self, kind, rng):
+        network = self._network(kind, rng)
+        vm = PlanVM(_program(network, level=2), network)
+        batches = {
+            size: FeatureMapBatch.from_maps(
+                _frames(rng, network.input_shape, size)
+            )
+            for size in range(1, 9)
+        }
+        expected = {
+            size: network.forward_batch(fmb) for size, fmb in batches.items()
+        }
+        # One thread climbs 1..8 while the other descends 8..1, twice.
+        orders = [list(range(1, 9)) * 2, list(range(8, 0, -1)) * 2]
+
+        # Every arena is checked out by one thread at a time, and the one
+        # a thread's kernels allocate from (core.workspace is thread-local)
+        # is the one that thread checked out.
+        owners, lock = {}, threading.Lock()
+        arenas = vm._arenas
+        acquire, release = arenas.acquire, arenas.release
+
+        def owned_acquire():
+            arena = acquire()
+            with lock:
+                assert id(arena) not in owners
+                owners[id(arena)] = threading.get_ident()
+            return arena
+
+        def owned_release(arena):
+            with lock:
+                assert owners.pop(id(arena)) == threading.get_ident()
+            release(arena)
+
+        # Both threads' first runs meet inside the VM: the runs overlap.
+        meet = threading.Barrier(2)
+        met = threading.local()
+
+        def on_step(stats):
+            with lock:
+                assert owners[id(workspace.current())] == threading.get_ident()
+            if not getattr(met, "done", False):
+                met.done = True
+                meet.wait(60)
+
+        arenas.acquire, arenas.release = owned_acquire, owned_release
+        vm.on_step = on_step
+        results = [[], []]
+        errors = []
+
+        def worker(index):
+            try:
+                for size in orders[index]:
+                    results[index].append((size, vm.run(batches[size])))
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+                meet.abort()
+
+        threads = [
+            threading.Thread(target=worker, args=(index,)) for index in (0, 1)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over mid-step, often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert not owners
+        # Checked only now, after both threads finished: a buffer shared
+        # across threads would have overwritten an earlier output.
+        for index in (0, 1):
+            assert [size for size, _ in results[index]] == orders[index]
+            for size, out in results[index]:
+                assert out.scale == expected[size].scale
+                assert out.data.tobytes() == expected[size].data.tobytes()

@@ -3,8 +3,10 @@
 The batcher is a pure state machine over explicit ``now`` and ``idle``
 values, so every trigger combination is pinned deterministically:
 size-triggered flushes, deadline-triggered flushes, a single straggler
-request, idle-triggered flushes behind a free worker, and the
-bit-identity of served batches against calling ``forward_batch`` directly.
+request, idle-triggered flushes behind a free worker, the fair-share rule
+that decides ``idle`` (one share of a queued burst per free worker), and
+the bit-identity of served batches against calling ``forward_batch``
+directly.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.serve.batcher import (
     FLUSH_IDLE,
     FLUSH_SIZE,
     DynamicBatcher,
+    fair_share,
     to_feature_batch,
 )
 from repro.serve.queue import InferenceRequest
@@ -158,6 +161,48 @@ class TestIdleTrigger:
             assert plain.next_deadline() == explicit.next_deadline()
         assert seen == [FLUSH_DEADLINE, FLUSH_SIZE]
         assert plain.pending == explicit.pending == 1
+
+
+class TestFairShare:
+    """``fair_share(pending, depth, free)``: the rule behind ``idle``."""
+
+    def test_no_free_worker_never_flushes(self):
+        for pending in range(9):
+            for depth in range(9):
+                assert not fair_share(pending, depth, free=0)
+
+    def test_one_free_worker_flushes_once_nothing_is_queued(self):
+        for pending in range(9):
+            for depth in range(9):
+                assert fair_share(pending, depth, free=1) == (depth == 0)
+
+    @pytest.mark.parametrize("free, share", [(2, 4), (3, 3), (4, 2), (8, 1)])
+    def test_eight_in_sight_flush_at_one_share_per_free_worker(self, free, share):
+        # Draining a queued burst moves requests from depth to pending;
+        # the first pending count that may flush is the fair share.
+        flushes = [fair_share(pending, 8 - pending, free) for pending in range(1, 9)]
+        assert flushes.index(True) + 1 == share
+        assert all(flushes[share - 1:])
+
+    @pytest.mark.parametrize(
+        "free, sizes",
+        [(1, [8]), (2, [4, 4]), (3, [3, 3, 2]), (4, [2, 2, 2, 2])],
+    )
+    def test_a_queued_burst_goes_out_one_share_per_free_worker(
+        self, rng, free, sizes
+    ):
+        # The server's loop over a burst of 8 already queued: each flush
+        # hands one free worker a batch.
+        batcher = DynamicBatcher(max_batch=8, max_delay_s=10.0)
+        depth, seen = 8, []
+        while depth:
+            depth -= 1
+            idle = fair_share(batcher.pending + 1, depth, free)
+            flush = batcher.add(_request(rng, 8 - depth), now=0.0, idle=idle)
+            if flush is not None:
+                seen.append(len(flush))
+                free -= 1
+        assert seen == sizes
 
 
 class TestForcedFlush:

@@ -81,20 +81,23 @@ def _hybrid_offload_network(rng, tmp_path):
 
 
 @contextlib.contextmanager
-def _held_in_vm(server):
+def _held_in_vm(server, batches=None):
     """Hold every batch inside ``server.vm.run`` until the block exits.
 
     Yields a semaphore released once per batch that entered the VM, so a
-    test knows — without sleeping — when a worker is busy.
+    test knows — without sleeping — when a worker is busy.  Each batch's
+    size is appended to *batches* (when given) before it is announced.
     """
     release = threading.Event()
     entered = threading.Semaphore(0)
     run = server.vm.run
 
-    def held(*args, **kwargs):
+    def held(fmb, *args, **kwargs):
+        if batches is not None:
+            batches.append(fmb.batch)
         entered.release()
         assert release.wait(60)
-        return run(*args, **kwargs)
+        return run(fmb, *args, **kwargs)
 
     server.vm.run = held
     try:
@@ -110,6 +113,28 @@ def _occupy_workers(server, entered, frames):
     for frame in frames:
         futures.append(server.submit(frame))
         assert entered.acquire(timeout=60)
+    return futures
+
+
+def _start_with_queued_burst(server, frames):
+    """Start *server* and submit *frames* before its batcher first looks.
+
+    The batcher thread's first ``queue.pop`` waits until every frame is
+    queued, so the whole burst is in sight when the first flush is
+    decided.  Returns the futures in submission order.
+    """
+    pop = server.queue.pop
+    queued = threading.Event()
+
+    def pop_after_the_burst(*args, **kwargs):
+        assert queued.wait(60)
+        del server.queue.pop
+        return pop(*args, **kwargs)
+
+    server.queue.pop = pop_after_the_burst
+    server.start()
+    futures = [server.submit(frame) for frame in frames]
+    queued.set()
     return futures
 
 
@@ -479,7 +504,7 @@ class TestWorkConservingBatching:
         with InferenceServer(network, config, clock=clock) as server:
             with _held_in_vm(server) as entered:
                 futures = _occupy_workers(server, entered, frames[:2])
-                assert not server.pool.idle(CPU)
+                assert server.pool.free(CPU) == 0
                 futures += [server.submit(frame) for frame in frames[2:]]
                 # max_batch requests behind two busy workers: one size
                 # flush, queued in the pool until a worker frees up.
@@ -544,7 +569,8 @@ class TestWorkConservingBatching:
             with _held_in_vm(server) as entered:
                 # Free CPU workers do not make a fabric server idle.
                 futures = _occupy_workers(server, entered, frames[2:3])
-                assert server.pool.idle(CPU) and not server.pool.idle(FABRIC)
+                assert server.pool.free(CPU) == 3
+                assert server.pool.free(FABRIC) == 0
                 futures.append(server.submit(frames[3]))
             served += [future.result(timeout=60) for future in futures]
             gate = server.fabric_gate
@@ -553,6 +579,61 @@ class TestWorkConservingBatching:
         assert snapshot["flush_causes"] == {"idle": 4}
         assert gate.max_in_flight == 1
         assert gate.acquisitions == 4
+        for expected, got in zip(direct.frames(), served):
+            assert got.scale == expected.scale
+            assert np.array_equal(got.data, expected.data)
+
+    def test_queued_burst_splits_over_both_free_workers(self, rng):
+        # Eight requests in sight, two free workers: the fair share is 4,
+        # so the burst goes out as two batches of 4 that run at once —
+        # not one batch of 8 while the second worker idles.
+        network = _mlp4(rng)
+        frames = _frames(rng, network.input_shape, 8)
+        direct = network.forward_batch(FeatureMapBatch.from_maps(frames))
+        clock = VirtualClock()
+        config = ServeConfig(cpu_workers=2, **dict(self.CONFIG, max_batch=8))
+        server = InferenceServer(network, config, clock=clock)
+        batches = []
+        try:
+            with _held_in_vm(server, batches) as entered:
+                futures = _start_with_queued_burst(server, frames)
+                assert entered.acquire(timeout=60)
+                assert batches[0] == 4
+                # The second worker enters while the first is still held.
+                assert entered.acquire(timeout=60)
+                assert batches == [4, 4]
+                assert server.pool.free(CPU) == 0
+            served = [future.result(timeout=60) for future in futures]
+            snapshot = server.metrics.snapshot()
+        finally:
+            assert server.stop(timeout=60)
+        assert clock() == 0.0
+        assert snapshot["flush_causes"] == {"idle": 2}
+        assert snapshot["batch_histogram"] == {"4": 2}
+        for expected, got in zip(direct.frames(), served):
+            assert got.scale == expected.scale
+            assert np.array_equal(got.data, expected.data)
+
+    def test_fabric_server_runs_a_queued_burst_as_one_batch(self, rng, tmp_path):
+        # The fabric executor is one worker, so its fair share of a burst
+        # is all of it: free CPU workers never split a fabric batch.
+        network = _hybrid_offload_network(rng, tmp_path)
+        frames = _frames(rng, network.input_shape, 8)
+        direct = network.forward_batch(FeatureMapBatch.from_maps(frames))
+        clock = VirtualClock()
+        config = ServeConfig(cpu_workers=2, **dict(self.CONFIG, max_batch=8))
+        server = InferenceServer(network, config, clock=clock)
+        assert server.resource == FABRIC
+        assert server.pool.free(CPU) == 2 and server.pool.free(FABRIC) == 1
+        try:
+            futures = _start_with_queued_burst(server, frames)
+            served = [future.result(timeout=60) for future in futures]
+            snapshot = server.metrics.snapshot()
+        finally:
+            assert server.stop(timeout=60)
+        assert clock() == 0.0
+        assert snapshot["batch_histogram"] == {"8": 1}
+        assert server.fabric_gate.acquisitions == 1
         for expected, got in zip(direct.frames(), served):
             assert got.scale == expected.scale
             assert np.array_equal(got.data, expected.data)
@@ -573,10 +654,10 @@ class TestWorkConservingBatching:
                     futures = _occupy_workers(server, entered, frames[1:2])
                     # Two workers, one busy: still exactly one free (once
                     # the respawn has put down the job it just answered) ...
-                    assert _wait_until(lambda: server.pool.idle(CPU))
+                    assert _wait_until(lambda: server.pool.free(CPU) == 1)
                     futures += _occupy_workers(server, entered, frames[2:3])
                     # ... and none once both hold a job.
-                    assert not server.pool.idle(CPU)
+                    assert server.pool.free(CPU) == 0
                     futures.append(server.submit(frames[3]))
                 served = [first] + [f.result(timeout=60) for f in futures]
                 snapshot = server.metrics.snapshot()

@@ -1,8 +1,8 @@
 """HeterogeneousWorkerPool: free-worker accounting and per-resource wake-ups.
 
-The batcher's idle trigger rests on two promises of the pool: ``idle``
-says exactly whether a job submitted now would start at once, and
-``on_idle`` fires whenever a finishing worker makes that true.  Jobs here
+The batcher's idle trigger rests on two promises of the pool: ``free``
+counts exactly the workers a job submitted now would start on, and
+``on_idle`` fires whenever a finishing worker frees one.  Jobs here
 are gated on events, so every state is observed without sleeping.
 """
 
@@ -59,16 +59,28 @@ def _submit(pool, gated, resource=CPU):
 class TestFreeWorkerAccounting:
     def test_idle_before_any_worker_thread_ran(self, gated):
         pool = HeterogeneousWorkerPool(gated.execute, cpu_workers=1)
-        assert pool.idle(CPU) and pool.idle(FABRIC)
+        assert pool.free(CPU) == 1 and pool.free(FABRIC) == 1
+
+    def test_queued_jobs_claim_free_workers_before_they_start(self):
+        pool = HeterogeneousWorkerPool(lambda job: None, cpu_workers=2)
+        assert pool.free(CPU) == 2
+        pool.submit(BatchJob([]))
+        assert pool.free(CPU) == 1
+        pool.submit(BatchJob([]))
+        pool.submit(BatchJob([]))  # waits behind the other two
+        assert pool.free(CPU) == 0 and pool.free(FABRIC) == 1
+        pool.start()
+        assert pool.shutdown(timeout=30)
+        assert pool.executed == 3 and pool.free(CPU) == 2
 
     def test_idle_until_every_worker_holds_a_job(self, pool, gated):
         _submit(pool, gated)
-        assert pool.idle(CPU)
+        assert pool.free(CPU) == 1
         _submit(pool, gated)
-        assert not pool.idle(CPU)
+        assert pool.free(CPU) == 0
         gated.release.release()
         assert gated.went_idle.acquire(timeout=60)
-        assert pool.idle(CPU)
+        assert pool.free(CPU) == 1
 
     def test_a_queued_job_claims_the_next_free_worker(self, pool, gated):
         _submit(pool, gated)
@@ -78,22 +90,22 @@ class TestFreeWorkerAccounting:
         # One worker finishes and takes the queued job: nobody went idle.
         gated.release.release()
         assert gated.entered.acquire(timeout=60)
-        assert not pool.idle(CPU)
+        assert pool.free(CPU) == 0
         assert gated.idle_calls == []
         # Only when a worker runs out of work is on_idle told.
         gated.release.release()
         assert gated.went_idle.acquire(timeout=60)
         assert gated.idle_calls == [CPU]
-        assert pool.idle(CPU)
+        assert pool.free(CPU) == 1
 
     def test_resources_are_counted_apart(self, pool, gated):
         _submit(pool, gated, FABRIC)
-        assert not pool.idle(FABRIC)
-        assert pool.idle(CPU)
+        assert pool.free(FABRIC) == 0
+        assert pool.free(CPU) == 2
         gated.release.release()
         assert gated.went_idle.acquire(timeout=60)
         assert gated.idle_calls == [FABRIC]
-        assert pool.idle(FABRIC)
+        assert pool.free(FABRIC) == 1
 
 
 class TestSingleWakeUp:
@@ -114,7 +126,7 @@ class TestSingleWakeUp:
             sys.setswitchinterval(interval)
         assert pool.shutdown(timeout=30)
         assert pool.executed == 400
-        assert pool.idle(CPU) and pool.idle(FABRIC)
+        assert pool.free(CPU) == 3 and pool.free(FABRIC) == 1
 
     def test_shutdown_wakes_every_parked_worker(self):
         pool = HeterogeneousWorkerPool(lambda job: None, cpu_workers=3)

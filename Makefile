@@ -57,10 +57,16 @@ opt-check:
 # Full artifact round trip: compile + serialize the Tincy YOLO plan, verify
 # the encoded form decodes byte-identically and executes bit-identically
 # to the reference (--check), then disassemble + ISA-verify the artifact.
+# Then the band kernel's lane canary: forced two lanes must split every
+# geometry onto two threads bit-identically, and a forked child must run
+# its own helper — a regression to one lane fails by count, not timing.
 isa-roundtrip:
 	PYTHONPATH=src $(PYTHON) -m repro compile --network tincy \
 		--out /tmp/repro-tincy-plan.rpb --check
 	PYTHONPATH=src $(PYTHON) -m repro disasm /tmp/repro-tincy-plan.rpb --verify
+	PYTHONPATH=src $(PYTHON) -m pytest -q \
+		tests/test_dtype_kernels.py::TestBandLanes::test_forced_two_lanes_are_bit_identical \
+		tests/test_dtype_kernels.py::TestBandLanes::test_forked_child_runs_its_own_helper
 
 report:
 	$(PYTHON) -m repro report --output reproduction-report.md

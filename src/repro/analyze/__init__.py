@@ -16,7 +16,7 @@ Three passes, one finding model (:mod:`repro.analyze.findings`):
   full ``-O2`` pipeline and re-verifying slot liveness and dataflow
   conservation after every pass.
 * :mod:`repro.analyze.concurrency` / :mod:`repro.analyze.astlint` —
-  AST rules over the threaded serve/pipeline code and the integer hot
+  AST rules over the threaded serve/pipeline/core code and the integer hot
   paths, run in CI as ``repro analyze --self``.
 
 The cfg-text linter (:mod:`repro.nn.lint`) emits the same findings, so

@@ -48,12 +48,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.analyze.astlint import is_suppressed, relative_to_package
 from repro.analyze.findings import ERROR, WARNING, Finding
 
-#: Packages holding the threaded code this pass audits by default.
-DEFAULT_MODULES = ("serve", "pipeline")
+#: Packages holding the threaded code this pass audits by default
+#: (``core`` for the kernel lanes, :mod:`repro.core.lanes`).
+DEFAULT_MODULES = ("serve", "pipeline", "core")
 
 
 def default_paths() -> List[str]:
-    """The serve/pipeline source files inside the installed repro package."""
+    """The :data:`DEFAULT_MODULES` source files of the installed package."""
     import repro
 
     root = os.path.dirname(repro.__file__)
@@ -69,7 +70,7 @@ def default_paths() -> List[str]:
 
 
 def lint_concurrency(paths: Optional[Sequence[str]] = None) -> List[Finding]:
-    """Run the concurrency rules over *paths* (default: serve + pipeline)."""
+    """Run the concurrency rules over *paths* (default: serve, pipeline, core)."""
     findings: List[Finding] = []
     for path in paths if paths is not None else default_paths():
         with open(path) as handle:

@@ -27,6 +27,15 @@ of a band to lie inside the band, which holds for non-overlapping windows
 the stride-1 pool in front of the 13x13 layers — thresholds first and
 pools the level map.
 
+One call runs on every lane of the host (:mod:`repro.core.lanes`): a
+batch of two or more frames splits by frames, a single frame splits its
+output rows at multiples of the in-band pool stride, so no pool window
+straddles a cut.  The caller starts on the items at once and an idle
+helper thread joins it; whatever no helper has started, the caller runs
+itself.  Every lane runs the same band loop (:meth:`BandKernel._segment`)
+on scratch the caller drew from its workspace.  Frames and rows are
+independent, so the split never changes a bit of the result.
+
 The GEMM runs in float32 and is still exact: every partial sum is an
 integer bounded by ``C_in * K**2 * 255``, which :meth:`BandKernel.fold`
 requires to be below ``2**24``.  Both consumers — the FINN offload
@@ -43,11 +52,11 @@ recycled per chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core import workspace
+from repro.core import lanes, workspace
 from repro.core.ops import _F32_EXACT, _maxpool2d_into, accumulates_exactly
 from repro.core.quantize import fits_uint8
 from repro.core.tensor import FeatureMapBatch, conv_output_size, pool_output_size
@@ -80,6 +89,47 @@ def _band_rows(ckk: int, out_h: int, out_w: int, multiple: int) -> int:
     )
     rows = -(-rows // multiple) * multiple
     return min(rows, out_h)
+
+
+class _Band(NamedTuple):
+    """One :meth:`BandKernel.run` call's band geometry."""
+
+    rows: int  # output rows per band, a multiple of the in-band pool stride
+    out_h: int
+    out_w: int
+    final_h: int
+    final_w: int
+    pool: Optional[Pool]  # the pool run inside each band, if any
+
+
+class _Scratch(NamedTuple):
+    """One lane's flat band buffers; :meth:`BandKernel._segment` slices them."""
+
+    cols: np.ndarray
+    acc: np.ndarray
+    hits: np.ndarray
+    cmp: np.ndarray
+    pooled: Optional[np.ndarray]
+
+
+def _items(
+    n: int, out_h: int, multiple: int, lanes: int
+) -> List[Tuple[int, int, int]]:
+    """``(frame, first_row, last_row)`` work items of one call.
+
+    One lane, or two or more frames: one item per frame.  A single frame
+    on several lanes: one item per lane, its output rows cut at
+    multiples of *multiple* (the in-band pool stride) so no pool window
+    straddles a cut — and not cut at all below ``2 * multiple`` rows.
+    No finer: every extra item of a narrow map re-streams its (large)
+    weight matrix.
+    """
+    windows = out_h // multiple
+    count = min(lanes, windows)
+    if n >= 2 or count < 2:
+        return [(i, 0, out_h) for i in range(n)]
+    cuts = [-(-j * windows // count) * multiple for j in range(count)] + [out_h]
+    return [(0, a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def _padded_codes(levels: np.ndarray, pad: int) -> Optional[np.ndarray]:
@@ -175,7 +225,8 @@ class BandKernel:
         Bit-identical per frame to threshold-after-conv followed by the
         pool.  Returns ``None`` (nothing computed) when *levels* are not
         integer codes in ``0..255``.  All scratch and the result come from
-        :mod:`repro.core.workspace`.
+        :mod:`repro.core.workspace` on the calling thread, before the
+        work is split across :func:`repro.core.lanes.count` lanes.
         """
         n, c, h, w = levels.shape
         if c != self.in_channels:
@@ -198,64 +249,107 @@ class BandKernel:
 
         # Pool inside the band when its windows cannot straddle bands.
         in_band = pool is not None and pool[0] == pool[1] and pool[2] < 2
-        rows = _band_rows(ckk, out_h, out_w, pool[1] if in_band else 1)
-        width = rows * out_w
-        cols_buf = workspace.empty((ckk * width,), np.float32)
-        acc_buf = workspace.empty((c_out * width,), np.float32)
-        hits_buf = workspace.empty((c_out * width,), np.uint8)
-        cmp_buf = workspace.empty((c_out * width,), np.uint8)
+        multiple = pool[1] if in_band else 1
+        band = _Band(
+            _band_rows(ckk, out_h, out_w, multiple),
+            out_h,
+            out_w,
+            final_h,
+            final_w,
+            pool if in_band else None,
+        )
+        items = _items(n, out_h, multiple, lanes.count())
+        # Every lane's scratch comes from this thread's workspace, one
+        # buffer per kind carved into per-lane rows: helpers never allocate.
+        count = min(lanes.count(), len(items))
+        lane_rows = max(min(band.rows, last - first) for _, first, last in items)
+        width = lane_rows * out_w
+        cols_buf = workspace.empty((count, ckk * width), np.float32)
+        acc_buf = workspace.empty((count, c_out * width), np.float32)
+        hits_buf = workspace.empty((count, c_out * width), np.uint8)
+        cmp_buf = workspace.empty((count, c_out * width), np.uint8)
         pooled_buf = mid = None
         if in_band:
-            pooled_buf = workspace.empty((c_out * width,), np.float32)
+            pooled_buf = workspace.empty((count, c_out * width), np.float32)
         elif pool is not None:
-            mid = workspace.empty((c_out, out_h, out_w), np.uint8)
+            mid = workspace.empty((n, c_out, out_h, out_w), np.uint8)
+        target = out if mid is None else mid
+        scratch = [
+            _Scratch(
+                cols_buf[lane],
+                acc_buf[lane],
+                hits_buf[lane],
+                cmp_buf[lane],
+                None if pooled_buf is None else pooled_buf[lane],
+            )
+            for lane in range(count)
+        ]
 
-        k, stride = self.ksize, self.stride
-        s0, s1, s2 = padded.strides[1:]
-        for i in range(n):
-            frame = padded[i]
-            target = out[i] if mid is None else mid
-            for r0 in range(0, out_h, rows):
-                r1 = min(r0 + rows, out_h)
-                positions = (r1 - r0) * out_w
-                cols = cols_buf[: ckk * positions]
-                np.copyto(
-                    cols.reshape(c, k, k, r1 - r0, out_w),
-                    np.lib.stride_tricks.as_strided(
-                        frame[:, r0 * stride :, :],
-                        shape=(c, k, k, r1 - r0, out_w),
-                        strides=(s0, s1, s2, s1 * stride, s2 * stride),
-                        writeable=False,
-                    ),
-                )
-                acc = acc_buf[: c_out * positions].reshape(c_out, positions)
-                np.matmul(self.weights, cols.reshape(ckk, positions), out=acc)
-                t0, t1 = r0, r1
-                if in_band:
-                    t0 = r0 // pool[1]
-                    t1 = final_h if r1 == out_h else r1 // pool[1]
-                    if t1 == t0:  # ragged rows below the last pool window
-                        continue
-                    pooled = pooled_buf[: c_out * (t1 - t0) * final_w]
-                    _maxpool2d_into(
-                        acc.reshape(c_out, r1 - r0, out_w),
-                        pooled.reshape(c_out, t1 - t0, final_w),
-                        *pool,
-                    )
-                    acc = pooled.reshape(c_out, -1)
-                hits = hits_buf[: acc.size].reshape(acc.shape)
-                self._count_hits(acc, hits, cmp_buf[: acc.size].reshape(acc.shape))
-                np.copyto(
-                    target[:, t0:t1, :], hits.reshape(c_out, t1 - t0, -1)
-                )
-            if mid is not None:
-                _maxpool2d_into(mid, out[i], *pool)
+        def work(lane: int, item: int) -> None:
+            i, first, last = items[item]
+            self._segment(padded[i], target[i], first, last, band, scratch[lane])
+
+        lanes.run(work, len(items), count)
+        if mid is not None:
+            _maxpool2d_into(
+                mid.reshape(n * c_out, out_h, out_w),
+                out.reshape(n * c_out, final_h, final_w),
+                *pool,
+            )
 
         for scratch in (mid, pooled_buf, cmp_buf, hits_buf, acc_buf, cols_buf):
             workspace.release(scratch)
         if padded is not levels:
             workspace.release(padded)
         return out
+
+    def _segment(
+        self,
+        frame: np.ndarray,
+        target: np.ndarray,
+        first_row: int,
+        last_row: int,
+        band: _Band,
+        scratch: _Scratch,
+    ) -> None:
+        """The band loop over output rows ``[first_row, last_row)`` of one
+        padded frame, writing levels (or, before a stride-1 pool, the
+        unpooled level map) into *target*.  Allocates nothing."""
+        c_out, ckk = self.weights.shape
+        c, k, stride = self.in_channels, self.ksize, self.stride
+        out_w, pool = band.out_w, band.pool
+        s0, s1, s2 = frame.strides
+        for r0 in range(first_row, last_row, band.rows):
+            r1 = min(r0 + band.rows, last_row)
+            positions = (r1 - r0) * out_w
+            cols = scratch.cols[: ckk * positions]
+            np.copyto(
+                cols.reshape(c, k, k, r1 - r0, out_w),
+                np.lib.stride_tricks.as_strided(
+                    frame[:, r0 * stride :, :],
+                    shape=(c, k, k, r1 - r0, out_w),
+                    strides=(s0, s1, s2, s1 * stride, s2 * stride),
+                    writeable=False,
+                ),
+            )
+            acc = scratch.acc[: c_out * positions].reshape(c_out, positions)
+            np.matmul(self.weights, cols.reshape(ckk, positions), out=acc)
+            t0, t1 = r0, r1
+            if pool is not None:
+                t0 = r0 // pool[1]
+                t1 = band.final_h if r1 == band.out_h else r1 // pool[1]
+                if t1 == t0:  # ragged rows below the last pool window
+                    continue
+                pooled = scratch.pooled[: c_out * (t1 - t0) * band.final_w]
+                _maxpool2d_into(
+                    acc.reshape(c_out, r1 - r0, out_w),
+                    pooled.reshape(c_out, t1 - t0, band.final_w),
+                    *pool,
+                )
+                acc = pooled.reshape(c_out, -1)
+            hits = scratch.hits[: acc.size].reshape(acc.shape)
+            self._count_hits(acc, hits, scratch.cmp[: acc.size].reshape(acc.shape))
+            np.copyto(target[:, t0:t1, :], hits.reshape(c_out, t1 - t0, -1))
 
     def _count_hits(self, acc: np.ndarray, hits: np.ndarray, cmp: np.ndarray):
         """``hits[c, p] = #{k : acc[c, p] >= thresholds[c, k]}`` (uint8)."""

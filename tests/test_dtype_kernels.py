@@ -9,6 +9,8 @@ liveness-driven :class:`~repro.engine.arena.Arena` semantics the VM
 relies on (recycling, guard veto, escape on ``begin_run``).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -398,6 +400,257 @@ class TestBandKernel:
             out = conv.forward_batch_pooled(fmb, pool_layer)
         # only the result is still checked out
         assert [b.nbytes for b in arena._in_use.values()] == [out.data.nbytes]
+
+
+class _LaneProbe:
+    """Records which thread ran which rows of each band-kernel segment.
+
+    With ``expect_split`` set, the calling thread's segments hold until a
+    helper's segment has started (at most :attr:`HOLD_S`), so a working
+    split is seen on two threads every time, whatever the scheduler does;
+    a helper that never starts shows as every segment on the caller.
+    """
+
+    HOLD_S = 10.0
+
+    def __init__(self):
+        self.caller = threading.get_ident()
+        self.expect_split = False
+        self.reset()
+
+    def reset(self):
+        self.calls = []  # (thread ident, first_row, last_row)
+        self.helper_started = threading.Event()
+
+    def enter(self, first_row, last_row):
+        ident = threading.get_ident()
+        self.calls.append((ident, first_row, last_row))
+        if ident != self.caller:
+            self.helper_started.set()
+        elif self.expect_split:
+            self.helper_started.wait(self.HOLD_S)
+
+    def threads(self):
+        return {ident for ident, _, _ in self.calls}
+
+    def rows(self, helper):
+        return [
+            (first, last)
+            for ident, first, last in self.calls
+            if (ident != self.caller) == helper
+        ]
+
+
+@pytest.fixture
+def two_lanes(monkeypatch):
+    """Two lanes on any host (one-core CI runners included), with every
+    band segment recorded by a :class:`_LaneProbe`."""
+    from repro.core import fused, lanes
+
+    monkeypatch.setattr(lanes, "_LANES", 2)
+    probe = _LaneProbe()
+    segment = fused.BandKernel._segment
+
+    def recorded(kernel, frame, target, first_row, last_row, band, scratch):
+        probe.enter(first_row, last_row)
+        segment(kernel, frame, target, first_row, last_row, band, scratch)
+
+    monkeypatch.setattr(fused.BandKernel, "_segment", recorded)
+    return probe
+
+
+def _lane_setup(rng, c_in, c_out, ksize, h, w, pool, batch):
+    """A folded kernel, its level input and pool tuple, and its conv rows."""
+    conv, pool_layer = _w1a3_pair(rng, c_in, c_out, ksize, h, w, pool)
+    kernel = conv._band_kernel(0.25 / np.sqrt(c_in * ksize * ksize))
+    levels = _level_batch(rng, batch, conv.in_shape)
+    pool = pool_layer and (pool_layer.size, pool_layer.stride, pool_layer.padding)
+    return kernel, levels, pool, conv.out_shape[1]
+
+
+#: (c_in, c_out, ksize, h, w, pool) geometries the two-lane split must
+#: reproduce bit for bit, each at a batch that splits, with its item count.
+LANE_CASES = [
+    ((8, 6, 3, 13, 11, (2, 2)), 1, 2),    # odd rows: the last pool window ragged
+    ((5, 4, 3, 9, 11, (2, 2, 0)), 1, 2),  # unpadded: the odd last row dropped
+    ((16, 5, 3, 13, 13, (2, 1)), 1, 2),   # stride-1 pool: threshold, then pool
+    ((32, 6, 3, 13, 13, None), 1, 2),     # the 13x13 layers, no pool
+    ((64, 3, 3, 47, 47, (2, 2)), 1, 2),   # 3 bands: two in one lane's rows
+    ((8, 6, 3, 13, 11, (2, 2)), 2, 2),    # batches split by frames
+    ((8, 6, 3, 13, 11, (2, 2)), 3, 3),
+]
+
+
+class TestBandLanes:
+    """The two-lane split of :meth:`BandKernel.run` (:mod:`repro.core.lanes`):
+    bit-identical to the one-lane result and to :class:`TestBandKernel`'s
+    references, cut where pool windows cannot straddle, and safe when the
+    helper is busy or the process forks."""
+
+    @pytest.mark.parametrize(
+        "geometry,batch,items",
+        LANE_CASES,
+        ids=[f"{g}-n{b}" for g, b, _ in LANE_CASES],
+    )
+    def test_forced_two_lanes_are_bit_identical(
+        self, two_lanes, rng, monkeypatch, geometry, batch, items
+    ):
+        from repro.core import lanes
+
+        kernel, levels, pool, out_h = _lane_setup(rng, *geometry, batch)
+        two_lanes.expect_split = True
+        two = kernel.run(levels, pool)
+        assert len(two_lanes.threads()) == 2
+        spans = sorted(two_lanes.rows(False) + two_lanes.rows(True))
+        assert len(spans) == items
+        if batch == 1:  # contiguous rows, cut between pool windows
+            stride = pool[1] if pool and pool[0] == pool[1] else 1
+            assert spans[0][0] == 0 and spans[-1][1] == out_h
+            for (_, cut), (cut_too, _) in zip(spans, spans[1:]):
+                assert cut == cut_too and cut % stride == 0
+        else:  # whole frames, taken by whichever lane is free
+            assert set(spans) == {(0, out_h)}
+        monkeypatch.setattr(lanes, "_LANES", 1)
+        assert kernel.run(levels, pool).tobytes() == two.tobytes()
+        monkeypatch.setattr(lanes, "_LANES", 2)
+        TestBandKernel()._check(rng, *geometry, batch)
+
+    @pytest.mark.parametrize(
+        "geometry", [(4, 5, 3, 3, 5, (2, 2)), (64, 4, 1, 1, 1, (2, 2))]
+    )
+    def test_fewer_rows_than_two_pool_windows_do_not_split(
+        self, two_lanes, rng, geometry
+    ):
+        kernel, levels, pool, out_h = _lane_setup(rng, *geometry, 1)
+        assert out_h < 2 * pool[1]
+        kernel.run(levels, pool)
+        assert two_lanes.calls == [(two_lanes.caller, 0, out_h)]
+        TestBandKernel()._check(rng, *geometry, 1)
+
+    def test_busy_helper_share_is_reclaimed_without_waiting(
+        self, two_lanes, rng, monkeypatch
+    ):
+        from repro.core import lanes
+
+        kernel, levels, pool, out_h = _lane_setup(rng, 8, 6, 3, 13, 11, (2, 2), 1)
+        monkeypatch.setattr(lanes, "_LANES", 1)
+        one = kernel.run(levels, pool)
+        monkeypatch.setattr(lanes, "_LANES", 2)
+        helpers = lanes._Helpers(1)
+        monkeypatch.setattr(lanes, "_helpers", helpers)
+        gate, started = threading.Event(), threading.Event()
+
+        def hold(lane, item):
+            started.set()
+            gate.wait(60)
+
+        helpers.offer(lanes._Call(hold, 1, 2))  # another caller's share
+        assert started.wait(10)
+        close = lanes._Call.close
+
+        def close_without_waiting(call):
+            assert call._helping == 0, "the caller waited on a helper"
+            close(call)
+
+        monkeypatch.setattr(lanes._Call, "close", close_without_waiting)
+        two_lanes.reset()
+        try:
+            two = kernel.run(levels, pool)
+        finally:
+            gate.set()
+        # The caller ran its own rows, then the helper's, itself.
+        (first, cut), (cut_too, last) = two_lanes.rows(False)
+        assert (first, cut, last) == (0, cut_too, out_h) and 0 < cut < out_h
+        assert two_lanes.threads() == {two_lanes.caller}
+        assert two.tobytes() == one.tobytes()
+
+    def test_item_exceptions_reach_the_caller(self, two_lanes):
+        from repro.core import lanes
+
+        def work(lane, item):
+            if item == 1:
+                raise RuntimeError("item 1 failed")
+
+        with pytest.raises(RuntimeError, match="item 1 failed"):
+            lanes.run(work, 2, 2)
+
+    def test_concurrent_callers_run_every_item_once(self, monkeypatch):
+        """Six callers share three lanes' helpers with the GIL handed over
+        often: every item runs once, and no lane of a call runs two items
+        at the same time (each lane owns one scratch set)."""
+        import sys
+        import time
+
+        from repro.core import lanes
+
+        monkeypatch.setattr(lanes, "_LANES", 3)
+        monkeypatch.setattr(lanes, "_helpers", lanes._Helpers(2))
+        lock, errors = threading.Lock(), []
+
+        def caller(index):
+            ran, busy = [], set()
+
+            def work(lane, item):
+                with lock:
+                    assert lane not in busy, "two items on one lane at once"
+                    busy.add(lane)
+                time.sleep(0.0002)  # long enough for the other lanes to overlap
+                with lock:
+                    busy.discard(lane)
+                    ran.append(item)
+
+            try:
+                for _ in range(40):
+                    ran.clear()
+                    lanes.run(work, 7, 3)
+                    assert sorted(ran) == list(range(7))
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append((index, exc))
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+
+    @pytest.mark.integration
+    def test_forked_child_runs_its_own_helper(self, two_lanes, rng):
+        import multiprocessing
+
+        kernel, levels, pool, out_h = _lane_setup(rng, 8, 6, 3, 13, 11, (2, 2), 1)
+        two_lanes.expect_split = True
+        want = kernel.run(levels, pool).tobytes()
+        assert len(two_lanes.threads()) == 2  # the parent's helper is running
+        helper_rows = two_lanes.rows(True)
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+
+        def child():
+            try:
+                two_lanes.reset()
+                same = kernel.run(levels, pool).tobytes() == want
+                writer.send((same, two_lanes.rows(True)))
+            except BaseException as exc:  # noqa: BLE001 — reported to the parent
+                writer.send((repr(exc), None))
+
+        process = context.Process(target=child)
+        process.start()
+        try:
+            assert reader.poll(60), "the forked child never answered"
+            same, child_helper_rows = reader.recv()
+        finally:
+            process.join(30)
+        assert process.exitcode == 0
+        assert same is True, same
+        # In the child too, the helper's rows ran on a thread of its own.
+        assert child_helper_rows == helper_rows
 
 
 class TestArena:

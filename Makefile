@@ -33,10 +33,14 @@ bench-pytest:
 
 # Serving CI canary: the round trip and CLI smoke, plus the deterministic
 # burst-split case (8 queued requests, 2 free workers -> two batches of 4
-# in the VM at once), so a regression to one-worker bursts fails by count.
+# in the VM at once), so a regression to one-worker bursts fails by count,
+# and the stage placement case (a hybrid batch's CPU layers on CPU
+# workers, its offload on the one fabric worker), so a regression to
+# whole-batch fabric jobs fails by thread name.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_serve_smoke.py \
-		"tests/test_serve_server.py::TestWorkConservingBatching::test_queued_burst_splits_over_both_free_workers" -q
+		"tests/test_serve_server.py::TestWorkConservingBatching::test_queued_burst_splits_over_both_free_workers" \
+		"tests/test_serve_server.py::TestFabricSerialization::test_hybrid_stages_run_on_their_resource_workers" -q
 
 # Shard-tier CI canary: 2 shard processes, 500 closed-loop requests, one
 # injected mid-run shard kill.  Exits non-zero unless the SLOs hold and

@@ -39,8 +39,6 @@ def test_fig5_stage_breakdown(benchmark, pipeline_step, report):
 
 def test_fig5_worker_gantt(benchmark, pipeline_step, report):
     """A traced run of the Fig. 5 pipeline, rendered as a worker timeline."""
-    from repro.pipeline.trace import TracingSimulator
-
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     descriptors = [
@@ -51,9 +49,9 @@ def test_fig5_worker_gantt(benchmark, pipeline_step, report):
         )
         for stage in pipeline_step.stages
     ]
-    trace = TracingSimulator(
+    trace = PipelineSimulator(
         descriptors, workers=4, job_overhead_s=DEFAULT_JOB_OVERHEAD_S
-    ).run(12)
+    ).run(12).trace()
     legend = "  ".join(
         f"{index}={stage.name}" for index, stage in enumerate(descriptors)
     )
@@ -84,25 +82,3 @@ def test_fig5_simulator_throughput(benchmark, pipeline_step):
     result = benchmark(simulator.run, 200)
     assert result.completion_order == list(range(200))
     assert 14.0 <= result.fps <= 18.5
-
-
-def test_fig5_threaded_pipeline_functional(benchmark):
-    """The real worker pool on numpy payloads (concurrency logic check)."""
-    import numpy as np
-
-    from repro.pipeline.workers import ThreadedPipeline
-
-    rng = np.random.default_rng(0)
-    frames = [rng.normal(size=(16, 16)) for _ in range(32)]
-    stages = [
-        StageDescriptor("scale", work=lambda m: m * 2.0),
-        StageDescriptor("gram", work=lambda m: m @ m.T),
-        StageDescriptor("norm", work=lambda m: float(np.linalg.norm(m))),
-    ]
-
-    def run():
-        return ThreadedPipeline(stages, workers=4).process(frames)
-
-    outputs = benchmark(run)
-    expected = [float(np.linalg.norm((m * 2.0) @ (m * 2.0).T)) for m in frames]
-    assert outputs == pytest.approx(expected)

@@ -2,9 +2,15 @@
 """Live object detection on a synthetic video stream (the paper's §III-F demo).
 
 Trains a miniature Tincy YOLO on the synthetic shapes dataset (~1 minute on
-a laptop), then runs the Fig. 5 pipelined demo mode on a synthetic camera:
-frames flow through read -> letterbox -> layers -> object boxing -> drawing
-on a pool of worker threads, with annotated frames written as PPM files.
+a laptop), then runs it on a synthetic camera, one frame at a time:
+read -> letterbox -> detect -> object boxing -> drawing, with annotated
+frames written as PPM files.
+
+The trained model is a ``repro.train`` float model, which no ``Network``
+loads, so this loop runs it directly.  The pipelined demo mode of Fig. 5
+— a frame's CPU and FABRIC stage jobs on a worker pool — is
+``repro.pipeline.run_demo`` on a ``Network``; its modeled 16 fps are
+``python -m pytest benchmarks/test_fig5_pipeline.py``.
 
 Run:  python examples/live_demo.py [output-dir]
 """
@@ -12,16 +18,15 @@ Run:  python examples/live_demo.py [output-dir]
 import sys
 import time
 
-
 from repro.data.shapes import CLASS_NAMES, ShapesDetectionDataset
 from repro.eval.boxes import nms
-from repro.pipeline.scheduler import StageDescriptor
-from repro.pipeline.workers import ThreadedPipeline
 from repro.train.models import mini_yolo
 from repro.train.trainer import TrainConfig, train_detector
+from repro.video.ascii_art import frame_to_ascii
 from repro.video.draw import draw_detections
 from repro.video.letterbox import letterbox
 from repro.video.sink import CollectingSink
+from repro.video.source import MotionCamera
 
 
 def main() -> None:
@@ -40,82 +45,50 @@ def main() -> None:
     print(f"trained in {time.time() - t0:.1f}s, "
           f"held-out mAP {result.map_percent:.1f}%")
 
-    print("\n=== pipelined live demo (Fig. 5) ===")
+    print("\n=== live demo ===")
     # A temporally coherent stream: objects drift smoothly between frames,
     # like the USB camera feed of the original demo.
-    from repro.video.source import MotionCamera
-
     camera = MotionCamera(
         height=48, width=48, n_objects=2, speed=0.015,
         min_scale=0.25, max_scale=0.45, seed=99,
     )
     sink = CollectingSink(directory=out_dir)
-
-    def read_frame(_):
-        return {"frame": camera.capture()}
-
-    def letter_boxing(payload):
-        payload["boxed"], payload["geometry"] = letterbox(
-            payload["frame"].image, 48
-        )
-        return payload
-
-    def inference(payload):
-        detections = model.detect(payload["boxed"], threshold=0.15)
-        geometry = payload["geometry"]
-        payload["detections"] = [
+    n_frames = 24
+    frames = []
+    t0 = time.time()
+    for _ in range(n_frames):
+        frame = camera.capture()
+        boxed, geometry = letterbox(frame.image, 48)
+        frame.detections = [
             det.__class__(
                 box=geometry.net_box_to_frame(det.box),
                 class_id=det.class_id,
                 score=det.score,
                 objectness=det.objectness,
             )
-            for det in nms(detections)
+            for det in nms(model.detect(boxed, threshold=0.15))
         ]
-        return payload
-
-    def frame_drawing(payload):
-        annotated = draw_detections(
-            payload["frame"].image, payload["detections"], n_classes=20
-        )
-        sink.emit(annotated)
-        return payload
-
-    stages = [
-        StageDescriptor("#0 read-frame", work=read_frame),
-        StageDescriptor("#1 letter-boxing", work=letter_boxing),
-        StageDescriptor("inference", work=inference),
-        StageDescriptor("frame-drawing", work=frame_drawing),
-    ]
-    n_frames = 24
-    t0 = time.time()
-    payloads = ThreadedPipeline(stages, workers=4).process([None] * n_frames)
+        sink.emit(draw_detections(frame.image, frame.detections, n_classes=20))
+        frames.append(frame)
     elapsed = time.time() - t0
-    total_dets = sum(len(p["detections"]) for p in payloads)
+    total_dets = sum(len(frame.detections) for frame in frames)
     print(f"processed {n_frames} frames in {elapsed:.2f}s "
-          f"({n_frames / elapsed:.1f} fps functional emulation), "
-          f"{total_dets} objects detected")
-    for payload in payloads[:5]:
-        names = [CLASS_NAMES[d.class_id] for d in payload["detections"]]
-        print(f"  frame {payload['frame'].index}: {names}")
+          f"({n_frames / elapsed:.1f} fps), {total_dets} objects detected")
+    for frame in frames[:5]:
+        names = [CLASS_NAMES[d.class_id] for d in frame.detections]
+        print(f"  frame {frame.index}: {names}")
     print(f"annotated frames written to {out_dir}/")
 
     # Terminal preview of the first frame that detected something.
-    from repro.video.ascii_art import frame_to_ascii
-
-    for payload in payloads:
-        if payload["detections"]:
+    for frame in frames:
+        if frame.detections:
             print("\n=== terminal preview (boxes overdrawn) ===")
             print(
                 frame_to_ascii(
-                    payload["frame"].image, width=64,
-                    detections=payload["detections"],
+                    frame.image, width=64, detections=frame.detections,
                 )
             )
             break
-    print("\n(The 16 fps of the paper is a *modeled* number for the Zynq —")
-    print(" see `python -m pytest benchmarks/test_fig5_pipeline.py` — the")
-    print(" threaded run above demonstrates the concurrency logic.)")
 
 
 if __name__ == "__main__":

@@ -49,8 +49,9 @@ from repro.analyze.astlint import is_suppressed, relative_to_package
 from repro.analyze.findings import ERROR, WARNING, Finding
 
 #: Packages holding the threaded code this pass audits by default
-#: (``core`` for the kernel lanes, :mod:`repro.core.lanes`).
-DEFAULT_MODULES = ("serve", "pipeline", "core")
+#: (``core`` for the kernel lanes, :mod:`repro.core.lanes`; ``isa`` for
+#: the VM's run state, which a served run hands from thread to thread).
+DEFAULT_MODULES = ("serve", "pipeline", "core", "isa")
 
 
 def default_paths() -> List[str]:
@@ -70,7 +71,7 @@ def default_paths() -> List[str]:
 
 
 def lint_concurrency(paths: Optional[Sequence[str]] = None) -> List[Finding]:
-    """Run the concurrency rules over *paths* (default: serve, pipeline, core)."""
+    """Run the concurrency rules over *paths* (default: :data:`DEFAULT_MODULES`)."""
     findings: List[Finding] = []
     for path in paths if paths is not None else default_paths():
         with open(path) as handle:

@@ -2,9 +2,10 @@
 
 The paper's Zynq UltraScale+ target has many interchangeable CPU/NEON
 cores but exactly *one* FINN dataflow engine on the programmable fabric
-(§III-F).  Everything that schedules work — the pipelined demo mode, the
-serving worker pool, and the execution engine's :class:`~repro.engine.
-plan.PlanStep` — keys its routing and serialization off these two tags.
+(§III-F).  Everything that schedules work — the pipeline simulator, the
+plan VM's stage cut, the serving worker pool that runs those stages, and
+the execution engine's :class:`~repro.engine.plan.PlanStep` — keys its
+routing and serialization off these two tags.
 
 They live in :mod:`repro.core` so the layer classes (:mod:`repro.nn`) can
 declare the resource they occupy without depending on the pipeline or

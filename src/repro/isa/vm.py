@@ -11,6 +11,15 @@ liveness-driven :class:`~repro.engine.arena.Arena` recycling exist
 exactly once.  Bit-identity to the frozen :mod:`repro.engine.reference`
 oracle is pinned by the equivalence tests, ``make opt-check`` and
 ``make isa-roundtrip``.
+
+A program is cut into :class:`Stage` jobs at bind time — the §III-F
+demo mode's split of a frame into CPU and FABRIC jobs.  The hybrid
+Tincy YOLO program is three: the first conv on the CPU, the offload on
+the fabric, the last conv and the region head on the CPU.  A
+:class:`RunState` carries the run from one stage to the next, so the
+serving pool runs each stage on a worker of its resource; :meth:`PlanVM.
+run` runs them all in turn on the calling thread.  Both go through the
+one interpreter loop.
 """
 
 from __future__ import annotations
@@ -23,9 +32,9 @@ import numpy as np
 
 from repro import faults
 from repro.core import workspace
-from repro.core.resources import FABRIC
+from repro.core.resources import CPU, FABRIC
 from repro.core.tensor import FeatureMapBatch
-from repro.engine.arena import ArenaPool
+from repro.engine.arena import Arena, ArenaPool
 from repro.isa.bind import bind
 from repro.isa.ops import (
     LOAD_INPUT,
@@ -87,6 +96,79 @@ class ExecutionReport:
         return sum(step.ops for step in self.steps)
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One job of a run: a run of the program on one resource.
+
+    ``start``/``stop`` index ``program.instructions``.  A stage opens at a
+    compute instruction and carries the pseudo-ops that follow it.  CPU
+    stages are maximal runs of CPU instructions; every FABRIC instruction
+    is a stage of its own, so a fabric step that fails has changed
+    nothing and its stage can be run again.
+    """
+
+    resource: str
+    start: int
+    stop: int
+
+
+@dataclass
+class RunState:
+    """A run in flight: what one stage hands to the next.
+
+    Built by :meth:`PlanVM.start`, advanced by :meth:`PlanVM.run_stage`.
+    The state moves between threads with its run; only one thread
+    touches it at a time.
+    """
+
+    fmb: FeatureMapBatch
+    #: Number of stages of the program.
+    stages: int
+    keep_all: bool = False
+    #: Index of the next stage to run (``stages`` once the run is done).
+    stage: int = 0
+    slots: Dict[int, FeatureMapBatch] = field(default_factory=dict)
+    #: layer index -> the last slot an instruction of that layer wrote.
+    final_slot: Dict[int, int] = field(default_factory=dict)
+    live_bytes: int = 0
+    report: ExecutionReport = field(init=False)
+    arena: Optional[Arena] = None
+    started: float = 0.0
+    #: The stored output slot (``run_all``: every layer's final slot),
+    #: set once the run is done.
+    output: object = None
+
+    def __post_init__(self) -> None:
+        self.report = ExecutionReport(batch=self.fmb.batch)
+
+    @property
+    def done(self) -> bool:
+        """True once every stage ran."""
+        return self.stage == self.stages
+
+
+def _cut_stages(instructions) -> Tuple[Stage, ...]:
+    """Cut an instruction stream into its :class:`Stage` list.
+
+    A program without compute instructions is one empty CPU stage.
+    """
+    opens = []
+    for index, instr in enumerate(instructions):
+        if instr.is_compute and (
+            not opens
+            or instr.resource == FABRIC
+            or instr.resource != opens[-1][1]
+        ):
+            opens.append((index, instr.resource))
+    if not opens:
+        opens = [(len(instructions), CPU)]
+    stops = [start for start, _ in opens[1:]] + [len(instructions)]
+    return tuple(
+        Stage(resource, start, stop)
+        for (start, resource), stop in zip(opens, stops)
+    )
+
+
 def run_fabric_step(layer, name, inputs, guard, fabric_mode) -> FeatureMapBatch:
     """Execute FABRIC-tagged *layer* according to *fabric_mode*.
 
@@ -124,8 +206,8 @@ class PlanVM:
     checked against the network (*digests*: the network's
     :func:`~repro.isa.bind.network_digests` pair if the caller already
     hashed it), so ``run`` itself never inspects the network again.
-    Re-entrant: concurrent ``run`` calls (the serving worker pool) each
-    use local slot state and a pooled arena.  *offload_guard*, when
+    Re-entrant: concurrent runs (the serving worker pool) each carry
+    their own :class:`RunState` and a pooled arena.  *offload_guard*, when
     given (at construction or per call), is a context manager entered
     around every FABRIC instruction — the serving subsystem passes its
     fabric gate so the single simulated FINN engine is never occupied
@@ -150,6 +232,14 @@ class PlanVM:
             self._executable(instr, layer)
             for instr, layer in zip(program.instructions, self._layers)
         ]
+        steps = list(zip(program.instructions, self._layers, self._calls))
+        #: The run's stages in order; a served run hands each to a worker
+        #: of its resource.
+        self.stages = _cut_stages(program.instructions)
+        self._prefix = steps[: self.stages[0].start]
+        self._stage_steps = [
+            steps[stage.start : stage.stop] for stage in self.stages
+        ]
         self._arenas = ArenaPool()
         if program.output_slot() is None:
             raise BindError("program has no STORE_OUTPUT instruction")
@@ -162,7 +252,7 @@ class PlanVM:
         Split-epilogue instructions dispatch to the layer's half entry
         points; whole instructions (including bound ``FUSED`` chains)
         run the standard ``run_batch``.  FABRIC instructions route
-        through :func:`run_fabric_step` in :meth:`run` instead.
+        through :func:`run_fabric_step` in the interpreter loop instead.
         """
         if not instr.is_compute or instr.resource == FABRIC:
             return None
@@ -206,6 +296,83 @@ class PlanVM:
         """True when any instruction occupies the serialized fabric engine."""
         return self.program.uses_fabric
 
+    def start(self, fmb: FeatureMapBatch, keep_all: bool = False) -> RunState:
+        """Begin a run of *fmb*: the state :meth:`run_stage` carries along.
+
+        Checks the input, acquires the run's arena and executes the
+        pseudo-ops ahead of the first stage (``LOAD_INPUT``).  A
+        zero-frame batch returns a state that is already :attr:`RunState.
+        done`, holding a well-formed empty output.  *keep_all* keeps every
+        slot alive for :meth:`run_all`.
+        """
+        program = self.program
+        if tuple(fmb.frame_shape) != tuple(program.input_shape):
+            raise ValueError(
+                f"input frames {tuple(fmb.frame_shape)} do not match "
+                f"network input {tuple(program.input_shape)} compiled "
+                f"into the program"
+            )
+        state = RunState(fmb=fmb, stages=len(self.stages), keep_all=keep_all)
+        if fmb.batch == 0:
+            self.last_report = state.report
+            state.stage = state.stages
+            if not keep_all:
+                state.output = _empty(program.output_shape)
+            else:
+                shapes = {
+                    _step_index(instr): instr.shape
+                    for instr in program.compute_instructions()
+                }
+                state.output = [_empty(shapes[index]) for index in sorted(shapes)]
+            return state
+        # The arena turns the program's release points into buffer reuse:
+        # kernels allocate through repro.core.workspace, and a victim's
+        # backing buffer is recycled the moment no live slot can see it
+        # (the guard check).  begin_run() lets a previous run's escaped
+        # outputs keep their memory — recycled buffers never alias results.
+        state.arena = self._arenas.acquire()
+        state.arena.begin_run()
+        state.started = time.perf_counter()
+        self._interpret(state, self._prefix, None, "fabric")  # no compute
+        return state
+
+    def run_stage(
+        self, state: RunState, offload_guard=None, fabric_mode: str = "fabric"
+    ) -> None:
+        """Execute the next stage of *state*'s run, on the calling thread.
+
+        The run's arena is installed for this thread while the stage
+        runs, so consecutive stages may run on different threads.  After
+        the last stage the arena goes back to the pool and
+        ``state.output`` holds the result.  A FABRIC stage that raises
+        leaves *state* as it found it, so the caller may run it again —
+        or run it with ``fabric_mode="reference"``.
+        """
+        if fabric_mode not in FABRIC_MODES:
+            raise ValueError(
+                f"fabric_mode must be one of {FABRIC_MODES}, "
+                f"got {fabric_mode!r}"
+            )
+        guard = (
+            offload_guard if offload_guard is not None else self.offload_guard
+        )
+        self._interpret(state, self._stage_steps[state.stage], guard, fabric_mode)
+        state.stage += 1
+        if not state.done:
+            return
+        report, arena = state.report, state.arena
+        report.wall_s = time.perf_counter() - state.started
+        report.arena = arena.stats()
+        self.last_report = report
+        self._arenas.release(arena)
+        if state.keep_all:
+            state.output = [
+                state.slots[state.final_slot[index]]
+                for index in sorted(state.final_slot)
+            ]
+        elif state.output is None:  # unreachable: bind requires STORE_OUTPUT
+            raise RuntimeError("program finished without STORE_OUTPUT")
+
     def run(
         self,
         fmb: FeatureMapBatch,
@@ -214,14 +381,15 @@ class PlanVM:
     ) -> FeatureMapBatch:
         """Execute the program on *fmb*; returns the stored output slot.
 
-        Slots are released where the program says so and their buffers
-        recycled through the arena.  A zero-frame batch short-circuits to
-        a well-formed empty output.  *fabric_mode* picks the FABRIC
+        Every stage runs in turn on the calling thread.  Slots are
+        released where the program says so and their buffers recycled
+        through the arena.  A zero-frame batch short-circuits to a
+        well-formed empty output.  *fabric_mode* picks the FABRIC
         routing (:data:`FABRIC_MODES`): the serving layer runs
         ``reference`` while its circuit breaker is open and ``scrub``
         when fabric outputs must be cross-checked.
         """
-        return self._execute(fmb, False, offload_guard, fabric_mode)
+        return self._run(self.start(fmb), offload_guard, fabric_mode)
 
     def run_all(
         self, fmb: FeatureMapBatch, offload_guard=None
@@ -234,74 +402,31 @@ class PlanVM:
         split layer is its final slot).  A layer absorbed into a
         ``FUSED`` chain has no slot of its own and is left out.
         """
-        return self._execute(fmb, True, offload_guard, "fabric")
+        return self._run(self.start(fmb, keep_all=True), offload_guard, "fabric")
 
-    def _execute(self, fmb, keep_all: bool, offload_guard, fabric_mode: str):
-        if fabric_mode not in FABRIC_MODES:
-            raise ValueError(
-                f"fabric_mode must be one of {FABRIC_MODES}, "
-                f"got {fabric_mode!r}"
-            )
-        program = self.program
-        if tuple(fmb.frame_shape) != tuple(program.input_shape):
-            raise ValueError(
-                f"input frames {tuple(fmb.frame_shape)} do not match "
-                f"network input {tuple(program.input_shape)} compiled "
-                f"into the program"
-            )
-        if fmb.batch == 0:
-            self.last_report = ExecutionReport(batch=0)
-            if not keep_all:
-                return _empty(program.output_shape)
-            shapes = {
-                _step_index(instr): instr.shape
-                for instr in program.compute_instructions()
-            }
-            return [_empty(shapes[index]) for index in sorted(shapes)]
-        guard = (
-            offload_guard if offload_guard is not None else self.offload_guard
-        )
-        report = ExecutionReport(batch=fmb.batch)
-        slots: Dict[int, FeatureMapBatch] = {}
-        # layer index -> the last slot an instruction of that layer wrote
-        final_slot: Dict[int, int] = {}
-        live_bytes = 0
-        result: Optional[FeatureMapBatch] = None
-        # The arena turns the program's release points into buffer reuse:
-        # kernels allocate through repro.core.workspace, and a victim's
-        # backing buffer is recycled the moment no live slot can see it
-        # (the guard check).  begin_run() lets a previous run's escaped
-        # outputs keep their memory — recycled buffers never alias results.
-        arena = self._arenas.acquire()
-        arena.begin_run()
+    def _run(self, state: RunState, offload_guard, fabric_mode: str):
+        while not state.done:
+            self.run_stage(state, offload_guard, fabric_mode)
+        return state.output
 
-        def release(victim: int) -> None:
-            nonlocal live_bytes
-            dead = None if keep_all else slots.pop(victim, None)
-            if dead is not None:
-                live_bytes -= dead.data.nbytes
-                if victim != 0:
-                    arena.release(
-                        dead.data, guard=[b.data for b in slots.values()]
-                    )
-
-        run_start = time.perf_counter()
-        with workspace.install(arena):
-            for instr, layer, call in zip(
-                program.instructions, self._layers, self._calls
-            ):
+    def _interpret(self, state: RunState, steps, guard, fabric_mode) -> None:
+        """The interpreter loop: execute *steps* against *state*."""
+        slots, report = state.slots, state.report
+        batch = state.fmb.batch
+        with workspace.install(state.arena):
+            for instr, layer, call in steps:
                 if instr.opcode == LOAD_INPUT:
-                    slots[instr.dest] = fmb
-                    live_bytes += fmb.data.nbytes
+                    slots[instr.dest] = state.fmb
+                    state.live_bytes += state.fmb.data.nbytes
                     report.peak_live_bytes = max(
-                        report.peak_live_bytes, live_bytes
+                        report.peak_live_bytes, state.live_bytes
                     )
                     continue
                 if instr.opcode == RELEASE:
-                    release(instr.dest)
+                    self._release(state, instr.dest)
                     continue
                 if instr.opcode == STORE_OUTPUT:
-                    result = slots[instr.dest]
+                    state.output = slots[instr.dest]
                     continue
                 inputs = [slots[src] for src in instr.srcs]
                 start = time.perf_counter()
@@ -313,9 +438,9 @@ class PlanVM:
                     out = call(inputs)
                 wall = time.perf_counter() - start
                 slots[instr.dest] = out
-                live_bytes += out.data.nbytes
+                state.live_bytes += out.data.nbytes
                 report.peak_live_bytes = max(
-                    report.peak_live_bytes, live_bytes
+                    report.peak_live_bytes, state.live_bytes
                 )
                 stats = StepStats(
                     index=_step_index(instr),
@@ -323,27 +448,29 @@ class PlanVM:
                     ltype=instr.ltype,
                     resource=instr.resource,
                     wall_s=wall,
-                    ops=instr.ops * fmb.batch,
+                    ops=instr.ops * batch,
                     out_bytes=out.data.nbytes,
-                    live_bytes=live_bytes,
+                    live_bytes=state.live_bytes,
                 )
-                final_slot[stats.index] = instr.dest
+                state.final_slot[stats.index] = instr.dest
                 report.steps.append(stats)
                 if self.on_step is not None:
                     self.on_step(stats)
                 # Embedded release points: the liveness pass's slot death
                 # schedule, executed exactly like standalone RELEASEs.
                 for victim in instr.releases:
-                    release(victim)
-        report.wall_s = time.perf_counter() - run_start
-        report.arena = arena.stats()
-        self.last_report = report
-        self._arenas.release(arena)
-        if keep_all:
-            return [slots[final_slot[index]] for index in sorted(final_slot)]
-        if result is None:  # unreachable: constructor requires STORE_OUTPUT
-            raise RuntimeError("program finished without STORE_OUTPUT")
-        return result
+                    self._release(state, victim)
+
+    @staticmethod
+    def _release(state: RunState, victim: int) -> None:
+        slots = state.slots
+        dead = None if state.keep_all else slots.pop(victim, None)
+        if dead is not None:
+            state.live_bytes -= dead.data.nbytes
+            if victim != 0:
+                state.arena.release(
+                    dead.data, guard=[b.data for b in slots.values()]
+                )
 
 
 def _step_index(instr) -> int:
@@ -359,6 +486,8 @@ __all__ = [
     "FABRIC_MODES",
     "StepStats",
     "ExecutionReport",
+    "Stage",
+    "RunState",
     "run_fabric_step",
     "PlanVM",
 ]

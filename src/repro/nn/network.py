@@ -222,10 +222,9 @@ class Network:
         """True when any layer occupies the FINN fabric engine.
 
         Such a network holds the platform's single serialized fabric
-        resource while it runs — the pipeline scheduler and the serving
-        worker pool both key their FABRIC-vs-CPU routing off this.  Keyed
-        off the layers' ``resource`` tag (the same tag the plan compiler
-        uses), so registered offload-style layer kinds count too.
+        resource while its offload runs.  Keyed off the layers'
+        ``resource`` tag (the same tag the plan compiler uses), so
+        registered offload-style layer kinds count too.
         """
         return any(
             getattr(layer, "resource", CPU) == FABRIC for layer in self.layers

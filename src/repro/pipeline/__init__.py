@@ -1,16 +1,17 @@
 """The pipelined demo mode of §III-F (Fig. 5/6).
 
 Single-slot stage buffers (:mod:`repro.pipeline.buffers`), the
-most-mature-first no-overtake scheduler (:mod:`repro.pipeline.scheduler`),
-a deterministic discrete-event simulator for the timing experiments
-(:mod:`repro.pipeline.simulate`), a real worker-thread pool
-(:mod:`repro.pipeline.workers`) and the end-to-end demo assembly
-(:mod:`repro.pipeline.demo`).
+most-mature-first no-overtake scheduler (:mod:`repro.pipeline.scheduler`)
+and a deterministic discrete-event simulator with per-worker traces
+(:mod:`repro.pipeline.simulate`, :mod:`repro.pipeline.trace`) are the
+paper's timing model.  The demo itself (:mod:`repro.pipeline.demo`) runs
+on the product: a :class:`~repro.serve.server.InferenceServer` executes
+each frame's CPU and FABRIC stage jobs on its worker pool.
 """
 
 from repro.pipeline.batching import forward_frames, iter_batches
 from repro.pipeline.buffers import StageBuffer
-from repro.pipeline.demo import DemoPayload, build_demo_stages, run_demo
+from repro.pipeline.demo import DemoPayload, run_demo
 from repro.pipeline.scheduler import CPU, FABRIC, PipelineTopology, StageDescriptor
 from repro.pipeline.simulate import (
     DEFAULT_JOB_OVERHEAD_S,
@@ -18,8 +19,7 @@ from repro.pipeline.simulate import (
     SimResult,
     sequential_time,
 )
-from repro.pipeline.trace import PipelineTrace, TraceEntry, TracingSimulator
-from repro.pipeline.workers import ThreadedPipeline, join_threads
+from repro.pipeline.trace import PipelineTrace, TraceEntry
 
 __all__ = [
     "StageBuffer",
@@ -33,12 +33,8 @@ __all__ = [
     "SimResult",
     "sequential_time",
     "DEFAULT_JOB_OVERHEAD_S",
-    "ThreadedPipeline",
-    "join_threads",
-    "TracingSimulator",
     "PipelineTrace",
     "TraceEntry",
     "DemoPayload",
-    "build_demo_stages",
     "run_demo",
 ]

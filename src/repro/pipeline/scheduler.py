@@ -4,16 +4,17 @@
 output buffer is free and whose input buffer has data pending.  The video
 source and sink are always available and free, respectively."
 
-The scheduler is shared by the discrete-event simulator and the real
-thread pool: both describe the pipeline as a list of
-:class:`StageDescriptor` and ask :func:`select_job` which stage should run
-next given the buffer states and resource occupancy.
+The discrete-event simulator describes the pipeline as a list of
+:class:`StageDescriptor` and asks :meth:`PipelineTopology.select_job`
+which stage should run next given the buffer states and resource
+occupancy.  The serving pool (:mod:`repro.serve.workers`) runs a served
+frame's stage jobs by the same most-mature-first rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.core.resources import CPU, FABRIC
 from repro.pipeline.buffers import StageBuffer
@@ -21,13 +22,11 @@ from repro.pipeline.buffers import StageBuffer
 
 @dataclass
 class StageDescriptor:
-    """One pipeline stage: a name, its work, and the resource it occupies."""
+    """One pipeline stage: a name, its duration, and the resource it occupies."""
 
     name: str
-    #: Either a duration in seconds (simulation) or a callable payload ->
-    #: payload (real execution); both may be set.
+    #: Seconds one job of this stage takes.
     duration_s: float = 0.0
-    work: Optional[Callable] = None
     resource: str = CPU
 
 
@@ -68,15 +67,16 @@ class PipelineTopology:
         return self.buffers[index - 1].has_data()
 
     def select_job(
-        self, running: Set[int], busy_resources: Set[str]
+        self, running: Set[int], busy_resources: Set[str], admit: bool = True
     ) -> Optional[int]:
         """Most mature runnable stage, or ``None``.
 
         "Most mature" = closest to the video sink, i.e. the highest stage
         index; this drains frames in flight before admitting new ones and
-        (with single-slot buffers) makes overtaking impossible.
+        (with single-slot buffers) makes overtaking impossible.  With
+        *admit* False the source has run dry and stage 0 is never chosen.
         """
-        for index in range(len(self.stages) - 1, -1, -1):
+        for index in range(len(self.stages) - 1, -1 if admit else 0, -1):
             if self.stage_runnable(index, running, busy_resources):
                 return index
         return None

@@ -1,10 +1,12 @@
-"""Discrete-event simulation of the pipelined demo mode.
+"""Discrete-event simulation of the pipelined demo mode: its timing model.
 
 The simulator executes the Fig. 5 pipeline on ``n`` worker threads pinned
 to ``n`` cores, with the Fig. 6 buffer discipline and the most-mature-first
 job selection.  It is deterministic, so the frame-rate numbers of the
-benchmarks are reproducible; the real thread pool in
-:mod:`repro.pipeline.workers` shares the same topology and scheduler.
+benchmarks are reproducible, and every run records its jobs
+(:attr:`SimResult.entries`) for the per-worker Gantt of
+:mod:`repro.pipeline.trace`.  The served pipeline — a frame's CPU and
+FABRIC stage jobs on the serving pool — is :mod:`repro.serve`'s.
 
 Per-job *overhead* models the synchronization cost the paper fights in
 §III-F: lock competition at the stage boundaries plus scheduling latency.
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.pipeline.scheduler import CPU, PipelineTopology, StageDescriptor
+from repro.pipeline.trace import PipelineTrace, TraceEntry
 
 #: Default synchronization overhead per executed job (lock handover,
 #: scheduling latency, and feature-map cache migration between pinned
@@ -35,7 +38,17 @@ class SimResult:
     total_time_s: float
     frame_completion_s: List[float]
     completion_order: List[int]
-    worker_busy_s: List[float]
+    workers: int
+    #: Every executed job, in dispatch order.
+    entries: List[TraceEntry]
+
+    @property
+    def worker_busy_s(self) -> List[float]:
+        """Seconds each worker spent running jobs."""
+        busy = [0.0] * self.workers
+        for entry in self.entries:
+            busy[entry.worker] += entry.duration_s
+        return busy
 
     @property
     def fps(self) -> float:
@@ -52,6 +65,14 @@ class SimResult:
 
     def worker_utilization(self) -> List[float]:
         return [busy / self.total_time_s for busy in self.worker_busy_s]
+
+    def trace(self) -> PipelineTrace:
+        """The run's jobs as a per-worker :class:`PipelineTrace`."""
+        return PipelineTrace(
+            entries=self.entries,
+            workers=self.workers,
+            total_time_s=self.total_time_s,
+        )
 
 
 @dataclass(order=True)
@@ -89,7 +110,7 @@ class PipelineSimulator:
         buffer_frame: Dict[int, int] = {}
         next_input_frame = 0
         idle_workers = list(range(self.workers))
-        worker_busy = [0.0] * self.workers
+        entries: List[TraceEntry] = []
         events: List[_Event] = []
         seq = 0
         now = 0.0
@@ -98,24 +119,14 @@ class PipelineSimulator:
         def try_dispatch() -> None:
             nonlocal next_input_frame, seq
             while idle_workers:
-                choice = topology.select_job(running, busy_resources)
+                # The source runs dry after n_frames: then only frames in
+                # flight are advanced.
+                choice = topology.select_job(
+                    running, busy_resources, admit=next_input_frame < n_frames
+                )
                 if choice is None:
                     break
                 stage = topology.stages[choice]
-                # Admission control: stop feeding new frames once enough
-                # have entered (the source "runs dry" after n_frames).
-                if choice == 0:
-                    if next_input_frame >= n_frames:
-                        # Pretend stage 0 is running so select_job can look
-                        # further upstream? No: mark not runnable by leaving.
-                        # Try a more mature job instead.
-                        alternative = _select_excluding(
-                            topology, running, busy_resources, exclude={0}
-                        )
-                        if alternative is None:
-                            break
-                        choice = alternative
-                        stage = topology.stages[choice]
                 # Claim input and output.
                 if choice == 0:
                     frame = next_input_frame
@@ -129,7 +140,16 @@ class PipelineSimulator:
                     busy_resources.add(stage.resource)
                 worker = idle_workers.pop(0)
                 duration = stage.duration_s + self.job_overhead_s
-                worker_busy[worker] += duration
+                entries.append(
+                    TraceEntry(
+                        worker=worker,
+                        stage=choice,
+                        stage_name=stage.name,
+                        frame=frame,
+                        start_s=now,
+                        end_s=now + duration,
+                    )
+                )
                 seq += 1
                 heapq.heappush(
                     events, _Event(now + duration, seq, worker, choice, frame)
@@ -160,22 +180,9 @@ class PipelineSimulator:
             total_time_s=now,
             frame_completion_s=[t for t, _ in completions],
             completion_order=[f for _, f in completions],
-            worker_busy_s=worker_busy,
+            workers=self.workers,
+            entries=entries,
         )
-
-
-def _select_excluding(
-    topology: PipelineTopology,
-    running: Set[int],
-    busy_resources: Set[str],
-    exclude: Set[int],
-) -> Optional[int]:
-    for index in range(len(topology) - 1, -1, -1):
-        if index in exclude:
-            continue
-        if topology.stage_runnable(index, running, busy_resources):
-            return index
-    return None
 
 
 def sequential_time(stages: Sequence[StageDescriptor]) -> float:

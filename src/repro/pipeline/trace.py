@@ -1,19 +1,16 @@
 """Pipeline execution tracing and text Gantt rendering.
 
 The §III-F analysis lives and dies by *where the workers spend their
-time*: a traced simulation records every job (worker, stage, frame, start,
-end) and renders a per-worker timeline, making stalls — fabric contention,
-empty input buffers, the no-overtake discipline — visible in plain text.
+time*: every simulated run records each job (worker, stage, frame, start,
+end), and :meth:`~repro.pipeline.simulate.SimResult.trace` renders them as
+a per-worker timeline, making stalls — fabric contention, empty input
+buffers, the no-overtake discipline — visible in plain text.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
-
-from repro.pipeline.scheduler import CPU, PipelineTopology, StageDescriptor
-from repro.pipeline.simulate import DEFAULT_JOB_OVERHEAD_S, _Event, _select_excluding
+from typing import Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -34,6 +31,8 @@ class TraceEntry:
 
 @dataclass
 class PipelineTrace:
+    """The jobs of one simulated run, per worker."""
+
     entries: List[TraceEntry]
     workers: int
     total_time_s: float
@@ -85,95 +84,4 @@ def _stage_glyph(stage_index: int) -> str:
     return glyphs[stage_index % len(glyphs)]
 
 
-class TracingSimulator:
-    """The discrete-event simulator, recording a full execution trace.
-
-    Same scheduling semantics as :class:`~repro.pipeline.simulate.
-    PipelineSimulator` (a shared topology/scheduler guarantees that); kept
-    separate so the fast path stays allocation-free.
-    """
-
-    def __init__(
-        self,
-        stages: Sequence[StageDescriptor],
-        workers: int = 4,
-        job_overhead_s: float = DEFAULT_JOB_OVERHEAD_S,
-    ) -> None:
-        self.stage_list = list(stages)
-        self.workers = workers
-        self.job_overhead_s = job_overhead_s
-
-    def run(self, n_frames: int = 50) -> PipelineTrace:
-        topology = PipelineTopology(self.stage_list)
-        n_stages = len(topology)
-        running: Set[int] = set()
-        busy_resources: Set[str] = set()
-        buffer_frame: Dict[int, int] = {}
-        next_input = 0
-        idle = list(range(self.workers))
-        events: List[_Event] = []
-        entries: List[TraceEntry] = []
-        seq = 0
-        now = 0.0
-        completed = 0
-
-        def dispatch() -> None:
-            nonlocal next_input, seq
-            while idle:
-                choice = topology.select_job(running, busy_resources)
-                if choice == 0 and next_input >= n_frames:
-                    choice = _select_excluding(
-                        topology, running, busy_resources, exclude={0}
-                    )
-                if choice is None:
-                    break
-                stage = topology.stages[choice]
-                if choice == 0:
-                    frame = next_input
-                    next_input += 1
-                else:
-                    frame = buffer_frame.pop(choice - 1)
-                    topology.buffers[choice - 1].take()
-                topology.buffers[choice].begin_produce()
-                running.add(choice)
-                if stage.resource != CPU:
-                    busy_resources.add(stage.resource)
-                worker = idle.pop(0)
-                duration = stage.duration_s + self.job_overhead_s
-                entries.append(
-                    TraceEntry(
-                        worker=worker,
-                        stage=choice,
-                        stage_name=stage.name,
-                        frame=frame,
-                        start_s=now,
-                        end_s=now + duration,
-                    )
-                )
-                seq += 1
-                heapq.heappush(
-                    events, _Event(now + duration, seq, worker, choice, frame)
-                )
-
-        dispatch()
-        while events:
-            event = heapq.heappop(events)
-            now = event.time
-            stage = topology.stages[event.stage]
-            running.discard(event.stage)
-            if stage.resource != CPU:
-                busy_resources.discard(stage.resource)
-            topology.buffers[event.stage].finish_produce(event.frame)
-            buffer_frame[event.stage] = event.frame
-            idle.append(event.worker)
-            idle.sort()
-            if event.stage == n_stages - 1:
-                topology.buffers[event.stage].take()
-                buffer_frame.pop(event.stage)
-                completed += 1
-            dispatch()
-
-        return PipelineTrace(entries=entries, workers=self.workers, total_time_s=now)
-
-
-__all__ = ["TraceEntry", "PipelineTrace", "TracingSimulator"]
+__all__ = ["TraceEntry", "PipelineTrace"]

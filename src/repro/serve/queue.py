@@ -65,6 +65,9 @@ class RequestFuture:
         self._cancelled = False
         self._claimed = False
         self._callbacks: List[Callable[["RequestFuture"], None]] = []
+        #: True when the request's FABRIC stage ran on the CPU reference
+        #: path (set before the result; in-process only, not on the wire).
+        self.degraded = False
 
     # -- dispatcher side ---------------------------------------------------
 

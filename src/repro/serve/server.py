@@ -8,19 +8,27 @@ Request flow::
                                    │ flush (size | deadline | idle | forced)
                              HeterogeneousWorkerPool ──► queue.wake()
                                ├─ N CPU workers          (a worker went idle)
-                               └─ 1 fabric executor      (FABRIC-tagged jobs,
-                                  FabricGate-serialized offload execution)
-                                   │ PlanVM.run
+                               └─ 1 fabric executor
+                                   │ one stage job per PlanVM stage:
+                                   │   CPU ─► FABRIC (retry, breaker,
+                                   │   watchdog, FabricGate) ─► CPU
                              RequestFuture.set_result ──► client
 
-Batching is work-conserving: while a worker of the server's resource is
-free, the pending batch is dispatched as soon as it holds its fair share
-of the queued work (cause ``idle``) — everything queued when one worker
-is free, half of a queued burst when two are, so every free worker gets
-a batch and they run at once.  Requests are held back for a larger
-batch — up to ``max_batch`` or ``max_delay_s`` — only while every worker
-is busy, and a worker that runs out of work wakes the batcher thread so
-whatever accumulated meanwhile goes out with it.
+A batch runs as the plan's stage jobs (:attr:`repro.isa.vm.PlanVM.
+stages`), the §III-F demo mode's split of a frame: the CPU layers before
+an offload on a CPU worker, the offload on the one fabric executor, the
+CPU layers after it on a CPU worker again.  While one batch holds the
+fabric, the CPU workers run the CPU stages of others.  A CPU-only
+network is one stage: one pool hand-off per batch.
+
+Batching is work-conserving: while a worker of the first stage's
+resource is free, the pending batch is dispatched as soon as it holds
+its fair share of the queued work (cause ``idle``) — everything queued
+when one worker is free, half of a queued burst when two are, so every
+free worker gets a batch and they run at once.  Requests are held back
+for a larger batch — up to ``max_batch`` or ``max_delay_s`` — only while
+every such worker is busy, and a worker that runs out of work wakes the
+batcher thread so whatever accumulated meanwhile goes out with it.
 
 Results are **bit-identical** to calling ``Network.forward_batch``
 directly on the same frames: the server only decides *which* frames share
@@ -44,10 +52,9 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.resources import FABRIC
 from repro.core.tensor import FeatureMap, FeatureMapBatch
 from repro.faults import FabricError
-from repro.pipeline.scheduler import CPU, FABRIC
-from repro.pipeline.workers import join_threads
 
 from repro.serve.batcher import (
     DynamicBatcher,
@@ -69,7 +76,12 @@ from repro.serve.queue import (
     RequestTimeout,
     ServerClosed,
 )
-from repro.serve.workers import BatchJob, FabricGate, HeterogeneousWorkerPool
+from repro.serve.workers import (
+    BatchJob,
+    FabricGate,
+    HeterogeneousWorkerPool,
+    join_threads,
+)
 
 
 @dataclass
@@ -192,12 +204,11 @@ class InferenceServer:
         )
         cold_start_ms = (time.perf_counter() - cold_start) * 1e3
         self.metrics.observe_cold_start(cold_start_ms, cache_hit)
-        self.resource = FABRIC if self.vm.uses_fabric else CPU
         self.queue = BoundedRequestQueue(self.config.max_queue_depth, clock=clock)
         self.batcher = DynamicBatcher(self.config.max_batch, self.config.max_delay_s)
         breaker = None
         watchdog = None
-        if self.resource == FABRIC:
+        if self.vm.uses_fabric:
             breaker = CircuitBreaker(
                 threshold=self.config.breaker_threshold,
                 probe_after_s=self.config.breaker_probe_after_s,
@@ -334,7 +345,9 @@ class InferenceServer:
             # queued, split over the free workers: those requests cost no
             # waiting to coalesce, and every free worker gets a share.
             pending = self.batcher.pending + (request is not None)
-            idle = fair_share(pending, depth, self.pool.free(self.resource))
+            idle = fair_share(
+                pending, depth, self.pool.free(self.vm.stages[0].resource)
+            )
             now = self.clock()
             if request is not None:
                 flush = self.batcher.add(request, now, idle)
@@ -380,55 +393,67 @@ class InferenceServer:
         if not live:
             return
         self.metrics.observe_batch(len(live), flush.cause)
-        job = BatchJob(live, resource=self.resource, cause=flush.cause)
+        job = BatchJob(live, resource=self.vm.stages[0].resource, cause=flush.cause)
         try:
             self.pool.submit(job)
         except ServerClosed as exc:
             job.fail(exc)
 
-    def _execute(self, job: BatchJob) -> None:
-        fmb = to_feature_batch(job.requests)
+    def _execute(self, job: BatchJob) -> Optional[str]:
+        """Run *job*'s next stage; returns the resource of the one after.
+
+        The FABRIC stage runs under :meth:`_run_resilient`; the CPU
+        stages around it run once per batch, whatever the fabric does.
+        """
+        state = job.state
         try:
-            if self.resource == FABRIC:
-                out = self._run_resilient(fmb)
+            if state is None:
+                state = job.state = self.vm.start(to_feature_batch(job.requests))
+            if self.vm.stages[state.stage].resource == FABRIC:
+                job.degraded |= self._run_resilient(state)
             else:
-                out = self.vm.run(fmb)
+                self.vm.run_stage(state)
         except Exception:
             for _ in job.requests:
                 self.metrics.observe_failure()
             raise  # the pool routes the exception to the request futures
+        if not state.done:
+            return self.vm.stages[state.stage].resource
         now = self.clock()
-        for request, frame in zip(job.requests, out.frames()):
+        for request, frame in zip(job.requests, state.output.frames()):
+            request.future.degraded = job.degraded
             request.future.set_result(frame)
             self.metrics.observe_completion(now - request.submitted_at, now)
+        return None
 
-    def _run_resilient(self, fmb):
-        """Execute one fabric batch under retry + breaker + watchdog.
+    def _run_resilient(self, state) -> bool:
+        """Run the FABRIC stage of *state* under retry + breaker + watchdog.
 
         Fabric failures (:class:`~repro.faults.FabricError` only — anything
         else is a programming error and propagates) are retried with
         bounded exponential backoff; once the retry budget is spent, or
-        whenever the breaker routes away from the fabric, the batch runs on
-        the bit-identical CPU reference path in visible degraded mode.  The
-        batch therefore *always* returns the ``forward_batch`` answer; the
-        only question is which silicon computed it.
+        whenever the breaker routes away from the fabric, the stage runs on
+        the bit-identical CPU reference path in visible degraded mode.  A
+        failed attempt leaves the run state untouched, so a retry re-runs
+        the offload alone, never the CPU stages around it, and the batch
+        *always* returns the ``forward_batch`` answer; the only question
+        is which silicon computed it.  Returns True when it degraded.
         """
         breaker = self.pool.breaker
         watchdog = self.pool.watchdog
         fabric_mode = "scrub" if self.config.scrub_fabric else "fabric"
+        batch = state.fmb.batch
         attempts = 0
         while True:
             decision = breaker.acquire()
             probe = decision == USE_PROBE
             if decision == USE_REFERENCE:
-                out = self.vm.run(fmb, fabric_mode="reference")
-                self.metrics.observe_degraded(fmb.batch)
-                return out
+                break
             self.metrics.observe_fabric_dispatch()
             try:
-                out = watchdog.call(
-                    lambda: self.vm.run(
-                        fmb,
+                watchdog.call(
+                    lambda: self.vm.run_stage(
+                        state,
                         offload_guard=self.fabric_gate,
                         fabric_mode=fabric_mode,
                     )
@@ -438,9 +463,7 @@ class InferenceServer:
                 self.metrics.observe_fabric_failure(type(exc).__name__)
                 attempts += 1
                 if attempts > self.config.max_retries:
-                    out = self.vm.run(fmb, fabric_mode="reference")
-                    self.metrics.observe_degraded(fmb.batch)
-                    return out
+                    break
                 self.metrics.observe_retry()
                 self.sleep(
                     min(
@@ -450,7 +473,10 @@ class InferenceServer:
                 )
             else:
                 breaker.record_success(probe=probe)
-                return out
+                return False
+        self.vm.run_stage(state, fabric_mode="reference")
+        self.metrics.observe_degraded(batch)
+        return True
 
 
 __all__ = ["ServeConfig", "InferenceServer", "_IDLE_WAIT_S"]

@@ -5,9 +5,16 @@ The paper's platform has many interchangeable CPU/NEON cores but exactly
 resource (§III-F tags its pipeline stage with the ``FABRIC`` resource so
 the scheduler never runs two offload jobs at once).  The serving pool
 models the same constraint with the same tags from
-:mod:`repro.pipeline.scheduler`: batch jobs are tagged ``CPU`` or
-``FABRIC``, CPU jobs fan out over N workers, and all FABRIC jobs funnel
-through the single fabric executor thread.
+:mod:`repro.core.resources`: CPU jobs fan out over N workers, and all
+FABRIC jobs funnel through the single fabric executor thread.
+
+A batch is a chain of stage jobs (the plan's
+:class:`~repro.isa.vm.Stage` list: CPU → FABRIC → CPU for a hybrid
+network, one CPU job otherwise).  When a job's stage finishes, the pool
+queues it for the next stage's resource.  Each queue is most mature
+first, as §III-F's scheduler picks the most mature ready job: a job at a
+later stage goes ahead of jobs at earlier stages, and jobs at the same
+stage keep their arrival order.
 
 The pool also counts, per resource, the workers a job submitted now would
 start on (:meth:`HeterogeneousWorkerPool.free`).  The server's batcher
@@ -16,23 +23,41 @@ CPU workers are free goes out as two half-size batches that run at once,
 as the paper's demo mode hands every free core a ready job.  The single
 fabric executor never counts more than one.
 
-Belt and suspenders, the :class:`FabricGate` context manager wraps the
-actual offload execution (via ``Network.forward_batch(offload_guard=...)``)
-and records the maximum observed concurrency, so the serialization
-invariant is asserted — not assumed — by the test suite.
+Belt and suspenders, the :class:`FabricGate` context manager wraps each
+offload execution (the VM enters it around every FABRIC instruction) and
+records the maximum observed concurrency, so the serialization invariant
+is asserted — not assumed — by the test suite.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro import faults
-from repro.pipeline.scheduler import CPU, FABRIC
-from repro.pipeline.workers import join_threads
+from repro.core.resources import CPU, FABRIC
 
 from repro.serve.queue import InferenceRequest, ServerClosed
+
+
+def join_threads(
+    threads: Sequence[threading.Thread], timeout: Optional[float] = None
+) -> bool:
+    """Join *threads* against one shared deadline.
+
+    Unlike a naive loop of ``thread.join(timeout)`` calls, the *total* wait
+    is bounded by *timeout*, not ``timeout * len(threads)``.  Returns True
+    iff every thread exited before the deadline.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    for thread in threads:
+        if deadline is None:
+            thread.join()
+        else:
+            thread.join(max(0.0, deadline - time.monotonic()))
+    return not any(thread.is_alive() for thread in threads)
 
 
 class FabricGate:
@@ -66,9 +91,14 @@ class FabricGate:
 
 
 class BatchJob:
-    """One flushed batch bound for a worker: requests + required resource."""
+    """One flushed batch bound for a worker: requests + required resource.
 
-    __slots__ = ("requests", "resource", "cause")
+    ``stage`` counts the stages the job has finished (its maturity);
+    ``state`` is the executor's carried run state and ``degraded`` its
+    note that a stage ran on the CPU reference path.
+    """
+
+    __slots__ = ("requests", "resource", "cause", "stage", "state", "degraded")
 
     def __init__(
         self,
@@ -81,6 +111,9 @@ class BatchJob:
         self.requests = list(requests)
         self.resource = resource
         self.cause = cause
+        self.stage = 0
+        self.state = None
+        self.degraded = False
 
     def fail(self, exc: BaseException) -> None:
         for request in self.requests:
@@ -93,9 +126,12 @@ class BatchJob:
 class HeterogeneousWorkerPool:
     """Per-resource job queues drained by CPU workers and 1 fabric executor.
 
-    *execute* is called with each :class:`BatchJob` on a worker thread; any
-    exception it raises is routed to the job's request futures (one bad
-    batch never kills the pool).  The pool knows how many workers of each
+    *execute* is called with each :class:`BatchJob` on a worker thread and
+    runs the job's current stage.  It returns the resource of the job's
+    next stage, and the pool queues the job there one stage more mature;
+    it returns ``None`` once the job is done.  Any exception it raises is
+    routed to the job's request futures (one bad batch never kills the
+    pool).  The pool knows how many workers of each
     resource hold no job: :meth:`free` counts the workers a job submitted
     now would start on, and *on_idle* is told when a finishing worker
     frees one — the serving layer's work-conserving batcher splits what
@@ -104,7 +140,7 @@ class HeterogeneousWorkerPool:
 
     def __init__(
         self,
-        execute: Callable[[BatchJob], None],
+        execute: Callable[[BatchJob], Optional[str]],
         cpu_workers: int = 2,
         name: str = "serve",
         breaker=None,
@@ -123,8 +159,9 @@ class HeterogeneousWorkerPool:
             resource: threading.Condition(self._lock) for resource in (CPU, FABRIC)
         }
         self._queues: Dict[str, Deque[BatchJob]] = {CPU: deque(), FABRIC: deque()}
+        self._workers: Dict[str, int] = {CPU: cpu_workers, FABRIC: 1}
         #: Workers per resource that hold no job (parked, or about to park).
-        self._free: Dict[str, int] = {CPU: cpu_workers, FABRIC: 1}
+        self._free: Dict[str, int] = dict(self._workers)
         self._stopping = False
         self._drain = True
         self._threads: List[threading.Thread] = []
@@ -166,8 +203,16 @@ class HeterogeneousWorkerPool:
         with self._lock:
             if self._stopping:
                 raise ServerClosed("worker pool is shutting down")
-            self._queues[job.resource].append(job)
-            self._work_ready[job.resource].notify()
+            self._enqueue(job)
+
+    def _enqueue(self, job: BatchJob) -> None:
+        """Queue *job* behind every job at its stage or later (lock held)."""
+        queue = self._queues[job.resource]
+        index = len(queue)
+        while index and queue[index - 1].stage < job.stage:
+            index -= 1
+        queue.insert(index, job)
+        self._work_ready[job.resource].notify()
 
     def pending(self) -> int:
         with self._lock:
@@ -193,28 +238,41 @@ class HeterogeneousWorkerPool:
         while True:
             with work_ready:  # the pool lock, through this resource's condition
                 while not queue:
-                    if self._stopping:
+                    # A job held by any worker may still come back here.
+                    if self._stopping and self._free == self._workers:
                         return
                     work_ready.wait()
                 if self._stopping and not self._drain:
                     return
                 job = queue.popleft()
                 self._free[resource] -= 1
+            if job.stage == 0:  # one worker seam per batch, not per stage
+                try:
+                    faults.fire(faults.WORKER)
+                except faults.WorkerDeath:
+                    if self._die(resource, job):
+                        return
+                    # Dying during shutdown would strand the drain; the
+                    # injected death is recorded in the transcript but
+                    # this thread lives.
             try:
-                faults.fire(faults.WORKER)
-            except faults.WorkerDeath:
-                if self._die(resource, job):
-                    return
-                # Dying during shutdown would strand the drain; the injected
-                # death is recorded in the transcript but this thread lives.
-            try:
-                self._execute(job)
+                following = self._execute(job)
             except Exception as exc:  # noqa: BLE001 — routed to the futures
+                following = None
                 job.fail(exc)
             with self._lock:
                 self.executed += 1
                 self._free[resource] += 1
+                closed = following is not None and self._stopping and not self._drain
+                if following is not None and not closed:
+                    job.stage += 1
+                    job.resource = following
+                    self._enqueue(job)
+                elif self._stopping and self._free == self._workers:
+                    self._notify_everyone()  # nothing can come back: exit
                 went_idle = self._free_now(resource) > 0
+            if closed:
+                job.fail(ServerClosed("worker pool shut down mid-batch"))
             if went_idle and self.on_idle is not None:
                 self.on_idle(resource)
 
@@ -281,4 +339,4 @@ class HeterogeneousWorkerPool:
         return ok
 
 
-__all__ = ["FabricGate", "BatchJob", "HeterogeneousWorkerPool"]
+__all__ = ["FabricGate", "BatchJob", "HeterogeneousWorkerPool", "join_threads"]

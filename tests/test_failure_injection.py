@@ -1,9 +1,10 @@
 """Failure-injection tests: corrupted artifacts and misuse must fail loudly.
 
 "Errors should never pass silently" — these tests poke corrupted weight
-files, mangled binparam bundles, mismatched offload declarations and
-mid-pipeline crashes, asserting that every one surfaces as a clear error
-rather than silently wrong numbers.
+files, mangled binparam bundles and mismatched offload declarations,
+asserting that every one surfaces as a clear error rather than silently
+wrong numbers.  (A batch that crashes mid-flight in the served pipeline
+is covered by ``tests/test_serve_server.py``.)
 
 *Runtime* failures are injected through the production seams of
 :mod:`repro.faults` (never by monkeypatching internals): the same
@@ -190,41 +191,6 @@ class TestCorruptedBinparam:
         section = Section("offload", {"library": "fabric.so", "weights": directory})
         with pytest.raises(ValueError, match="binary"):
             backend.init(section, network.layers[0].out_shape)
-
-
-class TestPipelineCrashes:
-    def test_crash_in_middle_stage_propagates(self):
-        from repro.pipeline.scheduler import StageDescriptor
-        from repro.pipeline.workers import ThreadedPipeline
-
-        def boom(payload):
-            if payload == 3:
-                raise ValueError("frame 3 is cursed")
-            return payload
-
-        stages = [
-            StageDescriptor("pass", work=lambda x: x),
-            StageDescriptor("boom", work=boom),
-            StageDescriptor("pass2", work=lambda x: x),
-        ]
-        with pytest.raises(ValueError, match="cursed"):
-            ThreadedPipeline(stages, workers=4).process(range(8))
-
-    def test_crash_does_not_hang_workers(self):
-        """The pool must terminate (join) even when a stage dies early."""
-        import time
-
-        from repro.pipeline.scheduler import StageDescriptor
-        from repro.pipeline.workers import ThreadedPipeline
-
-        def boom(payload):
-            raise RuntimeError("immediate")
-
-        stages = [StageDescriptor("boom", work=boom)]
-        start = time.time()
-        with pytest.raises(RuntimeError):
-            ThreadedPipeline(stages, workers=4).process(range(100))
-        assert time.time() - start < 10.0
 
 
 class TestMisuse:

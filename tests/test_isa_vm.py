@@ -315,6 +315,66 @@ class TestFabricPrograms:
         assert gate.in_flight == 0
 
 
+class TestStages:
+    """The bind-time cut of a program into CPU and FABRIC stage jobs."""
+
+    def test_a_cpu_program_is_one_stage(self, rng):
+        network = _initialized(zoo.mlp4_config(), rng)
+        vm = PlanVM(_program(network, level=2), network)
+        assert [stage.resource for stage in vm.stages] == ["cpu"]
+        (stage,) = vm.stages
+        assert stage.stop == len(vm.program)
+        assert not any(i.is_compute for i in vm.program.instructions[: stage.start])
+
+    @pytest.mark.integration
+    def test_a_hybrid_program_is_cpu_fabric_cpu(self, rng, tmp_path):
+        from tests.test_serve_server import REGION_HEAD, _hybrid_offload_network
+
+        network = _hybrid_offload_network(rng, tmp_path, head=REGION_HEAD)
+        vm = PlanVM(decode(encode(_program(network, level=2))), network)
+        instructions = vm.program.instructions
+        assert [
+            [i.name for i in instructions[stage.start : stage.stop] if i.is_compute]
+            for stage in vm.stages
+        ] == [
+            ["#00 convolutional"],
+            ["#01 offload"],
+            ["#02 convolutional", "#03 region"],
+        ]
+        assert [stage.resource for stage in vm.stages] == ["cpu", "fabric", "cpu"]
+        # Each stage on a thread of its own computes what one run does.
+        fmb = FeatureMapBatch.from_maps(_frames(rng, network.input_shape, 2))
+        state = vm.start(fmb)
+        for _ in vm.stages:
+            thread = threading.Thread(target=vm.run_stage, args=(state,))
+            thread.start()
+            thread.join(60)
+        assert state.done
+        assert state.output.data.tobytes() == vm.run(fmb).data.tobytes()
+
+    @pytest.mark.integration
+    def test_a_failed_fabric_stage_can_run_again(self, rng, tmp_path):
+        from repro import faults
+        from tests.test_serve_server import _hybrid_offload_network
+
+        network = _hybrid_offload_network(rng, tmp_path)
+        vm = PlanVM(_program(network, level=2), network)
+        fmb = FeatureMapBatch.from_maps(_frames(rng, network.input_shape, 2))
+        expected = vm.run(fmb)
+        state = vm.start(fmb)
+        vm.run_stage(state)
+        with faults.install(faults.FaultPlan.parse("fabric-raise@0")):
+            with pytest.raises(faults.FabricError):
+                vm.run_stage(state)
+            assert state.stage == 1
+            vm.run_stage(state)  # occurrence 1 is past the plan
+        vm.run_stage(state)
+        assert [s.name for s in state.report.steps] == [
+            "#00 convolutional", "#01 offload", "#02 convolutional",
+        ]
+        assert state.output.data.tobytes() == expected.data.tobytes()
+
+
 class TestConcurrentRuns:
     """Two threads in one PlanVM at once — the serving pool's normal case."""
 

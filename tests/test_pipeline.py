@@ -1,6 +1,5 @@
-"""Pipeline tests: buffers (Fig. 6), scheduler, DES, threaded pool."""
+"""Pipeline tests: buffers (Fig. 6), scheduler, discrete-event simulator."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 from repro.pipeline.buffers import StageBuffer
 from repro.pipeline.scheduler import CPU, FABRIC, PipelineTopology, StageDescriptor
 from repro.pipeline.simulate import PipelineSimulator, sequential_time
-from repro.pipeline.workers import ThreadedPipeline, join_threads
 
 
 class TestStageBuffer:
@@ -61,6 +59,13 @@ class TestScheduler:
     def test_source_always_available(self):
         topology = PipelineTopology(_stages([1, 1]))
         assert topology.select_job(set(), set()) == 0
+
+    def test_dry_source_admits_no_frame(self):
+        topology = PipelineTopology(_stages([1, 1]))
+        assert topology.select_job(set(), set(), admit=False) is None
+        topology.buffers[0].begin_produce()
+        topology.buffers[0].finish_produce("f")
+        assert topology.select_job(set(), set(), admit=False) == 1
 
     def test_busy_fabric_blocks_stage(self):
         topology = PipelineTopology(_stages([1, 1], fabric_index=1))
@@ -165,302 +170,3 @@ class TestSimulator:
             PipelineSimulator(_stages([0.01]), workers=0)
         with pytest.raises(ValueError):
             PipelineSimulator(_stages([0.01]), workers=1).run(0)
-
-
-class TestThreadedPipeline:
-    def test_results_in_order(self):
-        stages = [
-            StageDescriptor("double", work=lambda x: x * 2),
-            StageDescriptor("inc", work=lambda x: x + 1),
-        ]
-        outputs = ThreadedPipeline(stages, workers=4).process(range(20))
-        assert outputs == [x * 2 + 1 for x in range(20)]
-
-    def test_single_worker(self):
-        stages = [StageDescriptor("inc", work=lambda x: x + 1)]
-        assert ThreadedPipeline(stages, workers=1).process([1, 2, 3]) == [2, 3, 4]
-
-    def test_fabric_resource_exclusive(self):
-        import threading
-
-        active = {"count": 0, "max": 0}
-        lock = threading.Lock()
-
-        def fabric_work(x):
-            with lock:
-                active["count"] += 1
-                active["max"] = max(active["max"], active["count"])
-            import time
-
-            time.sleep(0.001)
-            with lock:
-                active["count"] -= 1
-            return x
-
-        stages = [
-            StageDescriptor("pre", work=lambda x: x),
-            StageDescriptor("fab", work=fabric_work, resource=FABRIC),
-            StageDescriptor("post", work=lambda x: x),
-        ]
-        ThreadedPipeline(stages, workers=4).process(range(30))
-        assert active["max"] == 1
-
-    def test_exception_propagates(self):
-        def boom(x):
-            raise RuntimeError("stage exploded")
-
-        stages = [StageDescriptor("boom", work=boom)]
-        with pytest.raises(RuntimeError, match="stage exploded"):
-            ThreadedPipeline(stages, workers=2).process([1, 2])
-
-    def test_missing_work_rejected(self):
-        with pytest.raises(ValueError, match="work"):
-            ThreadedPipeline([StageDescriptor("idle")], workers=1)
-
-    def test_heavy_numpy_payloads(self, rng):
-        data = [rng.normal(size=(8, 8)) for _ in range(10)]
-        stages = [
-            StageDescriptor("square", work=lambda m: m @ m.T),
-            StageDescriptor("trace", work=lambda m: float(np.trace(m))),
-        ]
-        outputs = ThreadedPipeline(stages, workers=3).process(data)
-        expected = [float(np.trace(m @ m.T)) for m in data]
-        assert outputs == pytest.approx(expected)
-
-
-class TestThreadedPipelineErrorPropagation:
-    """A stage raising mid-frame must terminate the whole pool promptly.
-
-    Regression guard: idle workers park in ``work_ready.wait()``; the error
-    path must notify them and they must re-check the error flag, or the
-    pool deadlocks with the caller blocked in ``join()`` forever — most
-    easily with more workers than frames.
-    """
-
-    def _process_with_watchdog(self, pipeline, frames, timeout_s=20.0):
-        import threading
-
-        box = {}
-
-        def run():
-            try:
-                box["result"] = pipeline.process(frames)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                box["error"] = exc
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        thread.join(timeout_s)
-        assert not thread.is_alive(), "pipeline deadlocked after stage error"
-        return box
-
-    def test_mid_frame_error_with_more_workers_than_frames(self):
-        def boom(x):
-            if x == 1:
-                raise RuntimeError("frame 1 exploded")
-            return x
-
-        stages = [
-            StageDescriptor("pre", work=lambda x: x),
-            StageDescriptor("boom", work=boom),
-            StageDescriptor("post", work=lambda x: x),
-        ]
-        pipeline = ThreadedPipeline(stages, workers=8)
-        box = self._process_with_watchdog(pipeline, [0, 1, 2])
-        assert isinstance(box.get("error"), RuntimeError)
-        assert "frame 1 exploded" in str(box["error"])
-
-    def test_error_in_last_stage(self):
-        import time
-
-        def slow_sink(x):
-            time.sleep(0.002)
-            raise ValueError("sink rejected the frame")
-
-        stages = [
-            StageDescriptor("work", work=lambda x: x * 2),
-            StageDescriptor("sink", work=slow_sink),
-        ]
-        pipeline = ThreadedPipeline(stages, workers=6)
-        box = self._process_with_watchdog(pipeline, list(range(4)))
-        assert isinstance(box.get("error"), ValueError)
-
-    def test_single_worker_error_does_not_hang(self):
-        def boom(x):
-            raise KeyError("immediate")
-
-        pipeline = ThreadedPipeline(
-            [StageDescriptor("boom", work=boom)], workers=1
-        )
-        box = self._process_with_watchdog(pipeline, [1, 2, 3])
-        assert isinstance(box.get("error"), KeyError)
-
-    def test_clean_shutdown_after_error_reports_joined(self):
-        # After an in-flight error the workers exit on their own; a
-        # subsequent shutdown() must join them promptly and report success.
-        def boom(x):
-            raise RuntimeError("error then shutdown")
-
-        pipeline = ThreadedPipeline(
-            [StageDescriptor("boom", work=boom)], workers=4
-        )
-        box = self._process_with_watchdog(pipeline, [1, 2, 3])
-        assert isinstance(box.get("error"), RuntimeError)
-        assert pipeline.shutdown(timeout=5.0)
-
-    def test_pool_survives_for_reuse_after_error(self):
-        # process() builds fresh topology/threads per call: after an error
-        # the same ThreadedPipeline object must work again.
-        calls = {"n": 0}
-
-        def flaky(x):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("first call fails")
-            return x + 1
-
-        pipeline = ThreadedPipeline(
-            [StageDescriptor("flaky", work=flaky)], workers=3
-        )
-        box = self._process_with_watchdog(pipeline, [10])
-        assert isinstance(box.get("error"), RuntimeError)
-        assert pipeline.process([10, 20]) == [11, 21]
-
-
-class TestThreadedPipelineShutdown:
-    """stop()/shutdown(timeout) drain in-flight frames without deadlock."""
-
-    def _slow_pipeline(self, processed, gate, workers=4):
-        import time
-
-        def slow(x):
-            gate.wait(5.0)  # frames park here until the test opens the gate
-            time.sleep(0.002)
-            processed.append(x)
-            return x
-
-        stages = [
-            StageDescriptor("pre", work=lambda x: x),
-            StageDescriptor("slow", work=slow),
-            StageDescriptor("post", work=lambda x: x),
-        ]
-        return ThreadedPipeline(stages, workers=workers)
-
-    def test_stop_drains_in_flight_and_returns_partial(self):
-        import threading
-
-        processed = []
-        gate = threading.Event()
-        pipeline = self._slow_pipeline(processed, gate)
-        box = {}
-
-        def run():
-            box["result"] = pipeline.process(range(100))
-
-        runner = threading.Thread(target=run, daemon=True)
-        runner.start()
-        # Wait until the pipeline is really in flight, then stop it.
-        deadline = 5.0
-        import time
-
-        start = time.monotonic()
-        while not pipeline._active and time.monotonic() - start < deadline:
-            time.sleep(0.001)
-        assert pipeline.stop()
-        gate.set()  # release the slow stage; in-flight frames must drain
-        runner.join(10.0)
-        assert not runner.is_alive(), "stop() left the pipeline deadlocked"
-        # Far fewer than 100 frames ran, and every output is an in-order
-        # prefix of the input (no frame overtook another on the way out).
-        assert len(box["result"]) < 100
-        assert box["result"] == list(range(len(box["result"])))
-
-    def test_shutdown_joins_with_timeout(self):
-        import threading
-
-        processed = []
-        gate = threading.Event()
-        gate.set()  # no stalling: frames flow freely
-        pipeline = self._slow_pipeline(processed, gate, workers=2)
-        box = {}
-
-        def run():
-            box["result"] = pipeline.process(range(50))
-
-        runner = threading.Thread(target=run, daemon=True)
-        runner.start()
-        assert pipeline.shutdown(timeout=10.0)
-        runner.join(10.0)
-        assert not runner.is_alive()
-        assert "result" in box
-
-    def test_stop_without_active_run_is_false(self):
-        pipeline = ThreadedPipeline(
-            [StageDescriptor("id", work=lambda x: x)], workers=1
-        )
-        assert not pipeline.stop()
-        assert pipeline.shutdown(timeout=0.1)  # trivially joined
-
-    def test_results_complete_normally_without_stop(self):
-        # The shutdown machinery must not disturb a normal full run.
-        stages = [StageDescriptor("inc", work=lambda x: x + 1)]
-        pipeline = ThreadedPipeline(stages, workers=3)
-        assert pipeline.process(range(10)) == list(range(1, 11))
-        assert pipeline.shutdown(timeout=1.0)
-
-    def test_concurrent_process_calls_rejected(self):
-        import threading
-        import time
-
-        gate = threading.Event()
-
-        def block(x):
-            gate.wait(5.0)
-            return x
-
-        pipeline = ThreadedPipeline(
-            [StageDescriptor("block", work=block)], workers=1
-        )
-        runner = threading.Thread(
-            target=lambda: pipeline.process([1]), daemon=True
-        )
-        runner.start()
-        start = time.monotonic()
-        while not pipeline._active and time.monotonic() - start < 5.0:
-            time.sleep(0.001)
-        try:
-            with pytest.raises(RuntimeError, match="already processing"):
-                pipeline.process([2])
-        finally:
-            gate.set()
-            runner.join(5.0)
-        assert not runner.is_alive()
-
-
-class TestJoinThreads:
-    def test_shared_deadline_across_threads(self):
-        import threading
-        import time
-
-        stop = threading.Event()
-        threads = [
-            threading.Thread(target=stop.wait, args=(10.0,), daemon=True)
-            for _ in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        start = time.monotonic()
-        assert not join_threads(threads, timeout=0.2)
-        # One shared deadline: nowhere near 4 * 0.2s.
-        assert time.monotonic() - start < 2.0
-        stop.set()
-        assert join_threads(threads, timeout=5.0)
-
-    def test_join_finished_threads_is_true(self):
-        import threading
-
-        thread = threading.Thread(target=lambda: None)
-        thread.start()
-        thread.join()
-        assert join_threads([thread], timeout=0.1)
-        assert join_threads([], timeout=None)

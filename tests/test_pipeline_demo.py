@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.network import Network
-from repro.pipeline.demo import build_demo_stages, run_demo
+from repro.pipeline.demo import run_demo
 from repro.video.sink import CollectingSink
 from repro.video.source import SyntheticCamera
 
@@ -55,18 +55,6 @@ def demo_network(rng):
 
 
 class TestDemoStages:
-    def test_fig5_structure(self, demo_network):
-        camera = SyntheticCamera(seed=0)
-        sink = CollectingSink()
-        stages = build_demo_stages(demo_network, camera, sink)
-        # N network layers + 4 extra stages (Fig. 5: the pipeline is four
-        # stages longer than the user-specified underlying network).
-        assert len(stages) == len(demo_network.layers) + 4
-        assert stages[0].name == "#0 read-frame"
-        assert stages[1].name == "#1 letter-boxing"
-        assert stages[-2].name == "object-boxing"
-        assert stages[-1].name == "frame-drawing"
-
     def test_offload_layer_tagged_fabric(self, rng, tmp_path):
         # Reuse the offload round-trip fixture network from test_finn_offload.
         from repro.finn.offload_backend import export_offload
@@ -81,14 +69,13 @@ class TestDemoStages:
             directory=binparam,
         )
         hybrid = Network.from_cfg(HYBRID_CFG_TEMPLATE.format(binparam=binparam))
-        # Append a region head so the demo builder accepts it? Not needed:
-        # just verify the stage tagging logic on the layers directly.
-        from repro.pipeline.demo import build_demo_stages
-
+        # A hybrid network without a region head is refused before any
+        # frame is read.
         camera = SyntheticCamera(seed=0)
         sink = CollectingSink()
         with pytest.raises(ValueError, match="region"):
-            build_demo_stages(hybrid, camera, sink)
+            run_demo(hybrid, camera, sink, n_frames=1)
+        assert len(sink) == 0
 
     def test_requires_region_head(self, rng):
         network = Network.from_cfg(
@@ -96,7 +83,7 @@ class TestDemoStages:
             "[convolutional]\nfilters=4\nsize=1\nstride=1\npad=0\nactivation=linear\n"
         )
         with pytest.raises(ValueError, match="region"):
-            build_demo_stages(network, SyntheticCamera(seed=0), CollectingSink())
+            run_demo(network, SyntheticCamera(seed=0), CollectingSink(), n_frames=1)
 
 
 class TestRunDemo:

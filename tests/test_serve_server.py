@@ -29,7 +29,7 @@ from repro.finn.mvtu import Folding
 from repro.finn.offload_backend import export_offload
 from repro.nn import zoo
 from repro.nn.network import Network
-from repro.pipeline.scheduler import CPU, FABRIC
+from repro.core.resources import CPU, FABRIC
 from repro.serve import (
     InferenceServer,
     Overloaded,
@@ -54,8 +54,15 @@ def _mlp4(rng):
     return network
 
 
-def _hybrid_offload_network(rng, tmp_path):
-    """The mini CPU->fabric->CPU network of the Fig. 4 export tests."""
+#: A ``[region]`` head for the mini hybrid's 10-channel last conv.
+REGION_HEAD = "\n[region]\nclasses=5\nnum=1\nanchors=1.08,1.19\n"
+
+
+def _hybrid_offload_network(rng, tmp_path, head=""):
+    """The mini CPU->fabric->CPU network of the Fig. 4 export tests.
+
+    *head* is cfg text appended after the last conv (:data:`REGION_HEAD`).
+    """
     from tests.test_finn_offload import FULL_CFG, HYBRID_CFG_TEMPLATE, _trained
 
     full = _trained(rng, FULL_CFG)
@@ -67,7 +74,9 @@ def _hybrid_offload_network(rng, tmp_path):
         directory=binparam,
         folding=Folding(4, 4),
     )
-    hybrid = Network.from_cfg(HYBRID_CFG_TEMPLATE.format(binparam=binparam))
+    hybrid = Network.from_cfg(
+        HYBRID_CFG_TEMPLATE.format(binparam=binparam) + head
+    )
     for src_index, dst_index in ((0, 0), (4, 2)):
         src, dst = full.layers[src_index], hybrid.layers[dst_index]
         dst.weights = src.weights.copy()
@@ -82,29 +91,59 @@ def _hybrid_offload_network(rng, tmp_path):
 
 @contextlib.contextmanager
 def _held_in_vm(server, batches=None):
-    """Hold every batch inside ``server.vm.run`` until the block exits.
+    """Hold every batch inside ``server.vm.run_stage`` until the block exits.
 
-    Yields a semaphore released once per batch that entered the VM, so a
-    test knows — without sleeping — when a worker is busy.  Each batch's
-    size is appended to *batches* (when given) before it is announced.
+    Yields a semaphore released once per stage job that entered the VM, so
+    a test knows — without sleeping — when a worker is busy.  Each job's
+    batch size is appended to *batches* (when given) before it is
+    announced.
     """
     release = threading.Event()
     entered = threading.Semaphore(0)
-    run = server.vm.run
+    run_stage = server.vm.run_stage
 
-    def held(fmb, *args, **kwargs):
+    def held(state, *args, **kwargs):
         if batches is not None:
-            batches.append(fmb.batch)
+            batches.append(state.fmb.batch)
         entered.release()
         assert release.wait(60)
-        return run(fmb, *args, **kwargs)
+        return run_stage(state, *args, **kwargs)
 
-    server.vm.run = held
+    server.vm.run_stage = held
     try:
         yield entered
     finally:
         release.set()
-        del server.vm.run
+        del server.vm.run_stage
+
+
+def _record_steps(server):
+    """Record ``(step name, thread name)`` for each step the VM runs.
+
+    Call after ``start()``: it wraps the server's own step hook.
+    """
+    steps = []
+    observe = server.vm.on_step
+
+    def record(stats):
+        steps.append((stats.name, threading.current_thread().name))
+        observe(stats)
+
+    server.vm.on_step = record
+    return steps
+
+
+def _record_stage_modes(server):
+    """Record ``(stage index, fabric_mode)`` for each stage job run."""
+    calls = []
+    run_stage = server.vm.run_stage
+
+    def record(state, offload_guard=None, fabric_mode="fabric"):
+        calls.append((state.stage, fabric_mode))
+        return run_stage(state, offload_guard, fabric_mode)
+
+    server.vm.run_stage = record
+    return calls
 
 
 def _occupy_workers(server, entered, frames):
@@ -259,7 +298,7 @@ class TestFabricSerialization:
         config = ServeConfig(max_batch=2, max_delay_s=0.001, cpu_workers=3)
         direct = network.forward_batch(FeatureMapBatch.from_maps(frames))
         with InferenceServer(network, config) as server:
-            assert server.resource == FABRIC
+            assert [s.resource for s in server.vm.stages] == [CPU, FABRIC, CPU]
             served = server.infer_many(frames, timeout_s=60)
             gate = server.fabric_gate
             snapshot = server.metrics.snapshot()
@@ -273,11 +312,99 @@ class TestFabricSerialization:
             assert got.scale == expected.scale
             assert np.array_equal(got.data, expected.data)
 
+    def test_hybrid_stages_run_on_their_resource_workers(
+        self, rng, tmp_path, monkeypatch
+    ):
+        # The §III-F split on the product's pool: the CPU layers around
+        # the offload run on CPU workers, the offload on the one fabric
+        # executor, with two kernel lanes per CPU step.
+        from repro.core import lanes
+
+        monkeypatch.setattr(lanes, "_LANES", 2)
+        network = _hybrid_offload_network(rng, tmp_path, head=REGION_HEAD)
+        frames = _frames(rng, network.input_shape, 8)
+        direct = network.forward_batch(FeatureMapBatch.from_maps(frames))
+        config = ServeConfig(max_batch=2, max_delay_s=0.001, cpu_workers=2)
+        with InferenceServer(network, config) as server:
+            steps = _record_steps(server)
+            served = server.infer_many(frames, timeout_s=60)
+            gate = server.fabric_gate
+        assert {name for name, _ in steps} == {
+            "#00 convolutional",
+            "#01 offload",
+            "#02 convolutional",
+            "#03 region",
+        }
+        for name, thread in steps:
+            if name == "#01 offload":
+                assert thread == "serve-fabric-0"
+            else:
+                assert thread.startswith("serve-cpu-"), (name, thread)
+        assert gate.max_in_flight == 1
+        for expected, got in zip(direct.frames(), served):
+            assert got.scale == expected.scale
+            assert np.array_equal(got.data, expected.data)
+
+    def test_a_fabric_retry_reruns_the_offload_alone(self, rng, tmp_path):
+        from repro import faults
+
+        network = _hybrid_offload_network(rng, tmp_path)
+        frames = _frames(rng, network.input_shape, 2)
+        direct = network.forward_batch(FeatureMapBatch.from_maps(frames))
+        clock = VirtualClock()
+        config = ServeConfig(
+            max_batch=1, cpu_workers=1, warmup=False, max_retries=2,
+            breaker_probe_after_s=1000.0,
+        )
+        with faults.install(faults.FaultPlan.parse("fabric-raise@0"), clock=clock):
+            with InferenceServer(network, config, clock=clock) as server:
+                steps = _record_steps(server)
+                served = [server.infer(frame, timeout_s=60) for frame in frames]
+                resilience = server.metrics.snapshot()["resilience"]
+        assert resilience["fabric_retries"] == 1
+        # The retried batch ran its first conv once, not once per attempt.
+        assert [name for name, _ in steps] == [
+            "#00 convolutional", "#01 offload", "#02 convolutional",
+        ] * 2
+        for expected, got in zip(direct.frames(), served):
+            assert np.array_equal(got.data, expected.data)
+
+    def test_an_open_breaker_degrades_the_offload_alone(self, rng, tmp_path):
+        from repro import faults
+
+        network = _hybrid_offload_network(rng, tmp_path)
+        frames = _frames(rng, network.input_shape, 2)
+        direct = network.forward_batch(FeatureMapBatch.from_maps(frames))
+        clock = VirtualClock()
+        config = ServeConfig(
+            max_batch=1, cpu_workers=1, warmup=False, max_retries=0,
+            breaker_threshold=1, breaker_probe_after_s=1000.0,
+        )
+        with faults.install(faults.FaultPlan.parse("fabric-raise@0"), clock=clock):
+            with InferenceServer(network, config, clock=clock) as server:
+                calls = _record_stage_modes(server)
+                futures = []
+                for frame in frames:  # one at a time: batch 0, then batch 1
+                    futures.append(server.submit(frame))
+                    futures[-1].result(timeout=60)
+                resilience = server.metrics.snapshot()["resilience"]
+        assert resilience["degraded_inferences"] == 2
+        assert all(future.degraded for future in futures)
+        # Batch 0 fails on the fabric and trips the breaker; batch 1 meets
+        # it open.  Either way only stage 1, the offload, runs in
+        # reference mode, and the CPU stages run once each.
+        assert calls == [
+            (0, "fabric"), (1, "fabric"), (1, "reference"), (2, "fabric"),
+            (0, "fabric"), (1, "reference"), (2, "fabric"),
+        ]
+        for expected, future in zip(direct.frames(), futures):
+            assert np.array_equal(future.result().data, expected.data)
+
     def test_cpu_network_never_touches_the_gate(self, rng):
         network = _mlp4(rng)
         assert not network.uses_fabric
         with InferenceServer(network, ServeConfig(max_batch=4)) as server:
-            assert server.resource == CPU
+            assert [s.resource for s in server.vm.stages] == [CPU]
             server.infer_many(_frames(rng, network.input_shape, 6), timeout_s=60)
             assert server.fabric_gate.acquisitions == 0
             assert server.metrics.snapshot()["fabric_dispatches"] == 0
@@ -557,21 +684,23 @@ class TestWorkConservingBatching:
         assert snapshot["flush_causes"]["idle"] >= 2
         assert snapshot["completed"] == 3
 
-    def test_fabric_server_flushes_idle_onto_its_one_executor(self, rng, tmp_path):
+    def test_fabric_server_flushes_idle_to_cpu_workers(self, rng, tmp_path):
+        # A hybrid batch starts on a CPU worker, so free CPU workers make
+        # a fabric server idle; only its offload stage takes the executor.
         network = _hybrid_offload_network(rng, tmp_path)
         frames = _frames(rng, network.input_shape, 4)
         direct = network.forward_batch(FeatureMapBatch.from_maps(frames))
         clock = VirtualClock()
         config = ServeConfig(cpu_workers=3, **self.CONFIG)
         with InferenceServer(network, config, clock=clock) as server:
-            assert server.resource == FABRIC
+            assert [s.resource for s in server.vm.stages] == [CPU, FABRIC, CPU]
             served = [server.infer(frame, timeout_s=60) for frame in frames[:2]]
             with _held_in_vm(server) as entered:
-                # Free CPU workers do not make a fabric server idle.
                 futures = _occupy_workers(server, entered, frames[2:3])
-                assert server.pool.free(CPU) == 3
-                assert server.pool.free(FABRIC) == 0
-                futures.append(server.submit(frames[3]))
+                assert server.pool.free(CPU) == 2
+                assert server.pool.free(FABRIC) == 1
+                futures += _occupy_workers(server, entered, frames[3:4])
+                assert server.pool.free(CPU) == 1
             served += [future.result(timeout=60) for future in futures]
             gate = server.fabric_gate
             snapshot = server.metrics.snapshot()
@@ -614,26 +743,35 @@ class TestWorkConservingBatching:
             assert got.scale == expected.scale
             assert np.array_equal(got.data, expected.data)
 
-    def test_fabric_server_runs_a_queued_burst_as_one_batch(self, rng, tmp_path):
-        # The fabric executor is one worker, so its fair share of a burst
-        # is all of it: free CPU workers never split a fabric batch.
+    def test_fabric_server_splits_bursts_on_cpu_workers(
+        self, rng, tmp_path
+    ):
+        # A hybrid batch's first stage is a CPU job, so a queued burst is
+        # split over the free CPU workers, as on a CPU-only server; the
+        # two halves then take the one fabric executor in turn.
         network = _hybrid_offload_network(rng, tmp_path)
         frames = _frames(rng, network.input_shape, 8)
         direct = network.forward_batch(FeatureMapBatch.from_maps(frames))
         clock = VirtualClock()
         config = ServeConfig(cpu_workers=2, **dict(self.CONFIG, max_batch=8))
         server = InferenceServer(network, config, clock=clock)
-        assert server.resource == FABRIC
+        assert server.vm.stages[0].resource == CPU
         assert server.pool.free(CPU) == 2 and server.pool.free(FABRIC) == 1
         try:
             futures = _start_with_queued_burst(server, frames)
+            steps = _record_steps(server)
             served = [future.result(timeout=60) for future in futures]
             snapshot = server.metrics.snapshot()
         finally:
             assert server.stop(timeout=60)
         assert clock() == 0.0
-        assert snapshot["batch_histogram"] == {"8": 1}
-        assert server.fabric_gate.acquisitions == 1
+        assert snapshot["flush_causes"] == {"idle": 2}
+        assert snapshot["batch_histogram"] == {"4": 2}
+        assert server.fabric_gate.acquisitions == 2
+        assert server.fabric_gate.max_in_flight == 1
+        for name, thread in steps:
+            expected_worker = "serve-fabric-" if name == "#01 offload" else "serve-cpu-"
+            assert thread.startswith(expected_worker), (name, thread)
         for expected, got in zip(direct.frames(), served):
             assert got.scale == expected.scale
             assert np.array_equal(got.data, expected.data)

@@ -270,13 +270,13 @@ class TestZeroShards:
         with ShardedServer(network, config) as server:
             engine = server._local()
             release = threading.Event()
-            run = engine.vm.run
+            run_stage = engine.vm.run_stage
 
             def held(*args, **kwargs):
                 assert release.wait(60)
-                return run(*args, **kwargs)
+                return run_stage(*args, **kwargs)
 
-            engine.vm.run = held
+            engine.vm.run_stage = held
             try:
                 primary = server.submit(frames[0])
                 follower = server.submit(frames[0])

@@ -1,19 +1,22 @@
-"""HeterogeneousWorkerPool: free-worker accounting and per-resource wake-ups.
+"""HeterogeneousWorkerPool: free-worker accounting, wake-ups, stage jobs.
 
 The batcher's idle trigger rests on two promises of the pool: ``free``
 counts exactly the workers a job submitted now would start on, and
-``on_idle`` fires whenever a finishing worker frees one.  Jobs here
-are gated on events, so every state is observed without sleeping.
+``on_idle`` fires whenever a finishing worker frees one.  A job with
+stages left comes back to the queue of its next resource, most mature
+first, and shutdown neither strands nor loses it.  Jobs here are gated
+on events, so every state is observed without sleeping.
 """
 
 import sys
 import threading
+import types
 
 import pytest
 
-from repro.pipeline.scheduler import CPU, FABRIC
-from repro.serve.queue import ServerClosed
-from repro.serve.workers import BatchJob, HeterogeneousWorkerPool
+from repro.core.resources import CPU, FABRIC
+from repro.serve.queue import RequestFuture, ServerClosed
+from repro.serve.workers import BatchJob, HeterogeneousWorkerPool, join_threads
 
 
 class Gated:
@@ -134,3 +137,119 @@ class TestSingleWakeUp:
         assert pool.shutdown(timeout=30)
         with pytest.raises(ServerClosed):
             pool.submit(BatchJob([]))
+
+
+def _chain(resources):
+    """An ``execute`` whose jobs run one stage per entry of *resources*."""
+
+    def execute(job):
+        following = resources[job.stage + 1 :]
+        return following[0] if following else None
+
+    return execute
+
+
+class TestStageJobs:
+    def test_a_later_stage_goes_ahead_of_earlier_ones(self):
+        order, rest = [], {"x": [], "a": [CPU], "b": [], "c": []}
+        entered, hold = threading.Event(), threading.Event()
+
+        def execute(job):
+            order.append((job.cause, job.stage))
+            if job.cause == "x":
+                entered.set()
+                assert hold.wait(60)
+            return rest[job.cause].pop(0) if rest[job.cause] else None
+
+        fabric_idle = threading.Event()
+        pool = HeterogeneousWorkerPool(
+            execute,
+            cpu_workers=1,
+            on_idle=lambda resource: resource == FABRIC and fabric_idle.set(),
+        )
+        pool.start()
+        pool.submit(BatchJob([], cause="x"))
+        assert entered.wait(60)
+        pool.submit(BatchJob([], cause="b"))
+        pool.submit(BatchJob([], cause="c"))
+        pool.submit(BatchJob([], resource=FABRIC, cause="a"))
+        # "a" runs its fabric stage and queues for the busy CPU worker.
+        assert fabric_idle.wait(60)
+        hold.set()
+        assert pool.shutdown(timeout=30)
+        # Stage 1 of "a" overtakes the stage-0 jobs queued before it; the
+        # stage-0 jobs keep their order.
+        assert order == [("x", 0), ("a", 0), ("a", 1), ("b", 0), ("c", 0)]
+
+    def test_drain_runs_every_stage_of_a_job_in_flight(self):
+        seen, hold = [], threading.Event()
+        entered = threading.Event()
+        chain = _chain([CPU, FABRIC, CPU])
+
+        def execute(job):
+            seen.append(job.resource)
+            if job.stage == 0:
+                entered.set()
+                assert hold.wait(60)
+            return chain(job)
+
+        pool = HeterogeneousWorkerPool(execute, cpu_workers=2)
+        pool.start()
+        pool.submit(BatchJob([]))
+        assert entered.wait(60)
+        # Stopping while the job holds a CPU worker: nobody may exit yet.
+        assert not pool.shutdown(timeout=0.01)
+        hold.set()
+        assert pool.shutdown(timeout=30)
+        assert seen == [CPU, FABRIC, CPU]
+
+    def test_stop_without_drain_fails_a_job_between_stages(self):
+        seen, hold = [], threading.Event()
+        entered = threading.Event()
+        chain = _chain([CPU, FABRIC, CPU])
+        request = types.SimpleNamespace(future=RequestFuture())
+
+        def execute(job):
+            seen.append(job.resource)
+            entered.set()
+            assert hold.wait(60)
+            return chain(job)
+
+        pool = HeterogeneousWorkerPool(execute, cpu_workers=1)
+        pool.start()
+        pool.submit(BatchJob([request]))
+        assert entered.wait(60)
+        assert not pool.shutdown(timeout=0.01, drain=False)
+        hold.set()
+        assert pool.shutdown(timeout=30, drain=False)
+        assert seen == [CPU]
+        assert isinstance(request.future.exception(timeout=0), ServerClosed)
+
+
+class TestJoinThreads:
+    def test_shared_deadline_across_threads(self):
+        import threading
+        import time
+
+        stop = threading.Event()
+        threads = [
+            threading.Thread(target=stop.wait, args=(10.0,), daemon=True)
+            for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        start = time.monotonic()
+        assert not join_threads(threads, timeout=0.2)
+        # One shared deadline: nowhere near 4 * 0.2s.
+        assert time.monotonic() - start < 2.0
+        stop.set()
+        assert join_threads(threads, timeout=5.0)
+
+    def test_join_finished_threads_is_true(self):
+        import threading
+
+        thread = threading.Thread(target=lambda: None)
+        thread.start()
+        thread.join()
+        assert join_threads([thread], timeout=0.1)
+        assert join_threads([], timeout=None)

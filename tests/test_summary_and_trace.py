@@ -7,7 +7,6 @@ from repro.nn.summary import network_summary, summary_rows
 from repro.nn.zoo import tincy_yolo_config
 from repro.pipeline.scheduler import FABRIC, StageDescriptor
 from repro.pipeline.simulate import PipelineSimulator
-from repro.pipeline.trace import TracingSimulator
 
 
 class TestSummary:
@@ -65,12 +64,12 @@ class TestTrace:
     def test_trace_agrees_with_fast_simulator(self):
         stages = _stages([0.01, 0.02, 0.015, 0.02], fabric_index=2)
         fast = PipelineSimulator(stages, workers=3, job_overhead_s=0.002).run(40)
-        trace = TracingSimulator(stages, workers=3, job_overhead_s=0.002).run(40)
+        trace = PipelineSimulator(stages, workers=3, job_overhead_s=0.002).run(40).trace()
         assert trace.total_time_s == pytest.approx(fast.total_time_s, rel=1e-9)
 
     def test_every_frame_passes_every_stage(self):
         stages = _stages([0.01, 0.01, 0.01])
-        trace = TracingSimulator(stages, workers=2, job_overhead_s=0.0).run(10)
+        trace = PipelineSimulator(stages, workers=2, job_overhead_s=0.0).run(10).trace()
         for frame in range(10):
             visited = sorted(
                 e.stage for e in trace.entries if e.frame == frame
@@ -79,7 +78,7 @@ class TestTrace:
 
     def test_no_worker_runs_two_jobs_at_once(self):
         stages = _stages([0.01, 0.02, 0.015])
-        trace = TracingSimulator(stages, workers=4, job_overhead_s=0.001).run(30)
+        trace = PipelineSimulator(stages, workers=4, job_overhead_s=0.001).run(30).trace()
         for worker in range(4):
             entries = trace.worker_entries(worker)
             for earlier, later in zip(entries, entries[1:]):
@@ -87,7 +86,7 @@ class TestTrace:
 
     def test_fabric_jobs_never_overlap(self):
         stages = _stages([0.01, 0.02, 0.01], fabric_index=1)
-        trace = TracingSimulator(stages, workers=4, job_overhead_s=0.0).run(30)
+        trace = PipelineSimulator(stages, workers=4, job_overhead_s=0.0).run(30).trace()
         fabric_jobs = sorted(
             (e for e in trace.entries if e.stage == 1), key=lambda e: e.start_s
         )
@@ -96,13 +95,13 @@ class TestTrace:
 
     def test_busy_fractions_bounded(self):
         stages = _stages([0.01] * 4)
-        trace = TracingSimulator(stages, workers=2, job_overhead_s=0.0).run(20)
+        trace = PipelineSimulator(stages, workers=2, job_overhead_s=0.0).run(20).trace()
         for worker in range(2):
             assert 0.0 < trace.busy_fraction(worker) <= 1.0
 
     def test_gantt_renders(self):
         stages = _stages([0.01, 0.02, 0.015])
-        trace = TracingSimulator(stages, workers=2, job_overhead_s=0.0).run(10)
+        trace = PipelineSimulator(stages, workers=2, job_overhead_s=0.0).run(10).trace()
         text = trace.render_gantt(width=40)
         lines = text.splitlines()
         assert len(lines) == 2
@@ -111,6 +110,6 @@ class TestTrace:
 
     def test_stage_occupancy_sums_below_one(self):
         stages = _stages([0.01, 0.02])
-        trace = TracingSimulator(stages, workers=4, job_overhead_s=0.0).run(20)
+        trace = PipelineSimulator(stages, workers=4, job_overhead_s=0.0).run(20).trace()
         total = sum(trace.stage_occupancy().values())
         assert 0.0 < total <= 1.0 + 1e-9

@@ -261,8 +261,19 @@ def _dtype_min(dtype: np.dtype):
     return np.iinfo(dtype).min
 
 
+def separable_pool(ksize: int, stride: int, padding: int) -> bool:
+    """True for the 2x2 / stride-2 pool with no leading padding: when its
+    windows also stay inside the map it runs as two pair maxima."""
+    return ksize == stride == 2 and padding // 2 == 0
+
+
 def _maxpool2d_into(
-    x: np.ndarray, out: np.ndarray, ksize: int, stride: int, padding: int
+    x: np.ndarray,
+    out: np.ndarray,
+    ksize: int,
+    stride: int,
+    padding: int,
+    scratch: np.ndarray = None,
 ) -> None:
     """Pool ``(M, H, W)`` into preallocated ``(M, OH, OW)``, input dtype.
 
@@ -270,9 +281,29 @@ def _maxpool2d_into(
     kernel tap, no padded copy, no dtype promotion.  Max is a selection
     operation, so the result is bit-identical to the old float64-padded
     kernel cast back to the input dtype.
+
+    A :func:`separable_pool` whose windows all lie inside the map takes
+    the max of row pairs over whole contiguous rows, then of column pairs
+    — the same selection in two passes instead of four strided ones.
+    Its row maxima go to *scratch* (flat, *x*'s dtype, at least
+    ``M * OH * W`` elements) when given, else to a workspace buffer.
     """
-    _, h, w = x.shape
+    m, h, w = x.shape
     out_h, out_w = out.shape[1:]
+    if separable_pool(ksize, stride, padding) and (
+        2 * out_h <= h and 2 * out_w <= w
+    ):
+        if scratch is None:
+            rows = workspace.empty((m, out_h, w), x.dtype)
+        else:
+            rows = scratch[: m * out_h * w].reshape(m, out_h, w)
+        np.maximum(x[:, 0 : 2 * out_h : 2], x[:, 1 : 2 * out_h : 2], out=rows)
+        np.maximum(
+            rows[:, :, 0 : 2 * out_w : 2], rows[:, :, 1 : 2 * out_w : 2], out=out
+        )
+        if scratch is None:
+            workspace.release(rows)
+        return
     pad_before = padding // 2
     taps = _pool_taps(h, w, out_h, out_w, ksize, stride, pad_before)
     seed = None
@@ -558,6 +589,7 @@ __all__ = [
     "maxpool2d_batch",
     "maxpool2d_argmax",
     "maxpool2d_backward",
+    "separable_pool",
     "accumulates_exactly",
     "relu",
     "leaky_relu",

@@ -46,6 +46,12 @@ class Quantizer:
         raise NotImplementedError
 
 
+def level_dtype(bits: int) -> np.dtype:
+    """The dtype level codes of *bits* bits travel in: ``uint8`` up to 8
+    bits (every W1A3 map), ``int32`` beyond."""
+    return np.dtype(np.uint8 if bits <= 8 else np.int32)
+
+
 def round_half_up(x: np.ndarray) -> np.ndarray:
     """Round half away from zero for non-negative inputs (hardware rounding).
 
@@ -57,7 +63,11 @@ def round_half_up(x: np.ndarray) -> np.ndarray:
 
 
 def fits_uint8(data: np.ndarray) -> bool:
-    """True when *data* holds integer codes that all lie in ``0..255``."""
+    """True when *data* holds integer codes that all lie in ``0..255``.
+
+    This reads the data (a ``min`` and a ``max``); a ``uint8`` array needs
+    no such scan, so the level-code paths test the dtype first.
+    """
     return bool(
         np.issubdtype(data.dtype, np.integer)
         and data.size
@@ -72,13 +82,14 @@ def narrow_codes(data: np.ndarray):
     Activation levels are tiny non-negative codes (3-bit for W1A3), so the
     sliding-window lowering can move 1 byte per element; the accumulators
     downstream are exact either way, so the narrowing is bit-invisible.
-    Returns ``data`` itself when it is already ``uint8``; otherwise a
-    workspace-managed ``uint8`` copy (caller releases it).
+    Returns ``data`` itself when it is already ``uint8`` — proved by the
+    dtype, without reading the data; otherwise a workspace-managed
+    ``uint8`` copy (caller releases it).
     """
-    if not fits_uint8(data):
-        return None
     if data.dtype == np.uint8:
         return data
+    if not fits_uint8(data):
+        return None
     codes = workspace.empty(data.shape, np.uint8)
     np.copyto(codes, data, casting="unsafe")
     return codes
@@ -189,18 +200,25 @@ class UnsignedUniformQuantizer(Quantizer):
         return self.levels * self.scale
 
     def to_levels(self, x: np.ndarray) -> np.ndarray:
-        # floor(x/scale + 0.5) clipped to [0, levels] — the round_half_up
-        # pipeline, run in-place through one float64 workspace buffer (same
-        # ops, same order, same dtypes as the out-of-place expression, so
-        # bit-identical) instead of four full-size temporaries.
+        """``clip(floor(x / scale + 0.5), 0, levels)`` as level codes.
+
+        The codes are ``uint8`` for ``bits <= 8`` (:func:`level_dtype`).
+        NaN maps to level 0: the lower clip is ``fmax``, which drops a NaN
+        where ``clip`` would pass it on to an undefined integer cast.
+        """
+        # The round_half_up pipeline, run in-place through one float64
+        # workspace buffer (same ops, same order, same dtypes as the
+        # out-of-place expression, so bit-identical) instead of four
+        # full-size temporaries.
         x = np.asarray(x)
         buf = workspace.empty(x.shape, np.float64)
         np.copyto(buf, x)
         buf /= self.scale
         buf += 0.5
         np.floor(buf, out=buf)
-        np.clip(buf, 0, self.levels, out=buf)
-        codes = workspace.empty(x.shape, np.int32)
+        np.fmax(buf, 0, out=buf)
+        np.minimum(buf, self.levels, out=buf)
+        codes = workspace.empty(x.shape, level_dtype(self.bits))
         np.copyto(codes, buf, casting="unsafe")
         workspace.release(buf)
         return codes
@@ -303,6 +321,7 @@ __all__ = [
     "UnsignedUniformQuantizer",
     "AffineQuantizer",
     "round_half_up",
+    "level_dtype",
     "fits_uint8",
     "narrow_codes",
 ]

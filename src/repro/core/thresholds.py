@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import workspace
-from repro.core.quantize import round_half_up
+from repro.core.quantize import level_dtype, round_half_up
 
 
 @dataclass
@@ -58,17 +58,22 @@ class ThresholdActivation:
     def apply(self, acc: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Map integer accumulators ``(C, ...)`` to output levels ``0..2**bits-1``.
 
-        ``out`` (optional) receives the levels in place; it must be an
-        ``int32`` array of ``acc``'s shape.  This lets callers route the
-        result into workspace-managed storage instead of a fresh heap
-        allocation per call.
+        The levels are ``uint8`` codes for ``bits <= 8``
+        (:func:`repro.core.quantize.level_dtype`).  ``out`` (optional)
+        receives them in place; it must be an array of that dtype and of
+        ``acc``'s shape.  This lets callers route the result into
+        workspace-managed storage instead of a fresh heap allocation per
+        call.
         """
         if acc.shape[0] != self.channels:
             raise ValueError(
                 f"accumulator has {acc.shape[0]} channels, expected {self.channels}"
             )
-        if out is not None and (out.shape != acc.shape or out.dtype != np.int32):
-            raise ValueError("out must be an int32 array matching acc's shape")
+        dtype = level_dtype(self.bits)
+        if out is not None and (out.shape != acc.shape or out.dtype != dtype):
+            raise ValueError(
+                f"out must be a {dtype} array matching acc's shape"
+            )
         if self.thresholds.shape[-1] <= 16:
             fast = self._apply_compare(acc, out)
             if fast is not None:
@@ -82,7 +87,7 @@ class ThresholdActivation:
             return out
         n_thresh = self.thresholds.shape[-1]
         if out is None:
-            out = np.empty(acc.shape, dtype=np.int32)
+            out = np.empty(acc.shape, dtype=dtype)
         for ch, (sign, ascending) in enumerate(plan):
             channel = np.asarray(acc[ch])
             flat = channel.reshape(-1)
@@ -124,19 +129,15 @@ class ThresholdActivation:
                 acc.shape, np.result_type(acc.dtype, self.signs.dtype)
             )
             np.multiply(acc, self.signs[col], out=signed)
-        # n_thresh <= 16, so hit counts fit a uint8 accumulator; the int32
-        # widening happens once at the end instead of per compare.
-        hits = workspace.empty(acc.shape, np.uint8)
-        hits.fill(0)
+        # n_thresh <= 16, so hit counts fit the uint8 level codes directly.
+        if out is None:
+            out = np.empty(acc.shape, dtype=np.uint8)
+        out.fill(0)
         cmp = workspace.empty(acc.shape, np.bool_)
         for k in range(thr.shape[-1]):
             np.greater_equal(signed, thr[:, k][col], out=cmp)
-            hits += cmp
-        if out is None:
-            out = np.empty(acc.shape, dtype=np.int32)
-        np.copyto(out, hits, casting="unsafe")
+            out += cmp
         workspace.release(cmp)
-        workspace.release(hits)
         if signed is not acc:
             workspace.release(signed)
         return out
@@ -165,7 +166,7 @@ class ThresholdActivation:
         hits = np.where(
             sign[..., None] > 0, acc_exp >= thr, acc_exp <= thr
         )
-        return hits.sum(axis=-1).astype(np.int32)
+        return hits.sum(axis=-1).astype(level_dtype(self.bits))
 
     def _sorted_plan(self):
         """Cached per-channel ascending threshold vectors for searchsorted.
@@ -240,20 +241,29 @@ def derive_thresholds(
                            0, 2**bits - 1)
     """
     gamma = np.asarray(gamma, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)[:, np.newaxis]
-    mean = np.asarray(mean, dtype=np.float64)[:, np.newaxis]
+    beta = np.asarray(beta, dtype=np.float64)
+    mean = np.asarray(mean, dtype=np.float64)
     var = np.asarray(var, dtype=np.float64)
     n_thresh = (1 << bits) - 1
+    levels = np.arange(1, n_thresh + 1)
+
+    def reaches(acc: np.ndarray) -> np.ndarray:
+        """Whether the reference puts accumulator ``acc[c, ..., k-1]`` at
+        level ``k`` or above."""
+        return float_reference_activation(
+            acc, gamma, beta, mean, var, in_scale, out_scale, bits, eps
+        ) >= levels
+
     inv_sigma = gamma / np.sqrt(var + eps)
     # Output level >= k  <=>  y >= out_scale * (k - 0.5); solve for acc, all
     # (channel, level) pairs at once.  The level values are scalar products
     # so a float32 ``out_scale`` rounds exactly as it would element by element.
     y = np.array(
-        [out_scale * (k - 0.5) for k in range(1, n_thresh + 1)], dtype=np.float64
+        [out_scale * (k - 0.5) for k in levels], dtype=np.float64
     )
     constant = inv_sigma == 0.0
     slope = np.where(constant, 1.0, inv_sigma)[:, np.newaxis]
-    acc_real = (mean + (y - beta) / slope) / in_scale
+    acc_real = (mean[:, np.newaxis] + (y - beta[:, np.newaxis]) / slope) / in_scale
     # acc >= ceil(.) for rising channels, acc <= floor(.) for falling ones
     # (their thresholds descend in k; apply() counts hits, order is irrelevant).
     edge = np.where(
@@ -263,14 +273,112 @@ def derive_thresholds(
     edge[constant] = 0.0
     if not np.all(np.abs(edge) < 2.0**63):
         raise OverflowError("a derived threshold does not fit int64")
+    # The closed form misses by one where the reference's float64 rounding
+    # meets a tie (an accumulator landing on ``y``): step each edge onto the
+    # least (falling channel: greatest) accumulator the reference itself
+    # puts at level k, so the table is the reference by construction.
+    step = np.copysign(np.ones_like(edge), slope)
+    fixable = ~constant[:, np.newaxis] & (np.abs(edge) < 2.0**53)
+    for _ in range(4):
+        probe = reaches(np.stack([edge, edge - step], axis=1))
+        inward = fixable & ~probe[:, 0]
+        outward = fixable & probe[:, 1]
+        if not (inward.any() or outward.any()):
+            break
+        edge = edge + step * inward - step * outward
     huge = np.int64(2**62)
+    always = np.zeros(edge.shape, dtype=bool)
+    if constant.any():
+        always = reaches(np.zeros_like(edge))
     thresholds = np.where(
-        constant[:, np.newaxis], np.where(beta >= y, -huge, huge), edge.astype(np.int64)
+        constant[:, np.newaxis], np.where(always, -huge, huge), edge.astype(np.int64)
     )
     signs = np.where(inv_sigma < 0, -1, 1)
     return ThresholdActivation(
         thresholds=thresholds, signs=signs.astype(np.int8), bits=bits
     )
+
+
+#: Ordered keys of the float32 bit patterns: ``key(x) < key(y)`` iff
+#: ``x < y`` for non-NaN ``x, y`` (``-0.0`` sits one key below ``+0.0``).
+#: ``+-inf`` are the outermost non-NaN keys.
+_KEY_POS_INF = int(np.float32(np.inf).view(np.int32))
+_KEY_NEG_INF = -_KEY_POS_INF - 1
+
+
+def _float32_of_keys(keys: np.ndarray) -> np.ndarray:
+    """The float32 values of ordered keys (the key map is an involution)."""
+    bits = keys.astype(np.int32)
+    bits = np.where(bits < 0, bits ^ np.int32(0x7FFFFFFF), bits)
+    return bits.view(np.float32)
+
+
+def bisect_thresholds(levels_of, signs: np.ndarray, bits: int) -> np.ndarray:
+    """Float32 thresholds for a float epilogue, by bisection over bit patterns.
+
+    *levels_of* maps a float32 ``(C, 2**bits - 1)`` array of accumulators
+    (channel on axis 0) to output levels; it must be non-decreasing in
+    ``signs[c] * acc`` on every channel ``c`` — which holds for a BN with
+    gain sign ``signs[c]``, a ReLU/leaky/linear activation and an
+    unsigned uniform quantizer, since each float op is monotone.  Returns
+    the sign-folded table ``U`` of shape ``(C, 2**bits - 1)``::
+
+        levels_of(acc)[c] == #{k : signs[c] * acc >= U[c, k]}
+
+    for every float32 ``acc`` including ``+-inf`` (see :func:`count_hits`).
+    ``U[c, k-1]`` is the least float32 ``x`` (in bit-pattern order) at
+    which ``levels_of(signs[c] * x) >= k``, found for all channels and
+    levels at once in 32 evaluations of *levels_of*; ``-inf`` means every
+    accumulator reaches level ``k``, NaN that none does.  So the table is
+    *levels_of* itself, not a derivation of it.
+
+    A zero-gain channel is constant on finite accumulators but its float
+    BN computes ``inf * 0 = NaN`` at ``+-inf``.  Bisection never evaluates
+    the ends there, so the table counts ``+inf`` like the finite
+    accumulators (the channel's constant level) and ``-inf`` as level 0.
+    """
+    signs = np.asarray(signs).astype(np.float32)[:, np.newaxis]
+    n_thresh = (1 << bits) - 1
+    wanted = np.arange(1, n_thresh + 1)
+    shape = (signs.shape[0], n_thresh)
+    # Invariant: levels_of(lo) < k <= levels_of(hi), with virtual keys one
+    # past either end standing for "every" and "no" accumulator.
+    lo = np.full(shape, _KEY_NEG_INF - 1, dtype=np.int64)
+    hi = np.full(shape, _KEY_POS_INF + 1, dtype=np.int64)
+    while True:
+        open_ = hi - lo > 1
+        if not open_.any():
+            break
+        mid = (lo + hi) // 2
+        acc = signs * _float32_of_keys(mid)
+        # The probes span the whole float32 range: overflow to +-inf and
+        # inf * 0 are part of the function being tabulated, not errors.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            reached = np.asarray(levels_of(acc)) >= wanted
+        hi = np.where(open_ & reached, mid, hi)
+        lo = np.where(open_ & ~reached, mid, lo)
+    table = _float32_of_keys(np.minimum(hi, _KEY_POS_INF))
+    table[hi > _KEY_POS_INF] = np.nan
+    return table
+
+
+def count_hits(
+    acc: np.ndarray, table: np.ndarray, hits: np.ndarray, cmp: np.ndarray
+) -> np.ndarray:
+    """``hits[c, p] = #{k : acc[c, p] >= table[c, k]}`` as ``uint8``.
+
+    *acc* ``(C, P)`` holds sign-folded accumulators ``s * acc`` and
+    *table* ``(C, K)`` sign-folded thresholds, float32 both; *hits* and
+    *cmp* are ``uint8`` scratch of *acc*'s shape.  A NaN accumulator or
+    threshold compares false: NaN is level 0, and a NaN threshold is never
+    reached.
+    """
+    np.greater_equal(acc, table[:, 0:1], out=hits.view(np.bool_))
+    flags = cmp.view(np.bool_)
+    for index in range(1, table.shape[1]):
+        np.greater_equal(acc, table[:, index : index + 1], out=flags)
+        np.add(hits, cmp, out=hits)
+    return hits
 
 
 def float_reference_activation(
@@ -299,6 +407,8 @@ def float_reference_activation(
 
 __all__ = [
     "ThresholdActivation",
+    "bisect_thresholds",
+    "count_hits",
     "derive_thresholds",
     "float_reference_activation",
     "monotone_violations",

@@ -28,8 +28,11 @@ model read it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.quantize import level_dtype
 from repro.core.resources import CPU, FABRIC
 
 #: Pseudo buffer id of the network input (the video source's output).
@@ -55,12 +58,35 @@ class PlanStep:
     out_shape: Tuple[int, int, int]
     ops: int
     layer: object = field(compare=False, repr=False, default=None)
+    #: The dtype the step's output map travels in (:func:`emitted_dtype`).
+    out_dtype: np.dtype = np.dtype(np.float32)
 
     @property
     def out_elements(self) -> int:
         """Output elements per frame."""
         c, h, w = self.out_shape
         return int(c) * int(h) * int(w)
+
+
+def emitted_dtype(layer, in_dtypes: Sequence[np.dtype]) -> np.dtype:
+    """The dtype *layer* emits its output map in, read from its config.
+
+    A quantized output is level codes (``uint8`` up to 8 bits), a ``sign``
+    activation ``int8`` codes; a pool or reorg moves its input's elements
+    as they are, and an offload emits what its backend declares
+    (``out_dtype``).  Everything else — float maps, and a route, which
+    concatenates in the value domain when its inputs' scales differ — is
+    priced as float32, the widest map dtype.
+    """
+    quant = getattr(layer, "out_quant", None)
+    if quant is not None:
+        return level_dtype(quant.bits)
+    if getattr(layer, "activation", None) == "sign":
+        return np.dtype(np.int8)
+    if layer.ltype in ("maxpool", "reorg"):
+        return np.dtype(in_dtypes[0])
+    declared = getattr(getattr(layer, "backend", None), "out_dtype", None)
+    return np.dtype(declared or np.float32)
 
 
 @dataclass
@@ -114,33 +140,40 @@ class ExecutionPlan:
 
     # -- memory accounting -------------------------------------------------
 
-    def _buffer_elements(self, buffer_id: int) -> int:
+    def _buffer_bytes(self, buffer_id: int, bytes_per_element: Optional[int]) -> int:
         if buffer_id == INPUT:
             c, h, w = self.input_shape
-            return int(c) * int(h) * int(w)
-        return self.steps[buffer_id].out_elements
+            elements, itemsize = int(c) * int(h) * int(w), 4
+        else:
+            step = self.steps[buffer_id]
+            elements, itemsize = step.out_elements, step.out_dtype.itemsize
+        return elements * (itemsize if bytes_per_element is None else bytes_per_element)
 
-    def peak_live_bytes(self, bytes_per_element: int = 4) -> int:
+    def peak_live_bytes(self, bytes_per_element: Optional[int] = None) -> int:
         """Compile-time high-water estimate of live buffer bytes per frame.
 
         Walks the schedule: while step ``j`` runs, its output coexists with
         every buffer still live (inputs are released only *after* their
-        last consumer finishes).  The default 4 bytes/element matches the
-        float32/int32-level-code maps the numpy substrate actually passes,
-        so the estimate reconciles with the VM's measured
-        ``nbytes`` high-water and with :func:`repro.perf.memory.
-        network_memory` float32 activation pricing.
+        last consumer finishes).  By default each slot is priced at the
+        dtype its producer emits (``PlanStep.out_dtype``): one byte for
+        ``int8`` sign codes and ``uint8`` level codes, four for float32
+        maps (the network input is float32) — the maps the numpy substrate
+        actually passes, so the estimate reconciles with the VM's measured
+        ``nbytes`` high-water.  A *bytes_per_element* prices every slot
+        alike instead.
         """
-        live: Dict[int, int] = {INPUT: self._buffer_elements(INPUT)}
+        live: Dict[int, int] = {INPUT: self._buffer_bytes(INPUT, bytes_per_element)}
         peak = sum(live.values())
         for step in self.steps:
-            live[step.index] = step.out_elements
+            live[step.index] = self._buffer_bytes(step.index, bytes_per_element)
             peak = max(peak, sum(live.values()))
             for victim in self.release_after.get(step.index, ()):
                 live.pop(victim, None)
-        return peak * bytes_per_element
+        return peak
 
-    def arena_budget(self, batch: int, bytes_per_element: int = 4) -> int:
+    def arena_budget(
+        self, batch: int, bytes_per_element: Optional[int] = None
+    ) -> int:
         """Arena sizing hint for a batch-``batch`` run.
 
         The VM's arena reuses buffers as the liveness schedule frees
@@ -163,6 +196,7 @@ def compile_plan(network) -> ExecutionPlan:
     happen here, once; nothing downstream inspects layer types again.
     """
     steps: List[PlanStep] = []
+    dtypes: Dict[int, np.dtype] = {INPUT: np.dtype(np.float32)}
     for index, layer in enumerate(network.layers):
         chain = index - 1 if index > 0 else INPUT
         edges: Tuple[int, ...] = (chain,)
@@ -175,6 +209,7 @@ def compile_plan(network) -> ExecutionPlan:
                     f"outside [0, {index})"
                 )
             edges = (chain,) + tuple(int(d) for d in dependencies)
+        dtypes[index] = emitted_dtype(layer, [dtypes[e] for e in edges])
         steps.append(
             PlanStep(
                 index=index,
@@ -185,6 +220,7 @@ def compile_plan(network) -> ExecutionPlan:
                 out_shape=tuple(layer.out_shape),
                 ops=int(layer.workload().ops),
                 layer=layer,
+                out_dtype=dtypes[index],
             )
         )
     if not steps:
@@ -213,4 +249,4 @@ def compile_plan(network) -> ExecutionPlan:
     )
 
 
-__all__ = ["INPUT", "PlanStep", "ExecutionPlan", "compile_plan"]
+__all__ = ["INPUT", "PlanStep", "ExecutionPlan", "compile_plan", "emitted_dtype"]

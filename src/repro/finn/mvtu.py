@@ -32,7 +32,7 @@ from repro.core.bitpack import bitserial_dot, pack_bits, pack_levels
 from repro.core.fused import BandKernel
 from repro.core.im2col import im2col
 from repro.core.ops import accumulates_exactly
-from repro.core.quantize import narrow_codes
+from repro.core.quantize import level_dtype, narrow_codes
 from repro.core.tensor import FeatureMap, FeatureMapBatch, conv_output_size
 from repro.core.thresholds import ThresholdActivation
 
@@ -240,7 +240,7 @@ class MVTUConvLayer:
             workspace.release(codes)
         out_levels = self.mvtu.matmat(cols).reshape(out_c, out_h, out_w)
         workspace.release(cols)
-        return FeatureMap(out_levels.astype(np.int32), scale=self.out_scale)
+        return FeatureMap(out_levels, scale=self.out_scale)
 
     def forward_batch(self, fmb: FeatureMapBatch, pool=None) -> FeatureMapBatch:
         """Batched forward, with the stage's *pool* (if any) fused in.
@@ -267,7 +267,10 @@ class MVTUConvLayer:
             shape = self.out_shape(levels.shape[1:])
             if pool is not None:
                 shape = pool.out_shape(shape)
-            out = workspace.empty((levels.shape[0],) + tuple(shape), np.int32)
+            out = workspace.empty(
+                (levels.shape[0],) + tuple(shape),
+                level_dtype(self.mvtu.thresholds.bits),
+            )
             for i, frame in enumerate(fmb.frames()):
                 fm = self.forward(frame)
                 out[i] = (fm if pool is None else pool.forward(fm)).data

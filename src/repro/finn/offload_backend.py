@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro import faults
+from repro.core.quantize import level_dtype
 from repro.core.tensor import FeatureMap, FeatureMapBatch
 from repro.core.thresholds import ThresholdActivation
 from repro.finn.accelerator import (
@@ -147,6 +148,14 @@ class FabricBackend:
         self._meta = None
         self._arrays = None
 
+    @property
+    def out_dtype(self):
+        """The dtype of the maps this backend emits: the last stage's
+        level codes (``uint8`` for W1A3)."""
+        if self._meta is None:
+            return None
+        return level_dtype(int(self._meta["stages"][-1]["bits"]))
+
     # -- Fig. 3 life cycle -----------------------------------------------------
 
     def init(self, section: Section, in_shape: Tuple[int, int, int]):
@@ -219,11 +228,13 @@ class FabricBackend:
         levels = self._validate_input(fmb, "reference_forward_batch")
         batch = FeatureMapBatch(levels, scale=fmb.scale)
         if batch.batch == 0:
+            last = self.accelerator.stages[-1].conv
             return FeatureMapBatch(
                 np.zeros(
-                    (0,) + tuple(self.accelerator.out_shape), dtype=np.int32
+                    (0,) + tuple(self.accelerator.out_shape),
+                    dtype=level_dtype(last.mvtu.thresholds.bits),
                 ),
-                scale=self.accelerator.stages[-1].conv.out_scale,
+                scale=last.out_scale,
             )
         return FeatureMapBatch.from_maps(
             [self.accelerator.forward(frame) for frame in batch.frames()]

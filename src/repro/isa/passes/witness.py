@@ -76,6 +76,10 @@ AXIOM_NAMES = frozenset(
 #: real kernels (ROADMAP "test the axioms"); axioms without an entry are
 #: still trusted, not tested.
 AXIOM_KERNEL_TESTS = {
+    AX_REQUANT_FOLD: (
+        "tests/test_threshold_properties.py::TestRequantSplitCompose::"
+        "test_float_tables_equal_the_float_epilogue"
+    ),
     AX_FUSED_CHAIN: (
         "tests/test_dtype_kernels.py::TestBandKernel::"
         "test_equals_single_frame_chain_and_bitserial"

@@ -32,9 +32,10 @@ from repro.core.ops import (
 from repro.core.quantize import (
     BinaryQuantizer,
     UnsignedUniformQuantizer,
+    level_dtype,
     narrow_codes,
 )
-from repro.core.thresholds import derive_thresholds
+from repro.core.thresholds import bisect_thresholds, derive_thresholds
 from repro.core.tensor import FeatureMap, FeatureMapBatch, conv_output_size
 from repro.nn.config import Section
 from repro.nn.layers.base import Layer, LayerWorkload, WeightSink, WeightSource
@@ -108,6 +109,8 @@ class ConvolutionalLayer(Layer):
         self._threshold_cache = None
         # (ThresholdActivation, effective weights, BandKernel).
         self._band_cache = None
+        # (parameter arrays, float-input BandKernel) of a non-binary layer.
+        self._float_band_cache = None
         # Parameters (allocated in init once the input depth is known).
         self.weights: np.ndarray = None
         self.biases: np.ndarray = None
@@ -285,7 +288,7 @@ class ConvolutionalLayer(Layer):
         return FeatureMapBatch(acc, scale=fmb.scale)
 
     def forward_batch_thresholds(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
-        """Threshold half: accumulator -> int32 levels (same per-frame
+        """Threshold half: accumulator -> ``uint8`` levels (same per-frame
         ``thr.apply`` loop as :meth:`_integer_forward`)."""
         self._require_initialized()
         thr = self._thresholds_for(fmb.scale)
@@ -295,7 +298,7 @@ class ConvolutionalLayer(Layer):
                 f"in_scale {fmb.scale}"
             )
         acc = fmb.data
-        levels = workspace.empty(acc.shape, np.int32)
+        levels = workspace.empty(acc.shape, level_dtype(thr.bits))
         c = acc.shape[1]
         for i in range(acc.shape[0]):
             thr.apply(acc[i].reshape(c, -1), out=levels[i].reshape(c, -1))
@@ -322,7 +325,7 @@ class ConvolutionalLayer(Layer):
         The GEMM multiplies ±1 float32 weights against level codes cast to
         float32 — every partial sum is an exact integer below 2**24, so
         float32 accumulation is exact and order-independent.  Returns the
-        int32 level map, or ``None`` when the layer/input does not qualify.
+        ``uint8`` level map, or ``None`` when the layer/input does not qualify.
         This is the independent reference the batched band kernel
         (:meth:`forward_batch_pooled`) is pinned against.
         """
@@ -335,7 +338,7 @@ class ConvolutionalLayer(Layer):
         acc = conv2d(codes, self.effective_weights(), None, self.stride, self.pad)
         if codes is not data:
             workspace.release(codes)
-        levels = workspace.empty(acc.shape, np.int32)
+        levels = workspace.empty(acc.shape, level_dtype(thr.bits))
         c = acc.shape[0]
         thr.apply(acc.reshape(c, -1), out=levels.reshape(c, -1))
         workspace.release(acc)
@@ -362,20 +365,77 @@ class ConvolutionalLayer(Layer):
         self._band_cache = (thr, weights, kernel)
         return kernel
 
+    def _float_band_kernel(self):
+        """The float-input :class:`BandKernel` of a non-binary layer with
+        an unsigned output quantizer, or ``None``.
+
+        This is the paper's first layer (§III-D gives it a kernel of its
+        own): float32 values against float weights, with BN + activation +
+        quantizer folded into per-channel float32 thresholds the way the
+        hidden layers fold theirs (§III-A).  The table is found by
+        :func:`~repro.core.thresholds.bisect_thresholds` with this layer's
+        own :meth:`_epilogue` and ``to_levels`` as the predicate, so it
+        *is* that float epilogue for every float32 accumulator; each
+        channel's sign is that of the BN gain as the epilogue computes it.
+        Cached on the identity of the parameter arrays.
+        """
+        if (
+            self.binary
+            or self.ternary
+            or self.out_quant is None
+            or self.out_quant.bits > 8
+            or self.activation not in ("linear", "relu", "leaky")
+            or self.weights.dtype != np.float32
+        ):
+            return None
+        params = (
+            self.weights, self.biases, self.scales, self.rolling_mean,
+            self.rolling_var,
+        )
+        cached = self._float_band_cache
+        if cached is not None and all(a is b for a, b in zip(cached[0], params)):
+            return cached[1]
+        signs = np.ones(self.filters, dtype=np.int8)
+        if self.batch_normalize:
+            # batchnorm_inference's gain, computed the same way.
+            gain = self.scales / np.sqrt(self.rolling_var + BN_EPS)
+            signs[gain < 0] = -1
+
+        def levels_of(acc: np.ndarray) -> np.ndarray:
+            return self.out_quant.to_levels(self._epilogue(acc, channel_axis=0))
+
+        kernel = BandKernel.fold_float(
+            self.weights.reshape(self.filters, -1),
+            signs,
+            bisect_thresholds(levels_of, signs, self.out_quant.bits),
+            self.in_shape[0], self.size, self.stride, self.pad,
+        )
+        self._float_band_cache = (params, kernel)
+        return kernel
+
     def forward_batch_pooled(self, fmb: FeatureMapBatch, pool=None):
-        """conv (+ *pool*) on the exact integer band kernel, or ``None``.
+        """conv (+ *pool*) on a :class:`BandKernel`, or ``None``.
 
         *pool* is an optional max-pool layer applied to the conv output in
-        the same pass.  ``None`` means the layer or the input does not
-        qualify (float layer, non-level input) and nothing was computed.
+        the same pass.  A binary layer runs the exact integer kernel on
+        level codes; a non-binary quantized layer runs the float-input
+        kernel of :meth:`_float_band_kernel` on the input's values.
+        ``None`` means the layer or the input does not qualify (float
+        output, non-level input to a binary layer) and nothing was
+        computed.
         """
         self._require_initialized()
+        pool = pool and (pool.size, pool.stride, pool.padding)
         kernel = self._band_kernel(fmb.scale)
-        if kernel is None:
+        if kernel is not None:
+            levels = kernel.run(fmb.data, pool)
+        elif self.binary:
             return None
-        levels = kernel.run(
-            fmb.data, pool and (pool.size, pool.stride, pool.padding)
-        )
+        else:
+            kernel = self._float_band_kernel()
+            if kernel is None:
+                return None
+            levels = kernel.run(fmb.values(), pool)
         if levels is None:
             return None
         return FeatureMapBatch(levels, scale=self.out_quant.scale)

@@ -15,7 +15,7 @@ place of BN parameters, level-coded activations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.nn.network import Network
 
@@ -100,15 +100,18 @@ def network_memory(network: Network, regime: str = "quantized") -> MemoryReport:
     return MemoryReport(layers=layers)
 
 
-def activation_high_water(network: Network, bytes_per_element: int = 4) -> int:
+def activation_high_water(
+    network: Network, bytes_per_element: Optional[int] = None
+) -> int:
     """Peak simultaneously-live activation bytes per frame.
 
     Reconciles this module's keep-everything activation pricing with the
     compiled schedule's buffer liveness: the compiled plan releases every
     intermediate feature map after its last consumer, so the true working
     set is the *high-water mark* of the schedule, not the sum over layers.
-    Always ``<= network_memory(...).activation_bytes``-style totals (for
-    matching element widths).
+    Each map is priced at the dtype its producer emits (one byte for W1A3
+    level codes and W1A1 sign codes) unless *bytes_per_element* prices
+    them all alike.
     """
     return network.plan().peak_live_bytes(bytes_per_element=bytes_per_element)
 
@@ -120,7 +123,8 @@ def arena_reconciliation(network: Network, report) -> dict:
     run on the one-instruction-per-layer ``-O1`` VM (``network.vm(1)``; its
     ``arena`` field holds the allocator snapshot).  The
     plan side of the ledger is :meth:`ExecutionPlan.arena_budget` — peak
-    live activation bytes per frame times the batch.  The arena additionally
+    live activation bytes per frame, each map at the dtype its producer
+    emits, times the batch.  The arena additionally
     holds transient kernel scratch (im2col multiplicands, padded maps,
     level-code buffers), so its high-water normally *exceeds* the plan
     figure; ``scratch_bytes`` is that excess and ``ratio`` the relative

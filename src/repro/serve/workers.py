@@ -238,8 +238,9 @@ class HeterogeneousWorkerPool:
         while True:
             with work_ready:  # the pool lock, through this resource's condition
                 while not queue:
-                    # A job held by any worker may still come back here.
-                    if self._stopping and self._free == self._workers:
+                    # A job held by any worker, or queued for the other
+                    # resource, may still come back here.
+                    if self._stopping and self._idle_everywhere():
                         return
                     work_ready.wait()
                 if self._stopping and not self._drain:
@@ -268,7 +269,7 @@ class HeterogeneousWorkerPool:
                     job.stage += 1
                     job.resource = following
                     self._enqueue(job)
-                elif self._stopping and self._free == self._workers:
+                elif self._stopping and self._idle_everywhere():
                     self._notify_everyone()  # nothing can come back: exit
                 went_idle = self._free_now(resource) > 0
             if closed:
@@ -307,6 +308,10 @@ class HeterogeneousWorkerPool:
         if self.on_worker_death is not None:
             self.on_worker_death(resource)
         return True
+
+    def _idle_everywhere(self) -> bool:
+        """No worker holds a job and no queue holds one (lock held)."""
+        return self._free == self._workers and not any(self._queues.values())
 
     def _notify_everyone(self) -> None:
         for work_ready in self._work_ready.values():

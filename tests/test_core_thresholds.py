@@ -191,8 +191,11 @@ class TestVectorizedDerivationMatchesLoop:
 
     @pytest.mark.parametrize("gamma", [1.0, -1.0, 0.5, -0.25])
     def test_tie_cases_at_the_1e9_guard(self, gamma):
-        # acc_real lands on an integer, and 1e-9 / 2e-9 either side of it:
-        # the ceil/floor guard band must round each the way the loop does.
+        # acc_real lands on an integer, and 1e-9 / 2e-9 either side of it.
+        # The loop's 1e-9 guard rounds these by fiat — an accumulator the
+        # reference puts at level 0 got level 1 — so here the derivation
+        # steps each edge onto the side the float reference itself puts
+        # it: at a tie the table is the documented pipeline.
         nudges = np.array([0.0, 1e-9, -1e-9, 2e-9, -2e-9, 5e-10, -5e-10])
         channels = nudges.size
         # gamma * (acc - mean) with var = 1, eps = 0, beta = 0: level k's
@@ -202,8 +205,17 @@ class TestVectorizedDerivationMatchesLoop:
             np.full(channels, gamma), np.zeros(channels), mean,
             np.ones(channels), 1.0, 1.0,
         )
+        acc = np.broadcast_to(np.arange(-8, 24), (channels, 32))
         for bits in (1, 2, 3):
-            _assert_same_bytes(args, bits, eps=0.0)
+            got = derive_thresholds(*args, bits=bits, eps=0.0)
+            want = float_reference_activation(
+                acc.astype(np.float64), *args, bits=bits, eps=0.0
+            )
+            np.testing.assert_array_equal(got.apply(acc), want)
+            # On the un-nudged channel guard and reference agree: the loop's
+            # bytes hold.
+            loop, _ = _derive_thresholds_loop(*args, bits=bits, eps=0.0)
+            np.testing.assert_array_equal(got.thresholds[0], loop[0])
 
     def test_constant_channel_sentinels(self):
         # slope == 0: -2**62 where beta alone reaches the level, +2**62 above.

@@ -87,6 +87,31 @@ class TestMaxpoolDtypeParity:
         for i in range(batch):
             np.testing.assert_array_equal(got[i], maxpool2d(x[i], 2, 1))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int8, np.uint8, np.int32])
+    @pytest.mark.parametrize("shape", [(3, 9, 7), (2, 8, 11), (1, 2, 3), (2, 6, 6)])
+    def test_separable_2x2_stride2_pool(self, rng, monkeypatch, dtype, shape):
+        """size == stride == 2 without leading padding: row-pair then
+        column-pair maxima, bit-identical to the float64 oracle."""
+        from repro.core import ops
+
+        x = _random_maps(rng, shape, dtype)[0]
+        taps = ops._pool_taps
+
+        def only_ragged(h, w, out_h, out_w, *args):
+            assert 2 * out_h > h or 2 * out_w > w, "separable pool took taps"
+            return taps(h, w, out_h, out_w, *args)
+
+        monkeypatch.setattr(ops, "_pool_taps", only_ragged)
+        for padding in (0, 1):  # 1 = Darknet's default for size 2
+            want = _maxpool_oracle(x, 2, 2, padding)
+            got = maxpool2d(x, 2, 2, padding)
+            assert got.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(got, want)
+            out = np.empty_like(want)
+            scratch = np.full(x.size, 99, dtype=dtype)
+            ops._maxpool2d_into(x, out, 2, 2, padding, scratch=scratch)
+            np.testing.assert_array_equal(out, want)
+
     def test_all_negative_map_never_sees_padding(self, rng):
         # Padding positions must never win the max even when every real
         # value is far below zero (the old kernel guaranteed this via -inf).
@@ -178,7 +203,7 @@ class TestToLevelsInPlacePipeline:
             np.floor(x.astype(np.float64) / scale + 0.5), 0, quant.levels
         ).astype(np.int32)
         got = quant.to_levels(x)
-        assert got.dtype == np.int32
+        assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, oracle)
 
     def test_input_not_mutated(self, rng):
@@ -315,7 +340,7 @@ class TestBandKernel:
         out_shape = layers[-1].out_shape
         for name, result in got.items():
             assert result is not None, name
-            assert result.data.dtype == np.int32, name
+            assert result.data.dtype == np.uint8, name
             assert result.data.shape == (batch,) + tuple(out_shape), name
             assert result.scale == conv.out_quant.scale, name
             for i, want in enumerate(expected):
@@ -405,10 +430,13 @@ class TestBandKernel:
 class _LaneProbe:
     """Records which thread ran which rows of each band-kernel segment.
 
-    With ``expect_split`` set, the calling thread's segments hold until a
-    helper's segment has started (at most :attr:`HOLD_S`), so a working
-    split is seen on two threads every time, whatever the scheduler does;
-    a helper that never starts shows as every segment on the caller.
+    With ``expect_split`` set, each thread's segments hold until the other
+    side's first segment has started (at most :attr:`HOLD_S`): the caller
+    waits for a helper, and a helper that joined first waits for the
+    caller instead of taking every item while the caller is descheduled.
+    So a working split is seen on two threads every time, whatever the
+    scheduler does; a helper that never starts shows as every segment on
+    the caller.
     """
 
     HOLD_S = 10.0
@@ -421,14 +449,17 @@ class _LaneProbe:
     def reset(self):
         self.calls = []  # (thread ident, first_row, last_row)
         self.helper_started = threading.Event()
+        self.caller_started = threading.Event()
 
     def enter(self, first_row, last_row):
         ident = threading.get_ident()
         self.calls.append((ident, first_row, last_row))
-        if ident != self.caller:
-            self.helper_started.set()
-        elif self.expect_split:
-            self.helper_started.wait(self.HOLD_S)
+        mine, other = self.helper_started, self.caller_started
+        if ident == self.caller:
+            mine, other = other, mine
+        mine.set()
+        if self.expect_split:
+            other.wait(self.HOLD_S)
 
     def threads(self):
         return {ident for ident, _, _ in self.calls}
@@ -858,6 +889,9 @@ class TestExecutorArena:
         ledger = arena_reconciliation(network, vm.last_report)
         assert ledger["batch"] == 4
         assert ledger["plan_bytes"] == network.plan().arena_budget(4)
+        # Every slot priced at its producer's dtype (int8 sign codes here):
+        # the plan's figure is the run's measured live-map high water.
+        assert ledger["plan_bytes"] == vm.last_report.peak_live_bytes
         assert ledger["arena_high_water_bytes"] == (
             vm.last_report.arena["high_water_bytes"]
         )

@@ -202,7 +202,7 @@ class TestExportRoundtrip:
         fabric = backend.forward_batch(fmb)
         reference = backend.reference_forward_batch(fmb)
         assert reference.data.shape == fabric.data.shape == (batch,) + tuple(out_shape)
-        assert reference.data.dtype == fabric.data.dtype == np.int32
+        assert reference.data.dtype == fabric.data.dtype == np.uint8
         assert reference.scale == fabric.scale
         assert reference.data.tobytes() == fabric.data.tobytes()
 
@@ -211,6 +211,30 @@ class TestExportRoundtrip:
         section = Section("offload", {"library": "fabric.so", "weights": "/nope"})
         with pytest.raises(FileNotFoundError):
             backend.init(section, (1, 1, 1))
+
+    def test_plan_prices_each_slot_at_its_dtype(self, rng, tmp_path):
+        """The offload emits its last stage's uint8 codes and the plan
+        prices that slot at one byte, so the plan's live-bytes estimate is
+        the VM's measured high water."""
+        full = _trained(rng, FULL_CFG)
+        binparam = str(tmp_path / "binparam-mini")
+        export_offload(
+            full.layers[1:4],
+            input_scale=full.layers[0].out_quant.scale,
+            input_shape=full.layers[0].out_shape,
+            directory=binparam,
+        )
+        hybrid = Network.from_cfg(HYBRID_CFG_TEMPLATE.format(binparam=binparam))
+        hybrid.layers[1].backend.load_weights()
+        plan = hybrid.plan()
+        assert [step.out_dtype for step in plan.steps] == [
+            np.uint8, np.uint8, np.float32
+        ]
+        vm = hybrid.vm(1)
+        frames = rng.normal(size=(2, 3, 24, 24)).astype(np.float32)
+        out = vm.run(FeatureMapBatch(frames))
+        assert out.data.dtype == np.float32
+        assert vm.last_report.peak_live_bytes == plan.arena_budget(2)
 
     def test_ops_per_frame_reaches_network_workload(self, rng, tmp_path):
         full = _trained(rng, FULL_CFG)

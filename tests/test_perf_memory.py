@@ -11,7 +11,11 @@ from repro.nn.zoo import (
     tincy_yolo_config,
     tiny_yolo_config,
 )
-from repro.perf.memory import compression_factor, network_memory
+from repro.perf.memory import (
+    activation_high_water,
+    compression_factor,
+    network_memory,
+)
 
 
 class TestFloatBaseline:
@@ -90,6 +94,22 @@ class TestQuantizedRegime:
         vm.run(FeatureMapBatch(frames))
         assert vm.last_report.peak_live_bytes == 1_943_552
         assert vm.last_report.peak_live_bytes < 2_244_608
+
+    def test_plan_prices_w1a3_slots_at_one_byte(self):
+        # Level codes travel as uint8, so a Tincy slot costs one byte per
+        # element; only the float head (last conv, region) costs four.
+        network = Network(tincy_yolo_config())
+        network.initialize(np.random.default_rng(0))
+        plan = network.plan()
+        dtypes = [step.out_dtype for step in plan.steps]
+        assert dtypes == [np.uint8] * 13 + [np.float32] * 2
+        assert plan.peak_live_bytes(4) == 4 * plan.peak_live_bytes(1)
+        assert plan.peak_live_bytes() < plan.peak_live_bytes(4) / 2
+        frame = np.random.default_rng(1).random((1, 3, 416, 416), np.float32)
+        vm = network.vm(1)
+        vm.run(FeatureMapBatch(frame))
+        assert vm.last_report.peak_live_bytes == plan.peak_live_bytes()
+        assert activation_high_water(network) == plan.peak_live_bytes()
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError, match="regime"):

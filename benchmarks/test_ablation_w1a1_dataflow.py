@@ -41,7 +41,7 @@ def _export(model, folding=Folding(8, 8)):
     for linear, bn in zip(linears[:-1], bns):
         thresholds = derive_sign_thresholds(
             bn.gamma.value, bn.beta.value, bn.running_mean, bn.running_var,
-            eps=bn.eps,
+            eps=bn.eps, fan_in=linear.weight.value.shape[1],
         )
         mvtu = MVTU(linear.effective_weights(), thresholds, folding)
         stages.append(MVTUDenseLayer(mvtu, inputs=linear.weight.value.shape[1]))

@@ -9,9 +9,10 @@ catch the contract breaks the paper's arithmetic depends on (§III-A):
 
 * a binarized stage consuming an unquantized float feature map
   (``DF-UNQUANT-BINARY``) — the fabric streams level codes, not floats;
-* a threshold table that is non-monotone in its comparison direction
-  (``DF-THRESH-MONOTONE``) — it cannot have come out of a faithful
-  BN+ReLU+requantize folding;
+* an offload bundle's threshold table that is non-monotone in its
+  comparison direction (``DF-THRESH-MONOTONE``) — it cannot have come
+  out of a faithful BN+ReLU+requantize folding, which bisects a monotone
+  predicate, so only the bundle's outside bytes can carry one;
 * route/reorg geometry that does not compose (``DF-SHAPE``);
 * an offload whose producer scale disagrees with the scale the backend
   was exported for (``DF-SCALE-CHAIN``);
@@ -34,7 +35,7 @@ import numpy as np
 from repro.analyze.findings import ERROR, INFO, WARNING, Finding
 from repro.core.gemm import RequantizeParams, rounding_rshift
 from repro.core.tensor import conv_output_size, pool_output_size
-from repro.core.thresholds import derive_thresholds, monotone_violations
+from repro.core.thresholds import monotone_violations
 from repro.engine.plan import INPUT, ExecutionPlan, PlanStep
 from repro.nn.layers.convolutional import BN_EPS
 
@@ -256,7 +257,6 @@ def _transfer_matmul(
         return AbstractValue(shape, BIPOLAR, -1.0, 1.0, bits=1)
     out_quant = getattr(layer, "out_quant", None)
     if out_quant is not None:
-        _check_thresholds(step, layer, x, findings)
         if hi > out_quant.max_value:
             findings.append(
                 Finding(
@@ -288,50 +288,6 @@ def _apply_activation(activation: str, lo: float, hi: float) -> Tuple[float, flo
         f = lambda v: v if v > 0 else 0.1 * v  # noqa: E731 — monotone endpoint map
         return f(lo), f(hi)
     return lo, hi  # linear / sign (sign handled by the caller)
-
-
-def _check_thresholds(
-    step: PlanStep, layer, x: AbstractValue, findings: List[Finding]
-) -> None:
-    """Fold the layer's BN into thresholds and verify their monotonicity.
-
-    Only fabric-eligible layers (binary weights, batch norm, relu/linear
-    activation, quantized output, level-coded input) have a threshold
-    folding; everything else keeps running on the CPU float path.
-    """
-    eligible = (
-        getattr(layer, "binary", False)
-        and layer.batch_normalize
-        and layer.activation in ("relu", "linear")
-        and getattr(layer, "out_quant", None) is not None
-        and x.domain == LEVELS
-        and x.scale is not None
-    )
-    if not eligible:
-        return
-    activation = derive_thresholds(
-        layer.scales,
-        layer.biases,
-        layer.rolling_mean,
-        layer.rolling_var,
-        in_scale=x.scale,
-        out_scale=layer.out_quant.scale,
-        bits=layer.out_quant.bits,
-        eps=BN_EPS,
-    )
-    bad = monotone_violations(activation.thresholds, activation.signs)
-    if bad.size:
-        findings.append(
-            Finding(
-                ERROR,
-                "DF-THRESH-MONOTONE",
-                _where(step),
-                f"folded threshold table is non-monotone in "
-                f"{bad.size} channel(s) (first: {int(bad[0])})",
-                hint="the BN statistics are corrupt or the folding is "
-                "wrong; a faithful BN+ReLU+requantize fold is monotone",
-            )
-        )
 
 
 def _transfer_route(

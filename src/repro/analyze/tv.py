@@ -12,10 +12,11 @@ rewrite axioms** (:mod:`repro.isa.passes.witness`):
 
 * ``requant-split-compose`` — a split ``compute.acc/.pre`` +
   ``THRESHOLD`` pair composes to the whole layer (the frontend's split
-  construction, resting on the monotone-threshold lemma of
-  :func:`repro.core.thresholds.derive_thresholds` for the ``.acc``
-  form), so the validator folds declared
-  ``threshold(compute_p(x))`` subterms to ``compute_whole(x)``;
+  construction; the ``.acc`` form rests on
+  :func:`repro.core.thresholds.derive_thresholds`' table being the float
+  epilogue on every accumulator of the layer's range), so the validator
+  folds declared ``threshold(compute_p(x))`` subterms to
+  ``compute_whole(x)``;
 * ``fused-chain-compose`` — a ``FUSED`` instruction is its
   constituents applied in order, so declared ``fused[a,b](x)`` subterms
   unfold to ``b(a(x))`` (side-condition: the pair is

@@ -70,7 +70,6 @@ import numpy as np
 
 from repro.core import lanes, workspace
 from repro.core.ops import (
-    _F32_EXACT,
     _maxpool2d_into,
     accumulates_exactly,
     separable_pool,
@@ -259,17 +258,11 @@ class BandKernel:
             or activation.thresholds.shape[1] > 255
         ):
             return None
-        # |acc| < 2**24, so a threshold beyond +-2**24 (the +-2**62
-        # constant-channel sentinels) compares the same once clamped
-        # there — and everything inside the clamp is exact in float32.
-        folded = np.clip(
-            activation.thresholds * activation.signs[:, None].astype(np.int64),
-            -_F32_EXACT,
-            _F32_EXACT,
-        )
+        # |acc| < 2**24, so the +-2**24-clamped float32 table compares
+        # exactly (ThresholdActivation.float32_table).
         return cls(
             _sign_folded(weights_pm1, activation.signs),
-            folded.astype(np.float32),
+            activation.float32_table(),
             in_channels,
             ksize,
             stride,

@@ -440,20 +440,33 @@ def maxpool2d_backward(
     return grad_padded[:, pad_before : pad_before + h, pad_before : pad_before + w]
 
 
+def accumulator_bound(dtype, fan_in: int) -> int:
+    """``fan_in * max|code|``: the largest ``|acc|`` of a *fan_in*-term
+    dot product of ``+-1`` weights against integer *dtype* codes.
+
+    The one statement of a binary layer's accumulator range:
+    :func:`accumulates_exactly` compares it with ``2**24``, and the
+    threshold derivations (:mod:`repro.core.thresholds`) bisect
+    ``[-B, B]``.
+    """
+    info = np.iinfo(dtype)
+    return fan_in * max(-int(info.min), int(info.max))
+
+
 def accumulates_exactly(dtype, scale: float, fan_in: int) -> bool:
     """True when ``+-1`` weights against such a map sum exactly in float32.
 
     The map must hold unit-scale integer codes whose *dtype* bounds every
-    partial sum of a *fan_in*-term dot product below ``2**24`` — then each
-    accumulator is an exact integer in float32 and no summation order can
-    round.  The proof reads only the dtype (``int8`` sign codes, ``uint8``
-    levels), never the data, and a float map never passes it.
+    partial sum of a *fan_in*-term dot product below ``2**24``
+    (:func:`accumulator_bound`) — then each accumulator is an exact
+    integer in float32 and no summation order can round.  The proof reads
+    only the dtype (``int8`` sign codes, ``uint8`` levels), never the
+    data, and a float map never passes it.
     """
     dtype = np.dtype(dtype)
     if dtype.kind not in "iu" or scale != 1.0:
         return False
-    info = np.iinfo(dtype)
-    return fan_in * max(-int(info.min), int(info.max)) < _F32_EXACT
+    return accumulator_bound(dtype, fan_in) < _F32_EXACT
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -591,6 +604,7 @@ __all__ = [
     "maxpool2d_backward",
     "separable_pool",
     "accumulates_exactly",
+    "accumulator_bound",
     "relu",
     "leaky_relu",
     "sign_codes",

@@ -136,6 +136,7 @@ def _stage_from_conv(
         out_scale=conv.out_quant.scale,
         bits=conv.out_quant.bits,
         eps=BN_EPS,
+        fan_in=weights.shape[1],
     )
     mvtu = MVTU(weights, thresholds, folding, bitserial=bitserial)
     return MVTUConvLayer(

@@ -15,13 +15,13 @@ cycle model as the convolutional stages.
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np
 
+from repro.core.ops import accumulator_bound
 from repro.core.tensor import FeatureMap
-from repro.core.thresholds import ThresholdActivation
+from repro.core.thresholds import ThresholdActivation, bisect_thresholds
 from repro.finn.mvtu import MVTU, Folding
 from repro.nn.layers.connected import ConnectedLayer
 
@@ -33,35 +33,30 @@ def derive_sign_thresholds(
     var: np.ndarray,
     in_scale: float = 1.0,
     eps: float = 1e-6,
+    *,
+    fan_in: int,
 ) -> ThresholdActivation:
     """Fold BN + sign into one integer threshold per neuron.
 
-    ``sign(bn(acc * in_scale)) == +1  <=>  level == 1`` where the single
-    1-bit "level" is exactly the W1A1 activation: comparing against the
-    point where the normalized response crosses zero.
+    Level 1 is the W1A1 activation's ``+1``: the table is the bisection
+    (:func:`repro.core.thresholds.bisect_thresholds`) of the float64
+    ``gamma * (acc * in_scale - mean) / sqrt(var + eps) + beta >= 0`` over
+    ``|acc| <= accumulator_bound(int8, fan_in)``, every accumulator of a
+    *fan_in*-input neuron on sign codes.
     """
-    gamma = np.asarray(gamma, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    var = np.asarray(var, dtype=np.float64)
-    channels = gamma.shape[0]
-    inv_sigma = gamma / np.sqrt(var + eps)
-    thresholds = np.zeros((channels, 1), dtype=np.int64)
-    signs = np.ones(channels, dtype=np.int8)
-    huge = np.int64(2**62)
-    for ch in range(channels):
-        slope = inv_sigma[ch]
-        if slope == 0.0:
-            always = beta[ch] >= 0.0
-            thresholds[ch, 0] = -huge if always else huge
-            continue
-        acc_real = (mean[ch] - beta[ch] / slope) / in_scale
-        if slope > 0:
-            thresholds[ch, 0] = int(math.ceil(acc_real - 1e-9))
-        else:
-            thresholds[ch, 0] = int(math.floor(acc_real + 1e-9))
-            signs[ch] = -1
-    return ThresholdActivation(thresholds=thresholds, signs=signs, bits=1)
+    gamma, beta, mean, var = (
+        np.asarray(a, dtype=np.float64)[:, np.newaxis]
+        for a in (gamma, beta, mean, var)
+    )
+    sigma = np.sqrt(var + eps)
+
+    def reaches(acc: np.ndarray) -> np.ndarray:
+        return gamma * (acc * in_scale - mean) / sigma + beta >= 0.0
+
+    signs = np.where(gamma[:, 0] < 0, -1, 1).astype(np.int8)
+    bound = accumulator_bound(np.int8, fan_in)
+    folded = bisect_thresholds(reaches, signs, 1, bound)
+    return ThresholdActivation(folded * signs[:, np.newaxis], signs, bits=1)
 
 
 class MVTUDenseLayer:
@@ -186,6 +181,7 @@ def compile_bipolar_conv_stage(
         conv.rolling_var,
         in_scale=1.0,
         eps=1e-6,
+        fan_in=weights.shape[1],
     )
     mvtu = MVTU(weights, thresholds, folding)
     return MVTUBipolarConvLayer(
@@ -213,6 +209,7 @@ def compile_dense_stage(
         layer.rolling_var,
         in_scale=in_scale,
         eps=1e-6,
+        fan_in=layer.inputs,
     )
     mvtu = MVTU(weights, thresholds, folding)
     return MVTUDenseLayer(mvtu, inputs=layer.inputs)

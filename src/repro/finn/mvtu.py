@@ -16,7 +16,9 @@ serve every hidden layer).
 
 The functional model is bit-faithful: binary weights are kept as packed
 words, dot products evaluate bit-serially over the activation planes, and
-the thresholds come from :func:`repro.core.thresholds.derive_thresholds`.
+the thresholds come from :func:`repro.core.thresholds.derive_thresholds`
+(W1A3) or :func:`repro.finn.dense.derive_sign_thresholds` (W1A1), both a
+bisection of the float pipeline over the stage's accumulator range.
 """
 
 from __future__ import annotations

@@ -21,8 +21,10 @@ The axiom catalog (the full table lives in ``docs/ANALYSIS.md``):
   forward path cut at the accumulator (``.acc``) or the
   pre-quantization activation (``.pre``), so their composition is the
   whole layer by the split construction; the ``.acc`` form additionally
-  rests on the monotone-threshold lemma of
-  :func:`repro.core.thresholds.derive_thresholds`.
+  rests on :func:`repro.core.thresholds.derive_thresholds`' table being
+  the float epilogue on every accumulator of the layer's range (a
+  bisection of :func:`~repro.core.thresholds.float_reference_activation`
+  over ``[-B, B]``).
 * :data:`AX_FUSED_CHAIN` — ``fused[a,b](x) == b(a(x))`` for a
   :data:`~repro.isa.passes.fuse.FUSABLE` pair.  Most chains run both
   layers' own batched kernels back to back; an exact-integer

@@ -192,7 +192,7 @@ class ConvolutionalLayer(Layer):
         Only for binary layers with a quantized output: there every
         accumulator is an exact integer (±1 weights against integer level
         codes), so :func:`derive_thresholds` replaces the multi-pass float
-        epilogue with one searchsorted pass.  ``leaky`` and ``linear`` are
+        epilogue with one threshold pass.  ``leaky`` and ``linear`` are
         admissible alongside ``relu`` because the unsigned output quantizer
         clips negative pre-activations to level 0 either way.  Returns
         ``None`` when the layer does not qualify.
@@ -221,7 +221,7 @@ class ConvolutionalLayer(Layer):
                 self.scales, self.biases, self.rolling_mean,
                 self.rolling_var, in_scale=float(in_scale),
                 out_scale=self.out_quant.scale, bits=self.out_quant.bits,
-                eps=BN_EPS,
+                eps=BN_EPS, fan_in=fan_in,
             )
         else:
             # Bias-only epilogue as identity-BN: gamma=1, mean=0, var=1.
@@ -230,7 +230,7 @@ class ConvolutionalLayer(Layer):
                 ones, self.biases, np.zeros(self.filters, dtype=np.float32),
                 ones, in_scale=float(in_scale),
                 out_scale=self.out_quant.scale, bits=self.out_quant.bits,
-                eps=0.0,
+                eps=0.0, fan_in=fan_in,
             )
         self._threshold_cache = (float(in_scale), params, thr)
         return thr
@@ -401,13 +401,16 @@ class ConvolutionalLayer(Layer):
             gain = self.scales / np.sqrt(self.rolling_var + BN_EPS)
             signs[gain < 0] = -1
 
-        def levels_of(acc: np.ndarray) -> np.ndarray:
-            return self.out_quant.to_levels(self._epilogue(acc, channel_axis=0))
+        levels = np.arange(1, 1 << self.out_quant.bits)
+
+        def reaches(acc: np.ndarray) -> np.ndarray:
+            epilogue = self._epilogue(acc, channel_axis=0)
+            return self.out_quant.to_levels(epilogue) >= levels
 
         kernel = BandKernel.fold_float(
             self.weights.reshape(self.filters, -1),
             signs,
-            bisect_thresholds(levels_of, signs, self.out_quant.bits),
+            bisect_thresholds(reaches, signs, self.out_quant.bits),
             self.in_shape[0], self.size, self.stride, self.pad,
         )
         self._float_band_cache = (params, kernel)

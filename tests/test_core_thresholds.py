@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ops import accumulator_bound
 from repro.core.thresholds import (
     ThresholdActivation,
     derive_thresholds,
     float_reference_activation,
+    monotone_violations,
 )
 
 
@@ -33,7 +35,9 @@ class TestDeriveThresholds:
         channels = 8
         gamma, beta, mean, var = _random_bn(rng, channels)
         in_scale, out_scale = 1.0 / 7.0, 1.0 / 7.0
-        ta = derive_thresholds(gamma, beta, mean, var, in_scale, out_scale, bits)
+        ta = derive_thresholds(
+            gamma, beta, mean, var, in_scale, out_scale, bits, fan_in=144
+        )
         # Every accumulator a 3x3x16 binary-weight layer can produce.
         max_acc = 7 * 144
         acc = np.tile(np.arange(-max_acc, max_acc + 1), (channels, 1))
@@ -49,7 +53,7 @@ class TestDeriveThresholds:
         beta = np.zeros(channels)
         mean = np.zeros(channels)
         var = np.ones(channels) - 1e-6
-        ta = derive_thresholds(gamma, beta, mean, var, 1.0, 1.0, bits=1)
+        ta = derive_thresholds(gamma, beta, mean, var, 1.0, 1.0, bits=1, fan_in=1)
         assert np.all(ta.signs == -1)
         # y = -acc: positive accumulators give level 0, negative level 1.
         acc = np.tile(np.array([-3, -1, 0, 1, 3]), (channels, 1))
@@ -64,7 +68,7 @@ class TestDeriveThresholds:
         beta = np.array([10.0, -10.0])
         mean = np.zeros(2)
         var = np.ones(2)
-        ta = derive_thresholds(gamma, beta, mean, var, 1.0, 1.0, bits=2)
+        ta = derive_thresholds(gamma, beta, mean, var, 1.0, 1.0, bits=2, fan_in=1)
         acc = np.tile(np.array([-100, 0, 100]), (2, 1))
         got = ta.apply(acc)
         assert np.all(got[0] == 3)  # beta=10 saturates to top level
@@ -78,7 +82,9 @@ class TestDeriveThresholds:
         gamma, beta, mean, var = _random_bn(rng, channels)
         in_scale = float(rng.uniform(0.05, 1.0))
         out_scale = float(rng.uniform(0.05, 1.0))
-        ta = derive_thresholds(gamma, beta, mean, var, in_scale, out_scale, bits)
+        ta = derive_thresholds(
+            gamma, beta, mean, var, in_scale, out_scale, bits, fan_in=2
+        )
         acc = rng.integers(-500, 500, size=(channels, 64))
         got = ta.apply(acc)
         expected = float_reference_activation(
@@ -89,7 +95,7 @@ class TestDeriveThresholds:
     def test_apply_on_spatial_maps(self, rng):
         channels = 5
         gamma, beta, mean, var = _random_bn(rng, channels)
-        ta = derive_thresholds(gamma, beta, mean, var, 0.2, 0.3, bits=3)
+        ta = derive_thresholds(gamma, beta, mean, var, 0.2, 0.3, bits=3, fan_in=1)
         acc = rng.integers(-200, 200, size=(channels, 6, 7))
         got = ta.apply(acc)
         assert got.shape == (channels, 6, 7)
@@ -100,7 +106,7 @@ class TestDeriveThresholds:
 
     def test_wrong_channel_count_rejected(self, rng):
         gamma, beta, mean, var = _random_bn(rng, 4)
-        ta = derive_thresholds(gamma, beta, mean, var, 1.0, 1.0, bits=3)
+        ta = derive_thresholds(gamma, beta, mean, var, 1.0, 1.0, bits=3, fan_in=1)
         with pytest.raises(ValueError):
             ta.apply(np.zeros((5, 2)))
 
@@ -111,55 +117,26 @@ class TestDeriveThresholds:
             )
 
 
-def _derive_thresholds_loop(gamma, beta, mean, var, in_scale, out_scale, bits, eps=1e-6):
-    """The element-by-element derivation ``derive_thresholds`` vectorizes.
-
-    Kept as the reference: same float64 arithmetic, one (channel, level)
-    pair at a time through ``math.ceil`` / ``math.floor``.
-    """
-    import math
-
-    gamma = np.asarray(gamma, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    var = np.asarray(var, dtype=np.float64)
-    channels = gamma.shape[0]
-    n_thresh = (1 << bits) - 1
-    inv_sigma = gamma / np.sqrt(var + eps)
-    thresholds = np.zeros((channels, n_thresh), dtype=np.int64)
-    signs = np.ones(channels, dtype=np.int8)
-    huge = np.int64(2**62)
-    for ch in range(channels):
-        slope = inv_sigma[ch]
-        for k in range(1, n_thresh + 1):
-            y_k = out_scale * (k - 0.5)
-            if slope == 0.0:
-                always = beta[ch] >= y_k
-                thresholds[ch, k - 1] = -huge if always else huge
-                continue
-            acc_real = (mean[ch] + (y_k - beta[ch]) / slope) / in_scale
-            if slope > 0:
-                thresholds[ch, k - 1] = int(math.ceil(acc_real - 1e-9))
-            else:
-                thresholds[ch, k - 1] = int(math.floor(acc_real + 1e-9))
-        if slope < 0:
-            signs[ch] = -1
-    return thresholds, signs
-
-
-def _assert_same_bytes(args, bits, eps=1e-6):
-    got = derive_thresholds(*args, bits=bits, eps=eps)
-    thresholds, signs = _derive_thresholds_loop(*args, bits=bits, eps=eps)
+def _assert_is_the_reference(args, bits, fan_in, eps=1e-6):
+    """The table counts like :func:`float_reference_activation` on every
+    accumulator of ``[-B, B]``, is monotone, and stays within the
+    ``+-(B + 1)`` sentinels."""
+    got = derive_thresholds(*args, bits=bits, eps=eps, fan_in=fan_in)
+    bound = accumulator_bound(np.uint8, fan_in)
     assert got.bits == bits
-    assert got.thresholds.dtype == thresholds.dtype == np.int64
-    assert got.signs.dtype == signs.dtype == np.int8
-    assert got.thresholds.shape == thresholds.shape
-    assert got.thresholds.tobytes() == thresholds.tobytes()
-    assert got.signs.tobytes() == signs.tobytes()
+    assert got.thresholds.dtype == np.int64 and got.signs.dtype == np.int8
+    assert got.thresholds.shape == (len(args[0]), (1 << bits) - 1)
+    assert np.abs(got.thresholds).max() <= bound + 1
+    assert monotone_violations(got.thresholds, got.signs).size == 0
+    acc = np.broadcast_to(np.arange(-bound, bound + 1), (len(args[0]), 2 * bound + 1))
+    want = float_reference_activation(acc, *args, bits=bits, eps=eps)
+    np.testing.assert_array_equal(got.apply(acc), want)
+    return got
 
 
 class TestVectorizedDerivationMatchesLoop:
-    """``derive_thresholds`` is byte-identical to the loop it replaced."""
+    """``derive_thresholds`` is :func:`float_reference_activation` on every
+    accumulator of its range, for hostile batch-norm constants."""
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(8))
@@ -175,7 +152,8 @@ class TestVectorizedDerivationMatchesLoop:
         var = 10.0 ** rng.uniform(-9.0, 8.0, size=channels)
         in_scale = float(rng.choice([1.0, 1.0 / 7.0, 0.0123, 3.5]))
         out_scale = float(rng.choice([1.0, 1.0 / 7.0, 0.3, 2.25]))
-        _assert_same_bytes((gamma, beta, mean, var, in_scale, out_scale), bits)
+        args = (gamma, beta, mean, var, in_scale, out_scale)
+        _assert_is_the_reference(args, bits, fan_in=9)
 
     @pytest.mark.parametrize("scalar", [float, np.float32, np.float64])
     def test_float32_checkpoint_arrays_and_numpy_scales(self, rng, scalar):
@@ -186,16 +164,14 @@ class TestVectorizedDerivationMatchesLoop:
         )
         gamma[3] = 0.0
         args = (gamma, beta, mean, var, scalar(1.0 / 7.0), scalar(6.0 / 7.0))
-        _assert_same_bytes(args, bits=3, eps=1e-5)
-        _assert_same_bytes(args, bits=3, eps=0.0)
+        _assert_is_the_reference(args, bits=3, fan_in=16, eps=1e-5)
+        _assert_is_the_reference(args, bits=3, fan_in=16, eps=0.0)
 
     @pytest.mark.parametrize("gamma", [1.0, -1.0, 0.5, -0.25])
     def test_tie_cases_at_the_1e9_guard(self, gamma):
-        # acc_real lands on an integer, and 1e-9 / 2e-9 either side of it.
-        # The loop's 1e-9 guard rounds these by fiat — an accumulator the
-        # reference puts at level 0 got level 1 — so here the derivation
-        # steps each edge onto the side the float reference itself puts
-        # it: at a tie the table is the documented pipeline.
+        # acc_real lands on an integer, and 1e-9 / 2e-9 either side of it,
+        # where a closed form's ``ceil(x - 1e-9)`` guard rounds by fiat (an
+        # accumulator the reference puts at level 0 got level 1).
         nudges = np.array([0.0, 1e-9, -1e-9, 2e-9, -2e-9, 5e-10, -5e-10])
         channels = nudges.size
         # gamma * (acc - mean) with var = 1, eps = 0, beta = 0: level k's
@@ -205,38 +181,26 @@ class TestVectorizedDerivationMatchesLoop:
             np.full(channels, gamma), np.zeros(channels), mean,
             np.ones(channels), 1.0, 1.0,
         )
-        acc = np.broadcast_to(np.arange(-8, 24), (channels, 32))
         for bits in (1, 2, 3):
-            got = derive_thresholds(*args, bits=bits, eps=0.0)
-            want = float_reference_activation(
-                acc.astype(np.float64), *args, bits=bits, eps=0.0
-            )
-            np.testing.assert_array_equal(got.apply(acc), want)
-            # On the un-nudged channel guard and reference agree: the loop's
-            # bytes hold.
-            loop, _ = _derive_thresholds_loop(*args, bits=bits, eps=0.0)
-            np.testing.assert_array_equal(got.thresholds[0], loop[0])
+            _assert_is_the_reference(args, bits=bits, fan_in=1, eps=0.0)
 
     def test_constant_channel_sentinels(self):
-        # slope == 0: -2**62 where beta alone reaches the level, +2**62 above.
+        # Zero gain: -(B+1) where beta alone reaches the level, B+1 above.
         beta = np.array([-1.0, 0.5, 1.5, 10.0])
         zeros = np.zeros(4)
         args = (zeros, beta, np.full(4, 1e30), np.ones(4), 1.0, 1.0)
-        _assert_same_bytes(args, bits=2)
-        got = derive_thresholds(*args, bits=2).thresholds
-        huge = 2**62
+        got = _assert_is_the_reference(args, bits=2, fan_in=1).thresholds
+        never = accumulator_bound(np.uint8, 1) + 1
         assert got.tolist() == [
-            [huge, huge, huge],
-            [-huge, huge, huge],
-            [-huge, -huge, huge],
-            [-huge, -huge, -huge],
+            [never, never, never],
+            [-never, never, never],
+            [-never, -never, never],
+            [-never, -never, -never],
         ]
 
-    def test_out_of_range_threshold_raises_like_the_loop(self):
-        # A threshold beyond int64 was an OverflowError on assignment in
-        # the loop; the vectorized cast must not wrap silently.
+    def test_out_of_range_is_a_sentinel(self):
+        # The crossing lies ~1e24 accumulators out, past int64: the
+        # "never" sentinel B + 1.
         args = (np.array([1e-12]), np.zeros(1), np.zeros(1), np.ones(1), 1e-12, 1.0)
-        with pytest.raises(OverflowError):
-            _derive_thresholds_loop(*args, bits=1)
-        with pytest.raises(OverflowError):
-            derive_thresholds(*args, bits=1)
+        got = _assert_is_the_reference(args, bits=1, fan_in=1)
+        assert got.thresholds.tolist() == [[accumulator_bound(np.uint8, 1) + 1]]

@@ -251,7 +251,7 @@ class TestMVTUFloat32ExactPath:
 def _w1a3_pair(rng, c_in, c_out, ksize, h, w, pool):
     """A real binary conv (+ optional maxpool) layer pair with hostile BN
     constants: negative gains (sign -1 channels) and zero gains (constant
-    channels whose thresholds are the +-2**62 sentinels, one pinned at
+    channels whose thresholds are the +-(B + 1) sentinels, one pinned at
     level 0 and one at level 2**bits - 1)."""
     cfg = (
         f"[net]\nwidth={w}\nheight={h}\nchannels={c_in}\n\n"

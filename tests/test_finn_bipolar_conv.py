@@ -40,6 +40,7 @@ class TestBipolarConvStage:
             beta=rng.normal(size=c_out),
             mean=rng.normal(size=c_out) * 3,
             var=rng.uniform(0.5, 2.0, size=c_out),
+            fan_in=c_in * k * k,
         )
         mvtu = MVTU(weights, thresholds, Folding(2, 4))
         return MVTUBipolarConvLayer(mvtu, in_channels=c_in, ksize=k), weights

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.tensor import FeatureMap
 from repro.finn.dense import (
+    MVTUBipolarConvLayer,
     MVTUDenseLayer,
     compile_dense_stage,
     derive_sign_thresholds,
@@ -33,7 +34,7 @@ class TestSignThresholds:
     def test_matches_float_pipeline(self, rng):
         n = 16
         gamma, beta, mean, var = _bn(rng, n)
-        ta = derive_sign_thresholds(gamma, beta, mean, var, in_scale=1.0)
+        ta = derive_sign_thresholds(gamma, beta, mean, var, in_scale=1.0, fan_in=2)
         acc = rng.integers(-200, 200, size=(n, 64))
         got = ta.apply(acc)
         y = (
@@ -49,6 +50,7 @@ class TestSignThresholds:
             np.array([1.0, -1.0]),
             np.zeros(2),
             np.ones(2),
+            fan_in=5,
         )
         got = ta.apply(np.array([[-5, 5], [-5, 5]]))
         assert got[0].tolist() == [1, 1]
@@ -56,16 +58,93 @@ class TestSignThresholds:
 
     def test_single_threshold_per_neuron(self, rng):
         gamma, beta, mean, var = _bn(rng, 4)
-        ta = derive_sign_thresholds(gamma, beta, mean, var)
+        ta = derive_sign_thresholds(gamma, beta, mean, var, fan_in=1)
         assert ta.thresholds.shape == (4, 1)
         assert ta.bits == 1
+
+
+#: Zero crossings 5e-10 .. 2e-9 either side of accumulator 10, where a
+#: ``ceil(x - 1e-9)`` guard would decide the level by fiat.
+NUDGES = np.array([0.0, 1e-9, -1e-9, 2e-9, -2e-9, 5e-10, -5e-10])
+
+#: Inputs of the probe stages: ``acc = 2 * popcount - INPUTS`` sweeps
+#: ``-24, -22, ..., 24`` over popcounts 0..24, through 10.
+INPUTS = 24
+
+
+def _near_tie_bn(gamma):
+    channels = NUDGES.size
+    zeros, ones = np.zeros(channels), np.ones(channels)
+    return np.full(channels, gamma), zeros, 10.0 + NUDGES, ones
+
+
+def _tiny_gain_bn():
+    """Gains of +-1e-30: a sentinel with beta != 0, a real crossing at 3.5
+    with beta == 0."""
+    gamma = np.array([1e-30, -1e-30, 1e-30, -1e-30, 1e-30, -1e-30])
+    beta = np.array([0.5, 0.5, -0.5, -0.5, 0.0, 0.0])
+    mean = np.array([0.0, 0.0, 0.0, 0.0, 3.5, 3.5])
+    return gamma, beta, mean, np.ones(6)
+
+
+def _sign_reference(acc, gamma, beta, mean, var, eps=1e-6):
+    """The float64 ``bn(acc) >= 0`` a sign table replicates, per channel."""
+    gamma, beta, mean, var = (
+        np.asarray(a, np.float64)[:, np.newaxis] for a in (gamma, beta, mean, var)
+    )
+    y = gamma * (acc - mean) / np.sqrt(var + eps) + beta
+    return (y >= 0).astype(np.int32)
+
+
+def _all_ones_mvtu(bn):
+    thresholds = derive_sign_thresholds(*bn, fan_in=INPUTS)
+    weights = np.ones((thresholds.channels, INPUTS), dtype=np.int64)
+    return MVTU(weights, thresholds, Folding(1, 1))
+
+
+def _popcount_columns():
+    """``(INPUTS, INPUTS + 1)`` bits: column ``p`` has popcount ``p``."""
+    return (np.arange(INPUTS)[:, None] < np.arange(INPUTS + 1)).astype(np.int64)
+
+
+def _swept_acc(bn):
+    """The accumulators of :func:`_popcount_columns` on every channel."""
+    acc = 2 * np.arange(INPUTS + 1) - INPUTS
+    return np.broadcast_to(acc, (len(bn[0]), acc.size)).astype(np.float64)
+
+
+EDGE_CASES = [_near_tie_bn(g) for g in (1.0, -1.0, 0.5, -0.25)] + [_tiny_gain_bn()]
+EDGE_IDS = ["tie-gain1", "tie-gain-1", "tie-gain0.5", "tie-gain-0.25", "gain1e-30"]
+
+
+class TestSignTableEdges:
+    """Near ties and +-1e-30 gains, through both W1A1 stage kinds, against
+    the float64 reference."""
+
+    @pytest.mark.parametrize("bn", EDGE_CASES, ids=EDGE_IDS)
+    def test_dense_stage(self, bn):
+        layer = MVTUDenseLayer(_all_ones_mvtu(bn), inputs=INPUTS)
+        got = np.stack(
+            [layer.forward(FeatureMap(bits.reshape(-1, 1, 1))).data.ravel()
+             for bits in _popcount_columns().T],
+            axis=1,
+        )
+        np.testing.assert_array_equal(got, _sign_reference(_swept_acc(bn), *bn))
+
+    @pytest.mark.parametrize("bn", EDGE_CASES, ids=EDGE_IDS)
+    def test_bipolar_conv_stage(self, bn):
+        # A 1x1 conv over INPUTS channels on a 5x5 map: pixel p has popcount p.
+        stage = MVTUBipolarConvLayer(_all_ones_mvtu(bn), in_channels=INPUTS, ksize=1)
+        bits = _popcount_columns().reshape(INPUTS, 5, 5)
+        got = stage.forward(FeatureMap(bits)).data.reshape(len(bn[0]), -1)
+        np.testing.assert_array_equal(got, _sign_reference(_swept_acc(bn), *bn))
 
 
 class TestMVTUDenseLayer:
     def _layer(self, rng, inputs=32, outputs=8):
         weights = rng.choice([-1, 1], size=(outputs, inputs))
         gamma, beta, mean, var = _bn(rng, outputs)
-        thresholds = derive_sign_thresholds(gamma, beta, mean, var)
+        thresholds = derive_sign_thresholds(gamma, beta, mean, var, fan_in=inputs)
         mvtu = MVTU(weights, thresholds, Folding(4, 8))
         return MVTUDenseLayer(mvtu, inputs=inputs), (weights, gamma, beta, mean, var)
 
@@ -137,6 +216,15 @@ class TestCompileDenseStage:
             fabric_out.data.ravel(),
         )
 
+    def test_tiny_gains_bind(self, rng):
+        layer = self._connected(rng)
+        layer.scales = np.array([1e-30, -1e-30] * 3, np.float32)
+        table = compile_dense_stage(layer, Folding(2, 4)).mvtu.thresholds
+        bn = (layer.scales, layer.biases, layer.rolling_mean, layer.rolling_var)
+        acc = np.arange(-20, 21)
+        acc = np.broadcast_to(acc, (6, acc.size)).astype(np.float64)
+        np.testing.assert_array_equal(table.apply(acc), _sign_reference(acc, *bn))
+
     def test_guards(self, rng):
         layer = self._connected(rng)
         layer.binary = False
@@ -169,6 +257,7 @@ class TestEndToEndMLP:
             thresholds = derive_sign_thresholds(
                 bn.gamma.value, bn.beta.value,
                 bn.running_mean, bn.running_var, eps=bn.eps,
+                fan_in=linear.weight.value.shape[1],
             )
             mvtu = MVTU(linear.effective_weights(), thresholds, Folding(4, 8))
             stages.append(MVTUDenseLayer(mvtu, inputs=linear.weight.value.shape[1]))

@@ -17,6 +17,7 @@ def _random_mvtu(rng, rows=16, cols=144, bits=3, folding=Folding(4, 8), **kwargs
         in_scale=1.0 / 7.0,
         out_scale=1.0 / 7.0,
         bits=bits,
+        fan_in=cols,
     )
     return MVTU(weights, thresholds, folding, **kwargs), weights
 
@@ -111,7 +112,8 @@ class TestMVTUConvLayer:
         mean = rng.normal(size=c_out) * 3
         var = rng.uniform(0.5, 2.0, size=c_out)
         thresholds = derive_thresholds(
-            gamma, beta, mean, var, in_scale, out_scale, bits=3, eps=1e-6
+            gamma, beta, mean, var, in_scale, out_scale, bits=3, eps=1e-6,
+            fan_in=c_in * k * k,
         )
         mvtu = MVTU(weights.reshape(c_out, -1), thresholds, Folding(4, 8))
         layer = MVTUConvLayer(

@@ -185,12 +185,14 @@ class TestCodesByDtype:
         from repro.core.thresholds import derive_thresholds
 
         activation = derive_thresholds(
-            np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), 1.0, 1.0, bits=3
+            np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), 1.0, 1.0, bits=3,
+            fan_in=1,
         )
         acc = np.arange(-6, 12).reshape(3, 6)
         assert activation.apply(acc).dtype == np.uint8
         wide = derive_thresholds(
-            np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), 1.0, 1.0, bits=9
+            np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), 1.0, 1.0, bits=9,
+            fan_in=3,
         )
         assert wide.apply(np.arange(600).reshape(1, -1)).dtype == np.int32
 

@@ -33,6 +33,7 @@ class TestFoldingInvariance:
             in_scale=1.0 / 7,
             out_scale=1.0 / 7,
             bits=3,
+            fan_in=cols,
         )
         reference = MVTU(weights, thresholds, Folding(1, 1))
         folded = MVTU(weights, thresholds, Folding(pe, simd))
@@ -168,6 +169,7 @@ class TestQuantizedInferenceProperties:
             in_scale=1.0 / 7,
             out_scale=1.0 / 7,
             bits=bits,
+            fan_in=c_in * 9,
         )
         layer = MVTUConvLayer(
             MVTU(weights, thresholds, Folding(2, 4)),

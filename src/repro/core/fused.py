@@ -243,13 +243,15 @@ class BandKernel:
         ksize: int,
         stride: int,
         pad: int,
+        out: Optional[np.ndarray] = None,
     ) -> Optional["BandKernel"]:
         """Fold *activation*'s signs into ``+-1`` float32 *weights_pm1*.
 
         Returns ``None`` when float32 accumulation would not be exact
         (``C_in * K**2 * 255 >= 2**24``) or the hit count would not fit
         the kernel's ``uint8`` counter.  When every sign is ``+1`` the
-        weight matrix is shared, not copied.
+        weight matrix is shared, not copied; otherwise the folded matrix
+        is written into *out* when given (float32, of the matrix's shape).
         """
         _, ckk = weights_pm1.shape
         _check_geometry(ckk, in_channels, ksize)
@@ -261,7 +263,7 @@ class BandKernel:
         # |acc| < 2**24, so the +-2**24-clamped float32 table compares
         # exactly (ThresholdActivation.float32_table).
         return cls(
-            _sign_folded(weights_pm1, activation.signs),
+            _sign_folded(weights_pm1, activation.signs, out),
             activation.float32_table(),
             in_channels,
             ksize,
@@ -279,9 +281,11 @@ class BandKernel:
         ksize: int,
         stride: int,
         pad: int,
+        out: Optional[np.ndarray] = None,
     ) -> "BandKernel":
-        """A float-input kernel: *signs* folded into float32 *weights*,
-        *table* from :func:`repro.core.thresholds.bisect_thresholds`.
+        """A float-input kernel: *signs* folded into float32 *weights*
+        (into *out* when given and a sign is ``-1``), *table* from
+        :func:`repro.core.thresholds.bisect_thresholds`.
 
         Negating a weight row negates every product and so every partial
         sum exactly, so the GEMM yields ``s * acc`` bit for bit; the
@@ -293,7 +297,7 @@ class BandKernel:
         if table.shape[1] > 255:
             raise ValueError("a uint8 hit counter holds at most 255 levels")
         return cls(
-            _sign_folded(weights, signs),
+            _sign_folded(weights, signs, out),
             np.ascontiguousarray(table, dtype=np.float32),
             in_channels,
             ksize,
@@ -521,11 +525,16 @@ def _check_geometry(ckk: int, in_channels: int, ksize: int) -> None:
         )
 
 
-def _sign_folded(weights: np.ndarray, signs: np.ndarray) -> np.ndarray:
+def _sign_folded(
+    weights: np.ndarray, signs: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Contiguous float32 *weights* with row ``c`` times ``signs[c]``
-    (shared, not copied, when every sign is ``+1``)."""
+    (shared, not copied, when every sign is ``+1``; written into *out*
+    when given otherwise)."""
     if not np.all(signs > 0):
-        weights = weights * signs[:, None].astype(np.float32)
+        weights = np.multiply(
+            weights, signs[:, None].astype(np.float32), out=out
+        )
     return np.ascontiguousarray(weights, dtype=np.float32)
 
 

@@ -19,15 +19,23 @@ are daemon threads started on first use in each process: a forked child
 (the shard tier forks) starts its own instead of inheriting threads that
 do not exist in it.  Helpers never allocate — a kernel draws every lane's
 scratch from its own :mod:`repro.core.workspace` arena before dispatch
-and the *lane* argument says which set an item may use.
+and the *lane* argument says which set an item may use, and a bind item
+fills arrays the binding thread allocated.
+
+The cores are the lanes' and the serving workers', so importing this
+module sets the OpenBLAS that numpy bundles to one thread: a BLAS call
+inside a lane item must not start threads of its own on the same cores.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import queue
 import threading
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
+
+import numpy as np  # noqa: F401  (loads the bundled OpenBLAS pinned below)
 
 
 def _usable_cores() -> int:
@@ -38,6 +46,46 @@ def _usable_cores() -> int:
 
 
 _LANES = _usable_cores()
+
+#: ``(set, get)`` thread-count entry points, newest OpenBLAS naming first.
+_OPENBLAS_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+)
+
+
+def _openblas() -> Optional[Tuple[Callable, Callable]]:
+    """The loaded OpenBLAS's ``(set_num_threads, get_num_threads)``, or
+    ``None`` when no loaded library exports them (or the process map
+    cannot be read)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                line.split()[-1]
+                for line in maps
+                if "openblas" in line.lower() and "/" in line
+            }
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_CALLS:
+            if hasattr(library, setter) and hasattr(library, getter):
+                return getattr(library, setter), getattr(library, getter)
+    return None
+
+
+def _pin_blas() -> None:
+    """One BLAS thread (a no-op when no OpenBLAS entry point is found)."""
+    calls = _openblas()
+    if calls is not None:
+        calls[0](1)
+
+
+_pin_blas()
 
 
 def count() -> int:

@@ -95,8 +95,8 @@ def narrow_codes(data: np.ndarray):
     return codes
 
 
-def _signed_scale(positive: np.ndarray, scale: float) -> np.ndarray:
-    """float32 ``+scale`` where the bool mask *positive* holds, else ``-scale``.
+def _signed_scale(positive: np.ndarray, scale: float, out=None) -> np.ndarray:
+    """float32 ``+scale`` where the mask *positive* holds, else ``-scale``.
 
     ``np.where(mask, scale, -scale)`` runs numpy's generic select loop
     (~6 ns/element, and through a float64 array when the branches are
@@ -104,9 +104,12 @@ def _signed_scale(positive: np.ndarray, scale: float) -> np.ndarray:
     plan bind.  Three SIMD float32 passes instead: ``mask - 0.5`` is
     ``+-0.5``, doubled is ``+-1``, times ``float32(scale)`` is exactly
     ``+-float32(scale)`` — the one rounding of *scale* a select between
-    float32 scalars makes, so the result is bit-identical to it.
+    float32 scalars makes, so the result is bit-identical to it.  The
+    mask is bool or ``1.0``/``0.0`` float32; *out* (new when ``None``)
+    may be the mask itself.
     """
-    out = np.empty(np.shape(positive), dtype=np.float32)
+    if out is None:
+        out = np.empty(np.shape(positive), dtype=np.float32)
     np.subtract(positive, np.float32(0.5), out=out)
     out *= np.float32(2.0)
     out *= np.float32(scale)
@@ -125,8 +128,13 @@ class BinaryQuantizer(Quantizer):
     scale: float = 1.0
     bits: int = 1
 
-    def quantize(self, x: np.ndarray) -> np.ndarray:
-        return _signed_scale(np.asarray(x) >= 0, self.scale)
+    def quantize(self, x: np.ndarray, out=None) -> np.ndarray:
+        """``+-scale`` float32 values of *x*, written into *out* when given
+        (a float32 array of *x*'s shape; no other array is allocated)."""
+        if out is None:
+            out = np.empty(np.shape(x), dtype=np.float32)
+        np.greater_equal(x, 0, out=out)  # the mask, as 1.0 / 0.0
+        return _signed_scale(out, self.scale, out=out)
 
     def to_levels(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x) >= 0).astype(np.uint8)
@@ -159,11 +167,14 @@ class TernaryQuantizer(Quantizer):
         scale = float(np.mean(np.abs(x[mask]))) if mask.any() else 1.0
         return cls(threshold=threshold, scale=scale)
 
-    def quantize(self, x: np.ndarray) -> np.ndarray:
+    def quantize(self, x: np.ndarray, out=None) -> np.ndarray:
+        """``{-scale, 0, +scale}`` float32 values of *x*, written into
+        *out* when given (a float32 array of *x*'s shape)."""
         x = np.asarray(x)
-        return (np.sign(x) * (np.abs(x) > self.threshold) * self.scale).astype(
-            np.float32
-        )
+        ternary = np.sign(x) * (np.abs(x) > self.threshold)
+        if out is None:
+            return (ternary * self.scale).astype(np.float32)
+        return np.multiply(ternary, self.scale, out=out, casting="unsafe")
 
     def to_levels(self, x: np.ndarray) -> np.ndarray:
         # levels: 0 -> -scale, 1 -> 0, 2 -> +scale

@@ -14,6 +14,7 @@ bit-identical per-frame results to the sequential single-frame paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -195,4 +196,42 @@ def pool_output_size(size: int, ksize: int, stride: int, padding: int) -> int:
     return out
 
 
-__all__ = ["FeatureMap", "FeatureMapBatch", "conv_output_size", "pool_output_size"]
+class BadFrame(ValueError):
+    """A request frame the plan cannot take: refused before it is queued,
+    so it never fails the batch it would have joined."""
+
+
+def check_frame(frame, shape: Sequence[int]) -> None:
+    """Raise :class:`BadFrame` unless *frame* is a float32 map of the
+    plan's input *shape* with every value finite.
+
+    Finiteness is read from ``x . x``, one BLAS dot that a NaN or an
+    infinity makes non-finite; a sum that merely overflowed is settled by
+    the exact elementwise test.  Unlike a numpy reduction, the dot holds
+    the interpreter lock: a submit that let the batcher run mid-burst
+    would cut a client's burst into smaller batches.
+    """
+    data = getattr(frame, "data", None)
+    if not isinstance(data, np.ndarray):
+        raise BadFrame(f"a frame is a FeatureMap, got {type(frame).__name__}")
+    if data.shape != tuple(shape):
+        raise BadFrame(
+            f"frame shape {data.shape} is not the plan's input {tuple(shape)}"
+        )
+    if data.dtype != np.float32:
+        raise BadFrame(f"frame dtype {data.dtype} is not float32")
+    flat = data.ravel()
+    with np.errstate(over="ignore"):
+        square = flat @ flat
+    if not math.isfinite(square) and not np.isfinite(flat).all():
+        raise BadFrame("frame holds NaN or infinite values")
+
+
+__all__ = [
+    "BadFrame",
+    "FeatureMap",
+    "FeatureMapBatch",
+    "check_frame",
+    "conv_output_size",
+    "pool_output_size",
+]

@@ -7,7 +7,7 @@ Layout (all integers little-endian, lengths in bytes)::
              flags        u16 bit 0 = tv_ok (translation-validated);
                               other bits reserved, decode refuses them
              name         u16 length + utf-8 bytes
-             weights_hash 32  raw sha256 (zeros when absent)
+             weights_hash 32  raw weights_digest root (zeros when absent; v3)
              cfg_hash     32  raw sha256 (zeros when absent)
              input_shape  3 x u32
              output_shape 3 x u32

@@ -47,8 +47,11 @@ from repro.core.resources import CPU, FABRIC
 #: any other value (cross-version headers never half-load).  Version 2
 #: added the optimizer metadata: instruction ``layer``/``part``/
 #: ``fused_layers``/``releases`` fields, the ``FUSED`` opcode, and the
-#: ``opt_level``/``passes``/``constants`` header records.
-FORMAT_VERSION = 2
+#: ``opt_level``/``passes``/``constants`` header records.  Version 3
+#: changed what ``weights_hash`` means: the root of
+#: :func:`repro.isa.bind.weights_digest`'s tree over 1 MiB leaves, where
+#: version 2 stored one flat sha256 of the stream.
+FORMAT_VERSION = 3
 
 #: The network input's slot id (plan buffer ``INPUT`` maps here).
 INPUT_SLOT = 0

@@ -1,12 +1,15 @@
 """``prepack`` — record compile-time weight/threshold warming constants.
 
-The quantized-weight cache (``effective_weights``) and the integer
-threshold tables (``_thresholds_for``) are derived lazily on first
-forward, so a freshly bound plan pays the derivation cost on its first
-frame.  This pass makes the derivation part of the artifact: a
-``(kind, layer, param)`` constant per derivable cache, which
-:class:`repro.isa.vm.PlanVM` replays at bind time — a cached ``.rpb``
-starts with hot caches before the first frame arrives.
+The quantized-weight cache (``effective_weights``), the integer
+threshold tables (``_thresholds_for``) and the band-kernel folds are
+derived lazily on first forward, so a freshly bound plan pays the
+derivation cost on its first frame.  This pass makes the derivation part
+of the artifact: a ``(kind, layer, param)`` constant per derivable
+cache, which :class:`repro.isa.vm.PlanVM` replays at bind time — a
+cached ``.rpb`` starts with hot caches before the first frame arrives.
+A ``weights`` constant names a layer with binary or ternary weights, or
+a first layer whose float-input band kernel depends on its weights
+alone.
 
 Threshold constants need the layer's *input* quantization state, which
 :func:`static_quant_states` derives statically (the same propagation
@@ -70,6 +73,10 @@ def prepack(program: Program, network=None) -> Tuple[Program, str, Witness]:
         if hasattr(layer, "effective_weights") and (
             getattr(layer, "binary", False)
             or getattr(layer, "ternary", False)
+            or (
+                hasattr(layer, "float_band_eligible")
+                and layer.float_band_eligible()
+            )
         ):
             constants.append(("weights", index, 0.0))
         is_levels, scale, bits = states[index]

@@ -201,11 +201,13 @@ def run_fabric_step(layer, name, inputs, guard, fabric_mode) -> FeatureMapBatch:
 class PlanVM:
     """Interprets a :class:`~repro.isa.ops.Program` over feature batches.
 
-    Binding happens at construction: every compute instruction is
-    attached to its layer object and the program's content digests are
+    Binding happens at construction (:func:`~repro.isa.bind.bind`):
+    every compute instruction is attached to its layer object, the
+    program's pre-pack constants are derived and its content digests are
     checked against the network (*digests*: the network's
     :func:`~repro.isa.bind.network_digests` pair if the caller already
-    hashed it), so ``run`` itself never inspects the network again.
+    hashed it) — the derivations and the hash on every lane — so ``run``
+    itself never inspects the network again.
     Re-entrant: concurrent runs (the serving worker pool) each carry
     their own :class:`RunState` and a pooled arena.  *offload_guard*, when
     given (at construction or per call), is a context manager entered
@@ -227,6 +229,8 @@ class PlanVM:
         self.offload_guard = offload_guard
         self.on_step = on_step
         self.last_report: Optional[ExecutionReport] = None
+        if program.output_slot() is None:
+            raise BindError("program has no STORE_OUTPUT instruction")
         self._layers = bind(program, network, digests=digests)
         self._calls = [
             self._executable(instr, layer)
@@ -241,9 +245,6 @@ class PlanVM:
             steps[stage.start : stage.stop] for stage in self.stages
         ]
         self._arenas = ArenaPool()
-        if program.output_slot() is None:
-            raise BindError("program has no STORE_OUTPUT instruction")
-        self._warm_constants(network)
 
     @staticmethod
     def _executable(instr, layer):
@@ -267,29 +268,6 @@ class PlanVM:
         if instr.part == PART_PRE:
             return lambda inputs: layer.forward_batch_pre(inputs[0])
         return layer.run_batch
-
-    def _warm_constants(self, network) -> None:
-        """Replay the artifact's pre-pack constants (hot caches at bind).
-
-        Unknown kinds are ignored for forward compatibility; a constant
-        naming a layer outside the network is a binding error.
-        """
-        if not self.program.constants:
-            return
-        layers = list(network.layers)
-        for kind, index, param in self.program.constants:
-            if not 0 <= index < len(layers):
-                raise BindError(
-                    f"constant ({kind!r}, {index}) references a layer the "
-                    f"network does not have ({len(layers)} layers)"
-                )
-            layer = layers[index]
-            if kind == "weights" and hasattr(layer, "effective_weights"):
-                layer.effective_weights()
-            elif kind == "thresholds" and hasattr(
-                layer, "_thresholds_for"
-            ):
-                layer._thresholds_for(param)
 
     @property
     def uses_fabric(self) -> bool:

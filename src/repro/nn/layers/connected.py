@@ -7,7 +7,7 @@ convolutional layer so that W1A1 classifiers can be expressed.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -90,15 +90,29 @@ class ConnectedLayer(Layer):
             sink.write(self.rolling_var)
         sink.write(self.weights)
 
-    def effective_weights(self) -> np.ndarray:
+    def effective_weights(self, out=None) -> np.ndarray:
+        """The ``+-1`` weights of a binary layer (cached on the identity
+        of ``self.weights``; a recomputed result is written into *out*
+        when given), else the weights themselves."""
         if not self.binary:
             return self.weights
         cached = self._effective_cache
         if cached is not None and cached[0] is self.weights:
             return cached[1]
-        effective = self._binarizer.quantize(self.weights)
+        effective = self._binarizer.quantize(self.weights, out=out)
         self._effective_cache = (self.weights, effective)
         return effective
+
+    def constants_job(self, in_scales: Sequence[float]) -> Callable[[], None]:
+        """This layer's constants as one bind item: the ``+-1`` weights,
+        into an array allocated here on the binding thread (see
+        :meth:`repro.nn.layers.convolutional.ConvolutionalLayer.
+        constants_job`; a dense layer has no input-scale constants)."""
+        cached = self._effective_cache
+        effective = None
+        if self.binary and (cached is None or cached[0] is not self.weights):
+            effective = np.empty(self.weights.shape, dtype=np.float32)
+        return lambda: self.effective_weights(out=effective)
 
     def forward(self, fm: FeatureMap) -> FeatureMap:
         self._require_initialized()

@@ -15,7 +15,7 @@ thresholds and the tests pin down exact agreement between the two.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -163,12 +163,14 @@ class ConvolutionalLayer(Layer):
 
     # -- inference -------------------------------------------------------------
 
-    def effective_weights(self) -> np.ndarray:
+    def effective_weights(self, out=None) -> np.ndarray:
         """The weights the multiply actually sees (quantized per the flags).
 
         Quantizing the weights is pure in the weight array, so the result is
         cached across forward calls and recomputed only when ``self.weights``
         is rebound (``load_weights`` / ``initialize`` assign a fresh array).
+        A recomputed result is written into *out* when given (float32, of
+        the weights' shape).
         """
         if not (self.binary or self.ternary):
             return self.weights
@@ -176,15 +178,46 @@ class ConvolutionalLayer(Layer):
         if cached is not None and cached[0] is self.weights:
             return cached[1]
         if self.binary:
-            effective = self._binarizer.quantize(self.weights)
+            effective = self._binarizer.quantize(self.weights, out=out)
         else:
             from repro.core.quantize import TernaryQuantizer
 
             effective = TernaryQuantizer.from_weights(self.weights).quantize(
-                self.weights
+                self.weights, out=out
             )
         self._effective_cache = (self.weights, effective)
         return effective
+
+    def constants_job(self, in_scales: Sequence[float]) -> Callable[[], None]:
+        """This layer's constants as one bind item (see :func:`repro.isa.
+        bind.bind`).
+
+        Called on the binding thread, which allocates here every
+        weight-sized array the item produces; the returned callable fills
+        them on whichever lane runs it.  It derives the ``+-1`` weights,
+        then for each input scale in *in_scales* the threshold table and
+        the :class:`BandKernel` fold — or, with no scale, the float-input
+        kernel of a first layer — so the first frame finds them cached.
+        """
+        cached = self._effective_cache
+        effective = None
+        if (self.binary or self.ternary) and (
+            cached is None or cached[0] is not self.weights
+        ):
+            effective = np.empty(self.weights.shape, dtype=np.float32)
+        # A fold copies the weights only where a BN gain is negative.
+        folded = None
+        if self.batch_normalize and bool(np.any(self.scales < 0)):
+            folded = np.empty((self.filters, self.weights[0].size), np.float32)
+
+        def job() -> None:
+            self.effective_weights(out=effective)
+            for in_scale in in_scales:
+                self._band_kernel(in_scale, out=folded)
+            if not in_scales:
+                self._float_band_kernel(out=folded)
+
+        return job
 
     def _thresholds_for(self, in_scale: float):
         """ThresholdActivation collapsing BN/bias + activation + to_levels.
@@ -344,12 +377,13 @@ class ConvolutionalLayer(Layer):
         workspace.release(acc)
         return levels
 
-    def _band_kernel(self, in_scale: float):
+    def _band_kernel(self, in_scale: float, out=None):
         """The layer's :class:`BandKernel` for *in_scale*, or ``None``.
 
         Cached on the identity of the threshold table and the quantized
         weights, both of which are themselves rebuilt only when the
-        parameters they derive from are rebound.
+        parameters they derive from are rebound.  *out* is
+        :meth:`BandKernel.fold`'s buffer for a sign-folded weight copy.
         """
         thr = self._thresholds_for(in_scale)
         if thr is None:
@@ -360,12 +394,24 @@ class ConvolutionalLayer(Layer):
             return cached[2]
         kernel = BandKernel.fold(
             weights.reshape(self.filters, -1), thr,
-            self.in_shape[0], self.size, self.stride, self.pad,
+            self.in_shape[0], self.size, self.stride, self.pad, out=out,
         )
         self._band_cache = (thr, weights, kernel)
         return kernel
 
-    def _float_band_kernel(self):
+    def float_band_eligible(self) -> bool:
+        """Static mirror of :meth:`_float_band_kernel`'s admissibility: a
+        non-binary layer whose output is an unsigned quantizer of at most
+        8 bits after a monotone ``linear``/``relu``/``leaky`` activation."""
+        return not (
+            self.binary
+            or self.ternary
+            or self.out_quant is None
+            or self.out_quant.bits > 8
+            or self.activation not in ("linear", "relu", "leaky")
+        )
+
+    def _float_band_kernel(self, out=None):
         """The float-input :class:`BandKernel` of a non-binary layer with
         an unsigned output quantizer, or ``None``.
 
@@ -377,16 +423,10 @@ class ConvolutionalLayer(Layer):
         own :meth:`_epilogue` and ``to_levels`` as the predicate, so it
         *is* that float epilogue for every float32 accumulator; each
         channel's sign is that of the BN gain as the epilogue computes it.
-        Cached on the identity of the parameter arrays.
+        Cached on the identity of the parameter arrays; *out* is
+        :meth:`BandKernel.fold_float`'s buffer for the sign-folded weights.
         """
-        if (
-            self.binary
-            or self.ternary
-            or self.out_quant is None
-            or self.out_quant.bits > 8
-            or self.activation not in ("linear", "relu", "leaky")
-            or self.weights.dtype != np.float32
-        ):
+        if not self.float_band_eligible() or self.weights.dtype != np.float32:
             return None
         params = (
             self.weights, self.biases, self.scales, self.rolling_mean,
@@ -411,7 +451,7 @@ class ConvolutionalLayer(Layer):
             self.weights.reshape(self.filters, -1),
             signs,
             bisect_thresholds(reaches, signs, self.out_quant.bits),
-            self.in_shape[0], self.size, self.stride, self.pad,
+            self.in_shape[0], self.size, self.stride, self.pad, out=out,
         )
         self._float_band_cache = (params, kernel)
         return kernel

@@ -46,6 +46,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self.accepted = 0
         self.shed = 0
+        self.bad_frames = 0
         self.completed = 0
         self.failed = 0
         self.cancelled = 0
@@ -104,6 +105,10 @@ class MetricsRegistry:
     def observe_shed(self) -> None:
         with self._lock:
             self.shed += 1
+
+    def observe_bad_frame(self) -> None:
+        with self._lock:
+            self.bad_frames += 1
 
     def observe_queue_depth(self, depth: int) -> None:
         with self._lock:
@@ -295,11 +300,6 @@ class MetricsRegistry:
             "max_ms": max(samples) * 1e3,
         }
 
-    def latency_percentiles(self) -> Optional[Dict[str, float]]:
-        with self._lock:
-            samples = list(self._latencies)
-        return self._percentiles_of(samples)
-
     def snapshot(self, now: Optional[float] = None) -> Dict:
         """JSON-safe dict of every metric, for bench reports and logs.
 
@@ -322,6 +322,7 @@ class MetricsRegistry:
             data = {
                 "accepted": self.accepted,
                 "shed": self.shed,
+                "bad_frames": self.bad_frames,
                 "completed": self.completed,
                 "failed": self.failed,
                 "cancelled": self.cancelled,

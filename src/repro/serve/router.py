@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import faults
-from repro.core.tensor import FeatureMap
+from repro.core.tensor import BadFrame, FeatureMap, check_frame
 from repro.serve.admission import (
     AdmissionController,
     QuotaExceeded,
@@ -259,10 +259,6 @@ class Router:
 
     # -- introspection -----------------------------------------------------
 
-    def assigned_to(self, rid: int) -> Optional[str]:
-        with self._lock:
-            return self._assignments.get(rid)
-
     def in_flight(self) -> int:
         with self._lock:
             return len(self._assignments)
@@ -275,14 +271,6 @@ class Router:
         with self._lock:
             return sorted(
                 name for name, view in self._shards.items() if view.alive
-            )
-
-    def visible_shards(self) -> List[str]:
-        with self._lock:
-            return sorted(
-                name
-                for name, view in self._shards.items()
-                if view.alive and view.visible
             )
 
     def snapshot(self) -> Dict:
@@ -538,15 +526,20 @@ class ShardedServer:
         """Admit one frame; returns the future its result resolves.
 
         Raises :class:`~repro.serve.admission.QuotaExceeded` when the
-        tenant's token bucket is dry and plain
-        :class:`~repro.serve.queue.Overloaded` at the fleet in-flight cap.
+        tenant's token bucket is dry, plain :class:`~repro.serve.queue.
+        Overloaded` at the fleet in-flight cap and :class:`~repro.core.
+        tensor.BadFrame` for a frame the plan cannot take.
         """
         if self._stopping or not self._started:
             raise ServerClosed("sharded server is not accepting requests")
         now = self.clock()
         self._chaos_tick()
         try:
+            check_frame(frame, self.network.input_shape)
             self.admission.admit(tenant, now)
+        except BadFrame:
+            self.metrics.observe_bad_frame()
+            raise
         except QuotaExceeded:
             self.metrics.observe_quota_rejection(tenant)
             raise

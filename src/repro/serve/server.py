@@ -53,7 +53,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.resources import FABRIC
-from repro.core.tensor import FeatureMap, FeatureMapBatch
+from repro.core.tensor import BadFrame, FeatureMap, FeatureMapBatch, check_frame
 from repro.faults import FabricError
 
 from repro.serve.batcher import (
@@ -295,7 +295,8 @@ class InferenceServer:
     def submit(
         self, frame: FeatureMap, timeout_s: Optional[float] = None
     ) -> RequestFuture:
-        """Admit one frame; returns its future or raises :class:`Overloaded`.
+        """Admit one frame; returns its future or raises :class:`Overloaded`
+        (:class:`~repro.core.tensor.BadFrame` for a frame the plan cannot take).
 
         *timeout_s* is a per-request execution deadline: if the request is
         still waiting (queue or batcher) when it expires, it fails with
@@ -304,7 +305,11 @@ class InferenceServer:
         if not self.running:
             raise ServerClosed("the server is not running")
         try:
+            check_frame(frame, self.vm.program.input_shape)
             request = self.queue.submit(frame, timeout_s)
+        except BadFrame:
+            self.metrics.observe_bad_frame()
+            raise
         except Overloaded:
             self.metrics.observe_shed()
             raise

@@ -50,9 +50,8 @@ GOLDEN_DETECTIONS_SHA256 = (
 GOLDEN_THRESHOLD = 0.2
 
 
-@pytest.fixture(scope="module")
-def tincy_hybrid(tmp_path_factory):
-    """Seeded full-scale Tincy YOLO with its hidden layers offloaded."""
+def golden_tincy_network() -> Network:
+    """The seeded all-CPU Tincy YOLO the golden hybrid net is cut from."""
     rng = np.random.default_rng(20180621)
     network = Network(tincy_yolo_config())
     network.initialize(rng)
@@ -65,6 +64,13 @@ def tincy_hybrid(tmp_path_factory):
             layer.scales = rng.uniform(0.5, 1.5, size=n).astype(np.float32)
             layer.rolling_mean = (rng.normal(size=n) * 0.2).astype(np.float32)
             layer.rolling_var = rng.uniform(0.5, 1.5, size=n).astype(np.float32)
+    return network
+
+
+@pytest.fixture(scope="module")
+def tincy_hybrid(tmp_path_factory):
+    """Seeded full-scale Tincy YOLO with its hidden layers offloaded."""
+    network = golden_tincy_network()
 
     binparam = str(tmp_path_factory.mktemp("binparam-golden"))
     export_offload(

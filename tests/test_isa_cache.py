@@ -93,6 +93,40 @@ class TestPlanCache:
         assert not os.path.exists(stale)
         assert os.path.exists(other)
 
+    def test_a_format_2_cache_dir_misses_once_then_hits(self, tmp_path, mlp4):
+        """A cache written when the weights digest was one flat sha256."""
+        import hashlib
+        import os
+        import struct
+        import zlib
+        from dataclasses import replace
+
+        from repro.isa import DecodeError, cfg_digest, compile_network, decode
+
+        cache = PlanCache(str(tmp_path))
+        flat = hashlib.sha256(mlp4.save_weights_array().tobytes()).hexdigest()
+        program, _stats = compile_network(mlp4, name="mlp4", level=2)
+        blob = bytearray(encode(replace(program, weights_sha256=flat)))
+        blob[4:6] = struct.pack("<H", 2)
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        with pytest.raises(DecodeError, match="version"):
+            decode(bytes(blob))
+        old = cache.path_for(
+            plan_cache_key("mlp4", flat, cfg_digest(mlp4), version=2, opt_level=2)
+        )
+        with open(old, "wb") as handle:
+            handle.write(bytes(blob))
+        assert weights_digest(mlp4) != flat
+        first, hit1 = cache.get_or_compile(mlp4, name="mlp4")
+        assert not hit1 and not os.path.exists(old)
+        second, hit2 = cache.get_or_compile(mlp4, name="mlp4")
+        assert hit2 and second == first
+        assert os.listdir(str(tmp_path)) == [os.path.basename(
+            cache.path_for(plan_cache_key(
+                "mlp4", weights_digest(mlp4), cfg_digest(mlp4), opt_level=2
+            ))
+        )]
+
     def test_weight_change_changes_the_address(self, tmp_path, mlp4):
         cache = PlanCache(str(tmp_path))
         cache.get_or_compile(mlp4, name="mlp4")

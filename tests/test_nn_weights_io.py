@@ -1,9 +1,12 @@
-"""The weights start path: streamed digest, all-or-nothing load, atomic save.
+"""The weights start path: tree digest, all-or-nothing load, atomic save.
 
-``weights_digest`` must keep the value of its old copy-then-hash form
-(``sha256(save_weights_array().tobytes())``) or every stored plan cache
-goes dark; ``load_weights`` must either load everything or change
-nothing; ``save_weights`` must never leave a torn file.
+``weights_digest`` is a tree digest of the Darknet stream
+``save_weights_array().tobytes()``: sha256 of each 1 MiB leaf, then one
+sha256 over the stream length and the leaf digests.  Its value must not
+depend on the lane count or on how the layers chunk the stream, or a plan
+cache keyed by it would miss for no reason; ``load_weights`` must either
+load everything or change nothing; ``save_weights`` must never leave a
+torn file.
 """
 
 import hashlib
@@ -13,8 +16,10 @@ import numpy as np
 import pytest
 
 import repro.finn  # noqa: F401  (registers fabric.so for offload cfgs)
+from repro.core import lanes
 from repro.finn.offload_backend import export_offload
 from repro.isa import weights_digest
+from repro.isa.bind import tree_digest
 from repro.nn import zoo
 from repro.nn.network import Network
 from repro.nn.weights import load_weights, save_weights
@@ -104,14 +109,25 @@ activation_bits=3
 """
 
 #: weights_digest of ``Network(mlp4_config())`` initialized from
-#: ``default_rng(0)``: the address existing plan caches were stored under.
+#: ``default_rng(0)``: the address format-3 plan caches are stored under.
 MLP4_SEED0_DIGEST = (
-    "48c64603c13989d5e6b4faea9ae733b8cc2a630c4fdec80f2dba4944f78a4d3b"
+    "079561004368f6c03886260ab039d5d4e745869be2bd94a35ca120e52b937a39"
 )
 
 
+def _tree_of(blob: bytes) -> str:
+    """The tree definition, applied to the whole stream at once."""
+    leaves = [
+        hashlib.sha256(blob[start : start + (1 << 20)]).digest()
+        for start in range(0, len(blob), 1 << 20)
+    ]
+    return hashlib.sha256(
+        len(blob).to_bytes(8, "little") + b"".join(leaves)
+    ).hexdigest()
+
+
 def _reference_digest(network) -> str:
-    return hashlib.sha256(network.save_weights_array().tobytes()).hexdigest()
+    return _tree_of(network.save_weights_array().tobytes())
 
 
 def _seeded(network: Network, seed=0) -> Network:
@@ -155,15 +171,15 @@ class TestDigestFormat:
         hybrid = _hybrid(tmp_path)
         assert hybrid.layers[1].num_params() == 0
         assert weights_digest(hybrid) == _reference_digest(hybrid)
-        cpu_only = hashlib.sha256()
+        cpu_only = b""
         for index in (0, 2):
             layer = hybrid.layers[index]
             chunks = [layer.biases]
             if layer.batch_normalize:
                 chunks += [layer.scales, layer.rolling_mean, layer.rolling_var]
             for chunk in chunks + [layer.weights]:
-                cpu_only.update(np.ascontiguousarray(chunk, dtype=np.float32))
-        assert weights_digest(hybrid) == cpu_only.hexdigest()
+                cpu_only += np.ascontiguousarray(chunk, dtype=np.float32).tobytes()
+        assert weights_digest(hybrid) == _tree_of(cpu_only)
 
     def test_float64_and_non_contiguous_parameters_hash_as_float32(self):
         network = _seeded(Network(zoo.mlp4_config()))
@@ -179,6 +195,31 @@ class TestDigestFormat:
     def test_seeded_mlp4_digest_is_pinned(self):
         network = _seeded(Network(zoo.mlp4_config()))
         assert weights_digest(network) == MLP4_SEED0_DIGEST
+
+    def test_the_digest_is_the_same_at_one_and_two_lanes(self, monkeypatch):
+        network = _seeded(Network(zoo.cnv6_config()))
+        assert network.save_weights_array().nbytes > 2 << 20  # 3+ leaves
+        digests = []
+        for count in (1, 2):
+            monkeypatch.setattr(lanes, "_LANES", count)
+            digests.append(weights_digest(network))
+        assert digests[0] == digests[1] == _reference_digest(network)
+
+    @pytest.mark.parametrize(
+        "cuts",
+        [(), (1,), (4096,), ((1 << 20) - 1, 1 << 20, (1 << 20) + 1),
+         (3, 700_001, 2_500_000)],
+        ids=["whole", "one-byte-head", "page", "around-a-leaf", "ragged"],
+    )
+    def test_the_digest_does_not_depend_on_the_chunking(self, cuts):
+        blob = np.random.default_rng(5).bytes((3 << 20) + 12345)
+        bounds = [0, *cuts, len(blob)]
+        chunks = [blob[a:b] for a, b in zip(bounds, bounds[1:])]
+        assert tree_digest(chunks) == _tree_of(blob)
+
+    def test_an_empty_stream_hashes_its_length_alone(self):
+        expected = hashlib.sha256((0).to_bytes(8, "little")).hexdigest()
+        assert tree_digest([]) == tree_digest([b""]) == expected
 
     def test_num_params_is_exactly_what_the_stream_carries(self, tmp_path):
         networks = [

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import repro.finn  # noqa: F401  (registers fabric.so for offload cfgs)
-from repro.core.tensor import FeatureMap, FeatureMapBatch
+from repro.core.tensor import BadFrame, FeatureMap, FeatureMapBatch
 from repro.finn.mvtu import Folding
 from repro.finn.offload_backend import export_offload
 from repro.nn import zoo
@@ -557,7 +557,15 @@ class TestLifecycle:
         ) as server:
             bad = FeatureMap(np.zeros((1, 28, 28), dtype=np.float32))
             bad.data = np.zeros((1, 28, 29), dtype=np.float32)  # poison shape
-            future = server.submit(bad)
+            with pytest.raises(BadFrame, match="not the plan's input"):
+                server.submit(bad)  # refused at the door, never batched
+
+            def poisoned(state, *args, **kwargs):  # fails one batch in the VM
+                del server.vm.run_stage
+                raise ValueError("input frames do not match network input")
+
+            server.vm.run_stage = poisoned
+            future = server.submit(_frames(rng, network.input_shape, 1)[0])
             with pytest.raises(ValueError, match="do not match network"):
                 future.result(timeout=30)
             # The pool survived the poison batch and still serves traffic.

@@ -535,11 +535,7 @@ class ShardedServer:
         now = self.clock()
         self._chaos_tick()
         try:
-            check_frame(frame, self.network.input_shape)
             self.admission.admit(tenant, now)
-        except BadFrame:
-            self.metrics.observe_bad_frame()
-            raise
         except QuotaExceeded:
             self.metrics.observe_quota_rejection(tenant)
             raise
@@ -556,6 +552,12 @@ class ShardedServer:
             done = self.clock()
             self.metrics.observe_completion(done - now, done)
             return future
+        try:  # a hit is a frame that passed: the digest covers dtype and shape
+            check_frame(frame, self.network.input_shape)
+        except BadFrame:
+            self.admission.release()
+            self.metrics.observe_bad_frame()
+            raise
         with self._lock:
             primary = self._by_digest.get(digest) if self.config.coalesce else None
             if primary is not None:

@@ -295,8 +295,7 @@ class InferenceServer:
     def submit(
         self, frame: FeatureMap, timeout_s: Optional[float] = None
     ) -> RequestFuture:
-        """Admit one frame; returns its future or raises :class:`Overloaded`
-        (:class:`~repro.core.tensor.BadFrame` for a frame the plan cannot take).
+        """Admit one frame; returns its future or raises Overloaded/BadFrame.
 
         *timeout_s* is a per-request execution deadline: if the request is
         still waiting (queue or batcher) when it expires, it fails with

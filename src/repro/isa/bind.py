@@ -218,12 +218,15 @@ def _constant_jobs(program: Program, layers: List) -> List[Tuple[int, Callable]]
             scales.setdefault(index, [])
         elif kind == "thresholds":
             scales.setdefault(index, []).append(param)
-    jobs = []
-    for index, in_scales in scales.items():
-        layer = layers[index]
-        if hasattr(layer, "constants_job"):
-            jobs.append((layer.weights.nbytes, layer.constants_job(in_scales)))
-    return jobs
+    named = [index for index in scales if hasattr(layers[index], "constants_job")]
+    # constants_job allocates, so call it largest layer first, the order
+    # the items run: smallest first left Tincy's warm starts ~6 MB higher
+    # in peak RSS (the heap then holds the panels in another order).
+    named.sort(key=lambda index: layers[index].weights.nbytes, reverse=True)
+    return [
+        (layers[index].weights.nbytes, layers[index].constants_job(scales[index]))
+        for index in named
+    ]
 
 
 def _align(program: Program, network) -> List:

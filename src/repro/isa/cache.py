@@ -174,31 +174,6 @@ class PlanCache:
         self.store(program)
         return program, False
 
-    def warm(
-        self,
-        network,
-        name: str = "",
-        opt_level: Optional[int] = None,
-        validate: Optional[bool] = None,
-    ) -> Tuple[str, bool]:
-        """Ensure the network's artifact exists; returns ``(path, hit)``.
-
-        The shard tier calls this once in the parent before forking its
-        workers: the compile (if any) happens exactly once, and every
-        shard's cold start is then an artifact *load* from this path.
-        """
-        program, hit = self.get_or_compile(
-            network, name=name, opt_level=opt_level, validate=validate
-        )
-        key = plan_cache_key(
-            program.network_name,
-            program.weights_sha256,
-            program.cfg_sha256,
-            program.version,
-            program.opt_level,
-        )
-        return self.path_for(key), hit
-
 
 def build_vm(
     network,
@@ -209,11 +184,12 @@ def build_vm(
 ) -> Tuple[PlanVM, Optional[bool]]:
     """How every server comes up: ``(bound VM, cache hit | None)``.
 
-    With a *cache_dir* the program comes from the content-addressed
-    plan cache (compiled and stored on a miss) and the weights are
-    hashed exactly once — the one digest pair keys the cache, stamps a
-    fresh compile and is what bind compares to the artifact's stored
-    digests.  Without one the network is compiled in-process at
+    A shard tier calls it once, in its parent; the shards fork with the
+    bound VM.  With a *cache_dir* the program comes from the
+    content-addressed plan cache (compiled and stored on a miss) and the
+    weights are hashed exactly once — the one digest pair keys the
+    cache, stamps a fresh compile and is what bind compares to the
+    artifact's stored digests.  Without one the network is compiled in-process at
     *opt_level*; that program never leaves the process, so it carries
     no digests and nothing is hashed (``hit`` is ``None``).
     """

@@ -23,10 +23,8 @@ bit-exact inputs only, never "similar" frames), which also serves as the
 router's consistent-hashing key, so duplicates land on the same shard
 even on a cache miss.
 
-Everything takes an injectable ``clock`` and is a pure function of its
-inputs — no wall-time reads outside the caller-supplied clock — so the
-unit tests drive every refill/eviction path on a
-:class:`~repro.util.clock.VirtualClock`.
+Time is passed in (``now``), never read from a clock, so the unit tests
+drive every refill/eviction path on explicit values.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -92,7 +90,6 @@ class TokenBucket:
         self,
         rate: Optional[float],
         burst: float = 1.0,
-        clock: Callable[[], float] = None,
     ) -> None:
         if rate is not None and rate <= 0:
             raise ValueError("rate must be positive (or None for unmetered)")
@@ -100,7 +97,6 @@ class TokenBucket:
             raise ValueError("burst must be at least 1")
         self.rate = rate
         self.burst = float(burst)
-        self._clock = clock
         self._lock = threading.Lock()
         self._tokens = float(burst)
         self._refilled_at: Optional[float] = None
@@ -142,14 +138,12 @@ class AdmissionController:
         quota_rps: Optional[float] = None,
         quota_burst: float = 32.0,
         tenant_quotas: Optional[Dict[str, Tuple[float, float]]] = None,
-        clock: Callable[[], float] = None,
     ) -> None:
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be positive")
         self.max_in_flight = max_in_flight
         self.default_quota = (quota_rps, quota_burst)
         self.tenant_quotas = dict(tenant_quotas or {})
-        self.clock = clock
         self._lock = threading.Lock()
         self._buckets: Dict[str, TokenBucket] = {}
         self._in_flight = 0
@@ -162,7 +156,7 @@ class AdmissionController:
             bucket = self._buckets.get(tenant)
             if bucket is None:
                 rate, burst = self.tenant_quotas.get(tenant, self.default_quota)
-                bucket = TokenBucket(rate, burst, clock=self.clock)
+                bucket = TokenBucket(rate, burst)
                 self._buckets[tenant] = bucket
             return bucket
 

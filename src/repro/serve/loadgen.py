@@ -118,7 +118,7 @@ def run_load(
         if cache_dir is None:
             cache_dir = tempfile.mkdtemp(prefix="repro-serve-bench-cache-")
             stack.callback(shutil.rmtree, cache_dir, ignore_errors=True)
-        PlanCache(cache_dir).warm(network, name="serve-bench")
+        PlanCache(cache_dir).get_or_compile(network, name="serve-bench")
         if plan is not None:
             injector = stack.enter_context(faults_mod.install(plan))
         served = replace(config, plan_cache_dir=cache_dir, plan_cache_name="serve-bench")

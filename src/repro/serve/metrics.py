@@ -87,7 +87,6 @@ class MetricsRegistry:
         self._latency_stride = 1
         self._latency_seen = 0
         self._started_at: Optional[float] = None
-        self._first_completion: Optional[float] = None
         self._last_completion: Optional[float] = None
 
     # -- observations ------------------------------------------------------
@@ -123,8 +122,6 @@ class MetricsRegistry:
     def observe_completion(self, latency_s: float, now: float) -> None:
         with self._lock:
             self.completed += 1
-            if self._first_completion is None:
-                self._first_completion = now
             self._last_completion = now
             self._latency_seen += 1
             if self._latency_seen % self._latency_stride == 0:

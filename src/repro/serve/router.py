@@ -374,7 +374,7 @@ class _Pending:
 #: the engine in this process once it exists).
 _ENGINE_SECTIONS = (
     "batch_histogram", "flush_causes", "fabric_dispatches", "resilience",
-    "plan_cache", "plan_steps",
+    "plan_steps",
 )
 
 
@@ -409,7 +409,6 @@ class ShardedServer:
             quota_rps=self.config.quota_rps,
             quota_burst=self.config.quota_burst,
             tenant_quotas=self.config.tenant_quotas,
-            clock=clock,
         )
         self.result_cache = ResultCache(self.config.result_cache)
         self.router = Router(vnodes=VNODES)
@@ -423,6 +422,7 @@ class ShardedServer:
         self._next_rid = 0
         self._split_ticks = 0
         self._engine: Optional[InferenceServer] = None
+        self._bound: Optional[tuple] = None  # start()'s build_vm: (VM, hit)
         self._started = False
         self._stopping = False
         self._stop_event = threading.Event()
@@ -432,21 +432,25 @@ class ShardedServer:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "ShardedServer":
-        """Warm the plan cache, fork the shards, start the daemons."""
+        """Build the tier's VM, fork the shards with it, start the daemons."""
         if self._started:
             raise RuntimeError("sharded server already started")
         cfg = self.config
-        if cfg.plan_cache_dir is not None and cfg.shards:
-            # Warm once in the parent: every shard's cold start is then a
-            # cache *hit* — an artifact load, never a compile.
-            from repro.isa.cache import PlanCache
+        # One digest, and a compile only on a plan-cache miss: every engine
+        # serves on this VM (the shards inherit it by fork).
+        from repro.isa import build_vm
 
-            PlanCache(cfg.plan_cache_dir).warm(
-                self.network,
-                name=cfg.plan_cache_name,
-                opt_level=cfg.plan_opt_level,
-                validate=cfg.plan_validate,
-            )
+        began = time.perf_counter()
+        self._bound = build_vm(
+            self.network,
+            cfg.plan_cache_dir,
+            name=cfg.plan_cache_name,
+            opt_level=cfg.plan_opt_level,
+            validate=cfg.plan_validate,
+        )
+        self.metrics.observe_cold_start(
+            (time.perf_counter() - began) * 1e3, self._bound[1]
+        )
         # Fork every shard before awaiting any: their engines come up side
         # by side, and a failed start leaves them all in _shards for stop().
         # Each shard's engine: its share of the CPU workers and no warm-up
@@ -455,7 +459,7 @@ class ShardedServer:
         workers = max(1, cfg.cpu_workers // max(1, cfg.shards))
         per_shard = replace(cfg, cpu_workers=workers, warmup=False)
         for index in range(cfg.shards):
-            shard = Shard(index, self.network, per_shard).launch()
+            shard = Shard(index, self.network, per_shard).launch(self._bound)
             self._shards[shard.name] = shard
         for shard in self._shards.values():
             shard.wait_ready(READY_TIMEOUT_S)
@@ -696,14 +700,15 @@ class ShardedServer:
         future.add_done_callback(lambda done: self._settle(pending, done))
 
     def _local(self) -> InferenceServer:
-        """The engine in this process, started on first use."""
+        """The engine in this process on the tier's VM, started on first use."""
         with self._lock:
             if self._engine is None:
-                engine = InferenceServer(self.network, self.config, clock=self.clock)
-                self._engine = engine.start()
-                cold = engine.metrics.snapshot()["plan_cache"]
+                began = time.perf_counter()
+                self._engine = InferenceServer(
+                    self.network, self.config, clock=self.clock, bound=self._bound
+                ).start()
                 self.metrics.observe_shard_start(
-                    "local", cold["cold_start_ms"], cold["plan_cache_hit"]
+                    "local", (time.perf_counter() - began) * 1e3, self._bound[1]
                 )
             return self._engine
 

@@ -180,7 +180,9 @@ class InferenceServer:
         config: Optional[ServeConfig] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Optional[Callable[[float], None]] = None,
+        bound: Optional[tuple] = None,
     ) -> None:
+        """*bound*: a ``build_vm`` result to serve on instead of building one."""
         self.network = network
         self.config = config or ServeConfig()
         self.clock = clock
@@ -195,7 +197,7 @@ class InferenceServer:
         from repro.isa import build_vm
 
         cold_start = time.perf_counter()
-        self.vm, cache_hit = build_vm(
+        self.vm, cache_hit = bound or build_vm(
             network,
             self.config.plan_cache_dir,
             name=self.config.plan_cache_name,

@@ -4,10 +4,8 @@ FINN-R scales throughput by replicating the dataflow engine behind a
 dispatcher; the shard tier does the same at process granularity.  Each
 shard is a child process running one
 :class:`~repro.serve.server.InferenceServer` (queue, batcher, worker
-pool, breaker and fabric retries) warmed from the content-addressed plan
-cache (the parent pre-compiles the ``.rpb`` artifact once, so every
-shard's cold start is an artifact *load*, never a compile), talking to
-the router over one duplex :mod:`multiprocessing` pipe.
+pool, breaker and fabric retries) forked with the tier's bound VM,
+talking to the router over one duplex :mod:`multiprocessing` pipe.
 
 Wire protocol (plain tuples; ``Connection.send`` pickles them, which is
 how the ``FeatureMap`` payloads travel)::
@@ -18,7 +16,7 @@ how the ``FeatureMap`` payloads travel)::
     ("ping", seq)                       ("pong", seq, served, slow_left)
     ("slow", seconds, count)            -
     ("stop",)                           -
-    -                                   ("ready", cold_start_ms, cache_hit)
+    -                                   ("ready", bring_up_ms, cache_hit)
 
 The child's receive loop hands each request to its server and answers
 from the request future's done-callback, so requests batch inside the
@@ -27,9 +25,9 @@ still answers heartbeats between requests — slow and hung are
 distinguishable, which is exactly what the router's health policy
 needs.  Shards are spawned with the ``fork`` start method where the
 platform has it: the network object (which may hold unpicklable
-offload-backend handles) is inherited by memory image instead of being
-pickled, and a fork start is what keeps 3-shard full-scale Tincy tests
-cheap.
+offload-backend handles) and the bound VM are inherited by memory image
+instead of being pickled, and a fork start is what keeps 3-shard
+full-scale Tincy tests cheap.  Without fork a shard builds its own VM.
 """
 
 from __future__ import annotations
@@ -43,20 +41,22 @@ from typing import Optional
 from repro.core.tensor import FeatureMap
 
 
-def _shard_main(conn, peer, network, config) -> None:
-    """Child entry point: start an engine, then serve the pipe until told to stop."""
+def _shard_main(conn, peer, network, config, bound=None) -> None:
+    """Child entry point: start an engine on *bound* (a ``build_vm``
+    result; None builds one), then serve the pipe until told to stop."""
     if peer is not None:
         peer.close()  # the parent's end, inherited across the fork
+    began = time.perf_counter()
     try:
         from repro.serve.server import InferenceServer
 
-        server = InferenceServer(network, config).start()
+        server = InferenceServer(network, config, bound=bound).start()
     except Exception as exc:  # noqa: BLE001 — reported to the parent
         conn.send(("fail", repr(exc)))
         conn.close()
         return
-    cold = server.metrics.snapshot()["plan_cache"]
-    conn.send(("ready", cold["cold_start_ms"], cold["plan_cache_hit"]))
+    hit = server.metrics.snapshot()["plan_cache"]["plan_cache_hit"]
+    conn.send(("ready", (time.perf_counter() - began) * 1e3, hit))
     # Replies leave from worker threads while this loop answers pings.
     send_lock = threading.Lock()
     served = 0
@@ -122,7 +122,6 @@ class Shard:
     """
 
     def __init__(self, index: int, network, config=None) -> None:
-        self.index = index
         self.name = f"shard{index}"
         self._network = network
         self._config = config
@@ -143,8 +142,9 @@ class Shard:
         """Fork the shard process and wait for its ``ready`` handshake."""
         return self.launch().wait_ready(ready_timeout_s)
 
-    def launch(self) -> "Shard":
-        """Fork the shard process; its engine comes up in the background."""
+    def launch(self, bound=None) -> "Shard":
+        """Fork the shard process; its engine comes up in the background on
+        *bound*, a ``build_vm`` result (None: the child builds one)."""
         if self.process is not None:
             raise RuntimeError(f"{self.name} already started")
         method = "fork" if fork_available() else None
@@ -157,6 +157,7 @@ class Shard:
                 parent_conn if method == "fork" else None,
                 self._network,
                 self._config,
+                bound if method == "fork" else None,
             ),
             name=self.name,
             daemon=True,

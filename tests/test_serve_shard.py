@@ -2,15 +2,18 @@
 
 The chaos matrix (``test_serve_chaos``) certifies the tier under
 injected faults; this file covers the sunny-day contracts: the wire
-protocol and handshake of one :class:`Shard`, warm plan-cache cold
-starts, the result cache / coalescing / quota layers on the submit
-path, the engine each shard runs (fabric retries inside the shard),
-the zero-shard front door, and the :class:`HeartbeatMonitor`
-bookkeeping — plus bit-identity of the whole tier against
-``Network.forward_batch``.
+protocol and handshake of one :class:`Shard`, the tier's one VM build
+(shared by every shard and the inline fallback), the result cache /
+coalescing / quota layers on the submit path, the engine each shard
+runs (fabric retries inside the shard), the zero-shard front door, and
+the :class:`HeartbeatMonitor` bookkeeping — plus bit-identity of the
+whole tier against ``Network.forward_batch``.
 """
 
+import importlib
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -174,35 +177,73 @@ class TestShardedServerPath:
         with pytest.raises(ServerClosed):
             server.submit(frames[0])  # stopped
 
-    def test_warmed_plan_cache_makes_every_cold_start_a_hit(
-        self, network, frames, tmp_path
+
+@pytest.fixture
+def digest_pids(monkeypatch, tmp_path):
+    """Each weights digest appends its process id to a file; forked shards
+    inherit the wrapper, so the file names every process that hashed."""
+    bind = importlib.import_module("repro.isa.bind")  # not the bind() function
+    log = tmp_path / "digest-pids"
+    inner = bind.tree_digest
+
+    def recorded(chunks):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return inner(chunks)
+
+    monkeypatch.setattr(bind, "tree_digest", recorded)
+    return lambda: log.read_text().split() if log.exists() else []
+
+
+@pytest.mark.integration
+@needs_fork
+class TestTierBuild:
+    """The parent runs ``build_vm`` once; every engine serves on that VM."""
+
+    def test_a_tier_start_builds_once_in_the_parent(
+        self, network, frames, tmp_path, digest_pids
     ):
         config = ShardTierConfig(
             shards=2, plan_cache_dir=str(tmp_path / "plans")
         )
-        with ShardedServer(network, config) as server:
-            result = server.infer(frames[0], timeout_s=60)
-            tier = server.snapshot()["shard_tier"]
         expected = network.forward_batch(FeatureMapBatch.from_maps([frames[0]]))
+        # An empty cache, then the one the first start primed: one digest
+        # per start, made here, and every shard reports that build's hit.
+        for starts, hit in ((1, False), (2, True)):
+            with ShardedServer(network, config) as server:
+                result = server.infer(frames[0], timeout_s=60)
+                snapshot = server.snapshot()
+            assert np.array_equal(result.data, expected.frame(0).data)
+            assert digest_pids() == [str(os.getpid())] * starts
+            assert snapshot["plan_cache"]["plan_cache_hit"] is hit
+            assert snapshot["plan_cache"]["cold_start_ms"] > 0
+            colds = snapshot["shard_tier"]["cold_starts"]
+            assert sorted(colds) == ["shard0", "shard1"]
+            assert all(info["plan_cache_hit"] is hit for info in colds.values())
+
+    def test_the_inline_fallback_serves_on_the_tiers_vm(
+        self, network, frames, tmp_path, digest_pids
+    ):
+        config = ShardTierConfig(
+            shards=2, plan_cache_dir=str(tmp_path / "plans")
+        )
+        expected = network.forward_batch(FeatureMapBatch.from_maps([frames[0]]))
+        with ShardedServer(network, config) as server:
+            hashed = digest_pids()
+            for shard in list(server._shards.values()):
+                shard.kill()
+            deadline = time.monotonic() + 10.0
+            while server.router.alive_shards() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.router.alive_shards() == []
+            result = server.infer(frames[0], timeout_s=60)
+            snapshot = server.snapshot()
+            assert server._local().vm is server._bound[0]
         assert np.array_equal(result.data, expected.frame(0).data)
-        assert len(tier["cold_starts"]) == 2
-        for info in tier["cold_starts"].values():
-            # The parent warmed the artifact before forking: every
-            # shard's cold start is a cache *hit*, never a compile.
-            assert info["plan_cache_hit"] is True
-
-
-class TestPlanCacheWarm:
-    def test_warm_compiles_once_then_hits(self, network, tmp_path):
-        import os
-
-        from repro.isa.cache import PlanCache
-
-        cache = PlanCache(str(tmp_path / "plans"))
-        path, hit = cache.warm(network, name="warmup")
-        assert os.path.exists(path) and not hit
-        path_again, hit_again = cache.warm(network, name="warmup")
-        assert path_again == path and hit_again
+        assert result.scale == expected.frame(0).scale
+        assert snapshot["shard_tier"]["inline_fallbacks"] == 1
+        assert hashed == [str(os.getpid())]
+        assert digest_pids() == hashed  # no digest after start()
 
 
 @pytest.mark.integration

@@ -36,11 +36,15 @@ bench-pytest:
 # in the VM at once), so a regression to one-worker bursts fails by count,
 # and the stage placement case (a hybrid batch's CPU layers on CPU
 # workers, its offload on the one fabric worker), so a regression to
-# whole-batch fabric jobs fails by thread name.
+# whole-batch fabric jobs fails by thread name, and the two start cases
+# (a started server, and a tier's inline fallback, have run no frame
+# before the first request), so a frame run at start fails by count.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_serve_smoke.py \
 		"tests/test_serve_server.py::TestWorkConservingBatching::test_queued_burst_splits_over_both_free_workers" \
-		"tests/test_serve_server.py::TestFabricSerialization::test_hybrid_stages_run_on_their_resource_workers" -q
+		"tests/test_serve_server.py::TestFabricSerialization::test_hybrid_stages_run_on_their_resource_workers" \
+		"tests/test_serve_server.py::TestLifecycle::test_start_runs_no_frame" \
+		"tests/test_serve_shard.py::TestTierBuild::test_the_inline_fallback_serves_on_the_tiers_vm" -q
 
 # Shard-tier CI canary: 2 shard processes, 500 closed-loop requests, one
 # injected mid-run shard kill.  Exits non-zero unless the SLOs hold and

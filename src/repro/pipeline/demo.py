@@ -67,11 +67,8 @@ def run_demo(
         raise ValueError("the demo pipeline expects a region detection head")
     net_size = network.input_shape[1]
     # One frame per batch, as Fig. 5's jobs each advance one frame.  No
-    # retry: a fabric failure degrades its frame at once.  No warm-up
-    # frame, which would take the fabric's first invocation.
-    config = ServeConfig(
-        max_batch=1, cpu_workers=workers, max_retries=0, warmup=False
-    )
+    # retry: a fabric failure degrades its frame at once.
+    config = ServeConfig(max_batch=1, cpu_workers=workers, max_retries=0)
 
     def box_and_draw(payload: DemoPayload, future) -> DemoPayload:
         payload.fm = future.result()

@@ -306,8 +306,7 @@ class ShardTierConfig(ServeConfig):
     that serves when there are no shards (``shards=0``) or none is left.
     ``cpu_workers`` counts the tier's CPU workers: the shards share the
     host's cores, so they split them (at least one each) rather than
-    each starting the full count.  ``warmup`` applies to the engine in
-    this process only; a shard takes its first request cold.
+    each starting the full count.
     """
 
     #: Shard processes to start; 0 serves through one engine in this process.
@@ -453,11 +452,8 @@ class ShardedServer:
         )
         # Fork every shard before awaiting any: their engines come up side
         # by side, and a failed start leaves them all in _shards for stop().
-        # Each shard's engine: its share of the CPU workers and no warm-up
-        # frame (the shards' bring-up is the tier's start; a shard's first
-        # request warms it anyway).
         workers = max(1, cfg.cpu_workers // max(1, cfg.shards))
-        per_shard = replace(cfg, cpu_workers=workers, warmup=False)
+        per_shard = replace(cfg, cpu_workers=workers)
         for index in range(cfg.shards):
             shard = Shard(index, self.network, per_shard).launch(self._bound)
             self._shards[shard.name] = shard
@@ -700,7 +696,12 @@ class ShardedServer:
         future.add_done_callback(lambda done: self._settle(pending, done))
 
     def _local(self) -> InferenceServer:
-        """The engine in this process on the tier's VM, started on first use."""
+        """The engine in this process on the tier's VM, started on first use.
+
+        Started under ``_lock``, which ``submit`` and the completions take
+        too: that holds them only for thread starts, as a start runs no
+        frame.
+        """
         with self._lock:
             if self._engine is None:
                 began = time.perf_counter()

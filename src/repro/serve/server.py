@@ -50,10 +50,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.resources import FABRIC
-from repro.core.tensor import BadFrame, FeatureMap, FeatureMapBatch, check_frame
+from repro.core.tensor import BadFrame, FeatureMap, check_frame
 from repro.faults import FabricError
 
 from repro.serve.batcher import (
@@ -99,9 +97,6 @@ class ServeConfig:
     max_delay_s: float = 0.005
     #: CPU workers next to the single fabric executor.
     cpu_workers: int = 2
-    #: Run one zero frame through the server's VM at start() to populate the
-    #: packed weight/threshold caches before concurrent traffic arrives.
-    warmup: bool = True
     #: Fabric retry budget per batch: after this many retries the batch is
     #: served on the degraded CPU reference path instead of failing.
     max_retries: int = 2
@@ -243,17 +238,6 @@ class InferenceServer:
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
-        if self.config.warmup:
-            # Before the step hook is attached: the zero frame leaves no
-            # plan_steps (or latency) sample behind.
-            self.vm.run(
-                FeatureMapBatch(
-                    np.zeros(
-                        (1,) + tuple(self.network.input_shape),
-                        dtype=np.float32,
-                    )
-                )
-            )
         # The server owns its VM so the per-step stats land in *this*
         # server's metrics registry.
         self.vm.on_step = lambda stats: self.metrics.observe_plan_step(

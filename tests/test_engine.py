@@ -369,12 +369,12 @@ class TestDegenerateBatches:
         assert np.array_equal(batched.frame(0).data, single.data)
 
     def test_serve_empty_and_singleton(self, rng):
-        from repro.serve import InferenceServer, ServeConfig
+        from repro.serve import InferenceServer
 
         network = Network(zoo.mlp4_config())
         network.initialize(rng)
         frame = _frames(rng, network.input_shape, 1)[0]
-        with InferenceServer(network, ServeConfig(warmup=False)) as server:
+        with InferenceServer(network) as server:
             assert server.infer_many([]) == []
             outs = server.infer_many([frame], timeout_s=30)
             assert len(outs) == 1
@@ -405,12 +405,12 @@ class TestInstrumentation:
         assert seen == [step.name for step in network.plan().steps]
 
     def test_serve_metrics_expose_plan_steps(self, rng):
-        from repro.serve import InferenceServer, ServeConfig
+        from repro.serve import InferenceServer
 
         network = Network(zoo.mlp4_config())
         network.initialize(rng)
         frames = _frames(rng, network.input_shape, 3)
-        with InferenceServer(network, ServeConfig(warmup=False)) as server:
+        with InferenceServer(network) as server:
             server.infer_many(frames, timeout_s=30)
             snapshot = server.metrics.snapshot()
         steps = snapshot["plan_steps"]

@@ -16,8 +16,8 @@ after-trip, half-open}, the :class:`InferenceServer` must
 
 Determinism is engineered, not hoped for: ``max_batch=1`` with
 sequential ``infer`` calls pins batch composition and fault-site
-invocation order, ``warmup=False`` keeps invocation 0 for the first
-served frame, one shared :class:`VirtualClock` drives the server, the
+invocation order, a start runs no frame (invocation 0 is the first
+served frame), one shared :class:`VirtualClock` drives the server, the
 breaker, the backoff sleeps and the injector, and the plans only target
 the deterministic ``fabric.step`` / ``serve.worker`` sites (never the
 timing-dependent ``serve.queue.pop``).
@@ -213,7 +213,6 @@ def run_cell(network, frames, cell: Cell):
         max_batch=1,
         max_delay_s=0.0,
         cpu_workers=1,
-        warmup=False,  # keep fault-site invocation 0 for the first frame
         scrub_fabric=True,  # silent corruption must be *caught*, not served
         max_retries=cell.max_retries,
         breaker_threshold=cell.threshold,

@@ -139,7 +139,7 @@ class TestGoldenDetections:
 
         # Path 2: the serving path (fabric mode).
         clock = VirtualClock()
-        config = ServeConfig(max_batch=1, cpu_workers=1, warmup=False)
+        config = ServeConfig(max_batch=1, cpu_workers=1)
         with InferenceServer(tincy_hybrid, config, clock=clock) as server:
             served_out = server.infer(golden_frame, timeout_s=120)
 
@@ -149,7 +149,6 @@ class TestGoldenDetections:
         degraded_config = ServeConfig(
             max_batch=1,
             cpu_workers=1,
-            warmup=False,
             max_retries=0,
             breaker_threshold=1,
             breaker_probe_after_s=1000.0,

@@ -174,9 +174,7 @@ class TestServerColdStart:
         observed = []
         for _ in range(2):
             config = ServeConfig(
-                warmup=False,
-                plan_cache_dir=str(tmp_path / "plans"),
-                plan_cache_name="mlp4",
+                plan_cache_dir=str(tmp_path / "plans"), plan_cache_name="mlp4"
             )
             with InferenceServer(mlp4, config) as server:
                 out = server.infer(frame, timeout_s=30)
@@ -191,9 +189,9 @@ class TestServerColdStart:
             assert entry["cold_start_ms"] > 0.0
 
     def test_server_without_cache_reports_compiled(self, mlp4, rng):
-        from repro.serve import InferenceServer, ServeConfig
+        from repro.serve import InferenceServer
 
-        with InferenceServer(mlp4, ServeConfig(warmup=False)) as server:
+        with InferenceServer(mlp4) as server:
             server.infer(
                 FeatureMap(
                     rng.normal(size=mlp4.input_shape).astype(np.float32)
@@ -215,9 +213,7 @@ class TestServerColdStart:
             FeatureMap(rng.normal(size=mlp4.input_shape).astype(np.float32))
             for _ in range(5)
         ]
-        config = ServeConfig(
-            warmup=False, plan_cache_dir=str(tmp_path), plan_cache_name="m"
-        )
+        config = ServeConfig(plan_cache_dir=str(tmp_path), plan_cache_name="m")
         with InferenceServer(mlp4, config) as server:
             served = server.infer_many(frames, timeout_s=30)
         for frame, got in zip(frames, served):

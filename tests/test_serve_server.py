@@ -232,7 +232,7 @@ class TestOverloadBehavior:
     def test_sheds_beyond_limit_and_reports_metrics(self, rng):
         network = _mlp4(rng)
         config = ServeConfig(
-            max_queue_depth=4, max_batch=4, max_delay_s=0.005, warmup=False
+            max_queue_depth=4, max_batch=4, max_delay_s=0.005
         )
         frames = _frames(rng, network.input_shape, 32)
         server = InferenceServer(network, config)
@@ -269,7 +269,7 @@ class TestOverloadBehavior:
     def test_overloaded_error_carries_depth_and_limit(self, rng):
         network = _mlp4(rng)
         server = InferenceServer(
-            network, ServeConfig(max_queue_depth=1, max_batch=1, warmup=False)
+            network, ServeConfig(max_queue_depth=1, max_batch=1)
         )
         server._started = True
         server.submit(_frames(rng, network.input_shape, 1)[0])
@@ -283,7 +283,7 @@ class TestOverloadBehavior:
 
     def test_submit_to_stopped_server_rejected(self, rng):
         network = _mlp4(rng)
-        server = InferenceServer(network, ServeConfig(warmup=False))
+        server = InferenceServer(network)
         server.start()
         server.stop(timeout=10)
         with pytest.raises(ServerClosed):
@@ -353,7 +353,7 @@ class TestFabricSerialization:
         direct = network.forward_batch(FeatureMapBatch.from_maps(frames))
         clock = VirtualClock()
         config = ServeConfig(
-            max_batch=1, cpu_workers=1, warmup=False, max_retries=2,
+            max_batch=1, cpu_workers=1, max_retries=2,
             breaker_probe_after_s=1000.0,
         )
         with faults.install(faults.FaultPlan.parse("fabric-raise@0"), clock=clock):
@@ -377,7 +377,7 @@ class TestFabricSerialization:
         direct = network.forward_batch(FeatureMapBatch.from_maps(frames))
         clock = VirtualClock()
         config = ServeConfig(
-            max_batch=1, cpu_workers=1, warmup=False, max_retries=0,
+            max_batch=1, cpu_workers=1, max_retries=0,
             breaker_threshold=1, breaker_probe_after_s=1000.0,
         )
         with faults.install(faults.FaultPlan.parse("fabric-raise@0"), clock=clock):
@@ -413,7 +413,7 @@ class TestFabricSerialization:
 class TestTimeoutsAndCancellation:
     def test_expired_request_fails_with_timeout(self, rng):
         network = _mlp4(rng)
-        config = ServeConfig(max_batch=4, max_delay_s=0.005, warmup=False)
+        config = ServeConfig(max_batch=4, max_delay_s=0.005)
         with InferenceServer(network, config) as server:
             # timeout_s=0 expires at admission time — deterministically
             # before dispatch, with no sleeping in the test.
@@ -429,7 +429,7 @@ class TestTimeoutsAndCancellation:
     def test_cancelled_request_is_dropped(self, rng):
         network = _mlp4(rng)
         server = InferenceServer(
-            network, ServeConfig(max_batch=2, warmup=False)
+            network, ServeConfig(max_batch=2)
         )
         server._started = True  # submit before the batcher thread runs
         future = server.submit(_frames(rng, network.input_shape, 1)[0])
@@ -443,7 +443,7 @@ class TestTimeoutsAndCancellation:
 
     def test_result_timeout_is_plain_timeouterror(self, rng):
         network = _mlp4(rng)
-        server = InferenceServer(network, ServeConfig(warmup=False))
+        server = InferenceServer(network)
         server._started = True
         future = server.submit(_frames(rng, network.input_shape, 1)[0])
         with pytest.raises(TimeoutError):
@@ -456,7 +456,7 @@ class TestLifecycle:
     def test_stop_drains_accepted_requests(self, rng):
         network = _mlp4(rng)
         config = ServeConfig(
-            max_batch=64, max_delay_s=30.0, max_queue_depth=64, warmup=False,
+            max_batch=64, max_delay_s=30.0, max_queue_depth=64,
             cpu_workers=1,
         )
         # A huge deadline and batch size behind a busy worker: nothing
@@ -486,7 +486,7 @@ class TestLifecycle:
     def test_stop_without_drain_fails_pending(self, rng):
         network = _mlp4(rng)
         config = ServeConfig(
-            max_batch=64, max_delay_s=30.0, max_queue_depth=64, warmup=False,
+            max_batch=64, max_delay_s=30.0, max_queue_depth=64,
             cpu_workers=1,
         )
         frames = _frames(rng, network.input_shape, 4)
@@ -510,7 +510,7 @@ class TestLifecycle:
             running.result(timeout=5).data, network.forward(frames[0]).data
         )
 
-    def test_warmup_runs_the_servers_own_vm_unobserved(self, rng, tmp_path):
+    def test_start_runs_no_frame(self, rng, tmp_path):
         from repro import faults
 
         hybrid = _hybrid_offload_network(rng, tmp_path)
@@ -522,16 +522,16 @@ class TestLifecycle:
         with faults.install(faults.FaultPlan.parse("fabric-raise@99")) as seam:
             server = InferenceServer(hybrid, ServeConfig(max_batch=1)).start()
             try:
-                # One zero frame crossed the fabric.step seam, through the
-                # one program the server compiled — no second VM was built
-                # and nothing was recorded for it.
-                assert seam.invocations(faults.FABRIC_STEP) == 1
+                # A started server has compiled its one program and run
+                # nothing on it: the client's first frame is the fabric's
+                # first invocation.
+                assert seam.invocations(faults.FABRIC_STEP) == 0
                 assert compiles == [1]
-                warm = server.metrics.snapshot()
-                assert warm["plan_steps"] == {}
-                assert warm["completed"] == 0
+                started = server.metrics.snapshot()
+                assert started["plan_steps"] == {}
+                assert started["completed"] == 0
                 server.infer(frame, timeout_s=60)
-                assert seam.invocations(faults.FABRIC_STEP) == 2
+                assert seam.invocations(faults.FABRIC_STEP) == 1
                 steps = server.metrics.snapshot()["plan_steps"]
                 assert {entry["count"] for entry in steps.values()} == {1}
             finally:
@@ -539,7 +539,7 @@ class TestLifecycle:
         assert compiles == [1]
 
     def test_double_start_rejected(self, rng):
-        server = InferenceServer(_mlp4(rng), ServeConfig(warmup=False))
+        server = InferenceServer(_mlp4(rng))
         server.start()
         try:
             with pytest.raises(RuntimeError, match="already started"):
@@ -553,7 +553,7 @@ class TestLifecycle:
     def test_errors_propagate_to_futures_not_pool(self, rng):
         network = _mlp4(rng)
         with InferenceServer(
-            network, ServeConfig(max_batch=1, warmup=False)
+            network, ServeConfig(max_batch=1)
         ) as server:
             bad = FeatureMap(np.zeros((1, 28, 28), dtype=np.float32))
             bad.data = np.zeros((1, 28, 29), dtype=np.float32)  # poison shape
@@ -617,7 +617,7 @@ class TestConcurrentClients:
 class TestWorkConservingBatching:
     """The idle trigger, on a virtual clock that only the test advances."""
 
-    CONFIG = dict(max_batch=4, max_delay_s=0.005, max_queue_depth=16, warmup=False)
+    CONFIG = dict(max_batch=4, max_delay_s=0.005, max_queue_depth=16)
 
     def test_lone_request_on_idle_server_needs_no_clock_advance(self, rng):
         network = _mlp4(rng)
@@ -823,7 +823,7 @@ class TestWorkConservingBatching:
         first, second = _frames(rng, network.input_shape, 2)
         clock = VirtualClock()
         config = ServeConfig(
-            max_batch=4, max_delay_s=30.0, cpu_workers=1, warmup=False
+            max_batch=4, max_delay_s=30.0, cpu_workers=1
         )
         with InferenceServer(network, config, clock=clock) as server:
             checked, woken = threading.Event(), threading.Event()
@@ -865,7 +865,7 @@ class TestWorkConservingBatching:
         network = _mlp4(rng)
         frames = _frames(rng, network.input_shape, 8)
         config = ServeConfig(
-            max_batch=4, max_delay_s=5.0, cpu_workers=1, warmup=False
+            max_batch=4, max_delay_s=5.0, cpu_workers=1
         )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # hand the GIL over mid-handoff, often

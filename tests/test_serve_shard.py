@@ -236,9 +236,21 @@ class TestTierBuild:
             while server.router.alive_shards() and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert server.router.alive_shards() == []
+            # Count the batches the parent's VM runs: bringing the inline
+            # engine up runs none, so the request's batch is the only one.
+            vm = server._bound[0]
+            batches = []
+            start = vm.start
+
+            def counted(fmb, *args, **kwargs):
+                batches.append(fmb.batch)
+                return start(fmb, *args, **kwargs)
+
+            vm.start = counted
             result = server.infer(frames[0], timeout_s=60)
             snapshot = server.snapshot()
-            assert server._local().vm is server._bound[0]
+            assert server._local().vm is vm
+        assert batches == [1]
         assert np.array_equal(result.data, expected.frame(0).data)
         assert result.scale == expected.frame(0).scale
         assert snapshot["shard_tier"]["inline_fallbacks"] == 1
@@ -253,7 +265,7 @@ class TestShardEngines:
         # Each shard runs a full engine, so a fabric fault is retried by
         # the shard's own retry ladder instead of failing the request.
         # The forked shards inherit the plan installed before start(), and
-        # a shard has no warm-up frame, so the fault hits a served request.
+        # a start runs no frame, so the fault hits a served request.
         from tests.test_serve_server import _frames, _hybrid_offload_network
 
         hybrid = _hybrid_offload_network(rng, tmp_path)
@@ -279,7 +291,6 @@ class TestShardEngines:
             engines = [shard._config for shard in server._shards.values()]
         assert [engine.cpu_workers for engine in engines] == [2, 2]
         assert all(engine.max_batch == config.max_batch for engine in engines)
-        assert not any(engine.warmup for engine in engines)  # first request warms
 
 
 class TestZeroShards:

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast coverage bench-e2e-smoke bench-pytest serve-smoke serve-shard-smoke opt-check isa-roundtrip report demo quickstart analyze clean
+.PHONY: install test test-fast coverage bench-e2e-smoke bench-pytest serve-smoke serve-shard-smoke opt-check isa-roundtrip line-budget report demo quickstart analyze clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -75,6 +75,16 @@ isa-roundtrip:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/test_dtype_kernels.py::TestBandLanes::test_forced_two_lanes_are_bit_identical \
 		tests/test_dtype_kernels.py::TestBandLanes::test_forked_child_runs_its_own_helper
+
+# Line budgets: the .py lines of src/repro/serve and of all of src/repro
+# must stay under fixed ceilings.  Raising one is a visible diff here with
+# its reason in CHANGES.md.
+line-budget:
+	@serve=$$(find src/repro/serve -name '*.py' | xargs cat | wc -l); \
+	total=$$(find src/repro -name '*.py' | xargs cat | wc -l); \
+	echo "src/repro/serve: $$serve lines (ceiling 3686)"; \
+	echo "src/repro: $$total lines (ceiling 25324)"; \
+	test "$$serve" -le 3686 && test "$$total" -le 25324
 
 report:
 	$(PYTHON) -m repro report --output reproduction-report.md

@@ -164,7 +164,8 @@ def test_fig4_hybrid_forward(benchmark, networks, report):
 
 
 def test_fig3_lifecycle_hooks(benchmark):
-    """The init/load_weights/forward/destroy cycle itself (Fig. 3)."""
+    """The init/load_weights/forward/destroy cycle itself (Fig. 3); the
+    forward hook is ``forward_batch``, as Darknet's forward runs a batch."""
     from repro.nn.registry import register_backend, unregister_backend
 
     events = []
@@ -177,9 +178,9 @@ def test_fig3_lifecycle_hooks(benchmark):
         def load_weights(self):
             events.append("load_weights")
 
-        def forward(self, fm):
-            events.append("forward")
-            return fm
+        def forward_batch(self, fmb):
+            events.append("forward_batch")
+            return fmb
 
         def destroy(self):
             events.append("destroy")
@@ -201,6 +202,6 @@ def test_fig3_lifecycle_hooks(benchmark):
             return list(events)
 
         sequence = benchmark(lifecycle)
-        assert sequence == ["init", "load_weights", "forward", "destroy"]
+        assert sequence == ["init", "load_weights", "forward_batch", "destroy"]
     finally:
         unregister_backend("probe.so")

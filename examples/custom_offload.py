@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 import repro.finn  # noqa: F401  (registers fabric.so)
-from repro.core.tensor import FeatureMap
+from repro.core.tensor import FeatureMap, FeatureMapBatch
 from repro.finn.offload_backend import export_offload
 from repro.nn.network import Network
 from repro.nn.registry import register_backend
@@ -37,11 +37,11 @@ class BlurBackend:
     def load_weights(self):
         print("  BlurBackend.load_weights() called (nothing to load)")
 
-    def forward(self, fm):
-        d = fm.data
-        pooled = 0.25 * (d[:, ::2, ::2] + d[:, 1::2, ::2]
-                         + d[:, ::2, 1::2] + d[:, 1::2, 1::2])
-        return FeatureMap(pooled.astype(np.float32), scale=fm.scale)
+    def forward_batch(self, fmb):
+        d = fmb.data
+        pooled = 0.25 * (d[:, :, ::2, ::2] + d[:, :, 1::2, ::2]
+                         + d[:, :, ::2, 1::2] + d[:, :, 1::2, 1::2])
+        return FeatureMapBatch(pooled.astype(np.float32), scale=fmb.scale)
 
     def destroy(self):
         print("  BlurBackend.destroy() called")

@@ -13,7 +13,7 @@ run-time parts and the reference it is pinned against:
 * :class:`~repro.engine.arena.Arena` (buffer reuse from release points)
   and :class:`~repro.engine.fused.FusedChain` (the executable form of a
   ``FUSED`` instruction) are what the VM allocates from and binds to.
-* :mod:`repro.engine.reference` keeps the frozen pre-engine walk loops as
+* :mod:`repro.engine.reference` keeps the frozen pre-engine batched walk as
   the **one** bit-identity oracle (``make opt-check``).
 
 See ``docs/ENGINE.md`` for the full design.
@@ -22,7 +22,7 @@ See ``docs/ENGINE.md`` for the full design.
 from repro.engine.arena import Arena
 from repro.engine.fused import FusedChain
 from repro.engine.plan import INPUT, ExecutionPlan, PlanStep, compile_plan
-from repro.engine.reference import legacy_forward_all, legacy_forward_batch_all
+from repro.engine.reference import legacy_forward_batch_all
 
 __all__ = [
     "INPUT",
@@ -31,6 +31,5 @@ __all__ = [
     "compile_plan",
     "Arena",
     "FusedChain",
-    "legacy_forward_all",
     "legacy_forward_batch_all",
 ]

@@ -3,8 +3,7 @@
 The ``fuse-chains`` pass rewrites eligible layer pairs into one
 instruction; at bind time (:func:`repro.isa.bind.bind`) the constituent
 layer objects are wrapped in a :class:`FusedChain`, which quacks like a
-single CPU layer to the VM: ``ltype``/``out_shape``/``run_batch``/
-``run_batch_reference``.
+single CPU layer to the VM: ``ltype``/``out_shape``/``run_batch``.
 
 conv→maxpool chains dispatch to :func:`repro.core.fused.
 fused_conv_maxpool_batch` — the band-tiled conv→pool→threshold kernel
@@ -67,12 +66,6 @@ class FusedChain:
                 workspace.release(current.data)
             current = produced
         return current
-
-    def run_batch_reference(
-        self, inputs: Sequence[FeatureMapBatch]
-    ) -> FeatureMapBatch:
-        """Reference entry — identical for CPU chains (fusion is CPU-only)."""
-        return self.run_batch(inputs)
 
     def __repr__(self) -> str:
         return f"<FusedChain {self.ltype} {self.in_shape} -> {self.out_shape}>"

@@ -2,7 +2,7 @@
 
 Before the execution engine, the spine carried four near-duplicate
 walk-the-layer-list forward paths with runtime ``needs_history`` and
-``offload_guard`` special-casing.  These two functions preserve those
+``offload_guard`` special-casing.  The batched walk below preserves those
 semantics verbatim (keep-everything history, ``ltype == "offload"`` guard
 keying and all) so the runtime can be pinned **bit-identical** against
 them forever — by ``tests/test_engine.py`` and by ``make opt-check`` —
@@ -15,20 +15,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.tensor import FeatureMap, FeatureMapBatch
-
-
-def legacy_forward_all(network, x: FeatureMap) -> List[FeatureMap]:
-    """The pre-engine sequential walk: every intermediate kept alive."""
-    fm = x
-    outputs: List[FeatureMap] = []
-    for layer in network.layers:
-        if getattr(layer, "needs_history", False):
-            fm = layer.forward(fm, history=outputs)
-        else:
-            fm = layer.forward(fm)
-        outputs.append(fm)
-    return outputs
+from repro.core.tensor import FeatureMapBatch
 
 
 def legacy_forward_batch_all(
@@ -49,4 +36,4 @@ def legacy_forward_batch_all(
     return outputs
 
 
-__all__ = ["legacy_forward_all", "legacy_forward_batch_all"]
+__all__ = ["legacy_forward_batch_all"]

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import workspace
-from repro.core.tensor import FeatureMap, FeatureMapBatch
+from repro.core.tensor import FeatureMapBatch
 from repro.core.thresholds import derive_thresholds
 from repro.finn.mvtu import MVTU, Folding, MVTUConvLayer
 from repro.finn.resources import (
@@ -35,11 +35,11 @@ from repro.finn.resources import (
 )
 from repro.nn.layers.convolutional import BN_EPS, ConvolutionalLayer
 from repro.nn.layers.maxpool import MaxpoolLayer
-from repro.core.ops import maxpool2d
 
-#: Defaults calibrated in DESIGN.md §6: a 32x32 engine at 200 MHz in the
-#: XCZU3EG fabric with ~1 ms of invocation overhead per offloaded layer
-#: reproduces the paper's "30 ms for all hidden layers".
+#: Defaults calibrated in EXPERIMENTS.md (the "fabric folding / clock"
+#: row): a 32x32 engine at 100 MHz in the XCZU3EG fabric with ~1 ms of
+#: invocation overhead per offloaded layer reproduces the paper's "30 ms
+#: for all hidden layers".
 DEFAULT_FOLDING = Folding(pe=32, simd=32)
 DEFAULT_FMAX_HZ = 100e6
 DEFAULT_LAYER_OVERHEAD_S = 1.0e-3
@@ -52,12 +52,6 @@ class PoolStage:
     size: int
     stride: int
     padding: int
-
-    def forward(self, fm: FeatureMap) -> FeatureMap:
-        # maxpool2d pools in the input dtype (max is a selection op), so the
-        # old float64 round trip is gone — level codes pool as integers.
-        pooled = maxpool2d(fm.data, self.size, self.stride, self.padding)
-        return FeatureMap(pooled, scale=fm.scale)
 
     def out_shape(self, in_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
         from repro.core.tensor import pool_output_size
@@ -89,14 +83,12 @@ class FabricStage:
             shape = self.pool.out_shape(shape)
         return shape
 
-    def forward(self, fm: FeatureMap) -> FeatureMap:
-        out = self.conv.forward(fm)
-        if self.pool is not None:
-            out = self.pool.forward(out)
-        return out
-
     def forward_batch(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
         return self.conv.forward_batch(fmb, pool=self.pool)
+
+    def forward_batch_matmat(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
+        """The stage on the MVTU matmat datapath (the CPU reference)."""
+        return self.conv.forward_batch_matmat(fmb, pool=self.pool)
 
     def cycles(self) -> int:
         total = self.conv.cycles(self.in_shape)
@@ -232,11 +224,6 @@ class IteratedAccelerator:
     def out_shape(self) -> Tuple[int, int, int]:
         return self.stages[-1].out_shape
 
-    def forward(self, fm: FeatureMap) -> FeatureMap:
-        for stage in self.stages:
-            fm = stage.forward(fm)
-        return fm
-
     def forward_batch(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
         current = fmb
         for stage in self.stages:
@@ -306,11 +293,6 @@ class DataflowAccelerator:
             raise ValueError("accelerator needs at least one stage")
         self.stages = list(stages)
         self.fmax_hz = fmax_hz
-
-    def forward(self, fm: FeatureMap) -> FeatureMap:
-        for stage in self.stages:
-            fm = stage.forward(fm)
-        return fm
 
     def forward_batch(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
         for stage in self.stages:

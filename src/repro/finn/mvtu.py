@@ -32,10 +32,10 @@ import numpy as np
 from repro.core import workspace
 from repro.core.bitpack import bitserial_dot, pack_bits, pack_levels
 from repro.core.fused import BandKernel
-from repro.core.im2col import im2col
-from repro.core.ops import accumulates_exactly
-from repro.core.quantize import level_dtype, narrow_codes
-from repro.core.tensor import FeatureMap, FeatureMapBatch, conv_output_size
+from repro.core.im2col import im2col_batch
+from repro.core.ops import accumulates_exactly, maxpool2d_batch
+from repro.core.quantize import narrow_codes
+from repro.core.tensor import FeatureMapBatch, conv_output_size
 from repro.core.thresholds import ThresholdActivation
 
 
@@ -189,6 +189,13 @@ class MVTU:
         return n_vectors * self.cycles_per_vector()
 
 
+#: Byte budget for the float32 multiplicand of one
+#: :meth:`MVTUConvLayer.forward_batch_matmat` call: a batch whose columns
+#: exceed it runs in frame chunks (one frame at least), so the reference
+#: path's peak memory does not grow with the batch.
+_MATMAT_COL_BYTES = 1 << 24
+
+
 class MVTUConvLayer:
     """A convolution + BN + activation executed on an MVTU (with its SWU).
 
@@ -227,56 +234,77 @@ class MVTUConvLayer:
             conv_output_size(w, self.ksize, self.stride, self.pad),
         )
 
-    def forward(self, fm: FeatureMap) -> FeatureMap:
-        levels = np.asarray(fm.data)
-        if levels.shape[0] != self.in_channels:
-            raise ValueError(
-                f"expected {self.in_channels} input channels, got {levels.shape[0]}"
-            )
-        out_c, out_h, out_w = self.out_shape(levels.shape)
+    def forward_batch_matmat(self, fmb: FeatureMapBatch, pool=None) -> FeatureMapBatch:
+        """The SWU + :meth:`MVTU.matmat` datapath, then *pool* (if any).
+
+        The frames' im2col columns sit side by side in one multiplicand,
+        so a batch is one :meth:`MVTU.matmat` (or one per frame chunk of
+        ``_MATMAT_COL_BYTES``).  Every matmat route
+        (float32, float64, bit-serial) is exact integer arithmetic and
+        each output column reads only its own input column, so frames
+        cannot influence one another.  This datapath shares no code with
+        the :class:`~repro.core.fused.BandKernel` that
+        :meth:`forward_batch` runs: it is the fallback for whatever the
+        kernel declines and the CPU reference the kernel is checked
+        against.
+        """
+        levels = self._input_levels(fmb)
+        n = levels.shape[0]
+        out_c, out_h, out_w = self.out_shape(levels.shape[1:])
+        frame_bytes = 4 * self.mvtu.geometry.cols * out_h * out_w
+        chunk = max(1, _MATMAT_COL_BYTES // frame_bytes)
+        if n > chunk:
+            parts = [
+                self.forward_batch_matmat(
+                    FeatureMapBatch(levels[i : i + chunk], fmb.scale), pool
+                ).data
+                for i in range(0, n, chunk)
+            ]
+            return FeatureMapBatch(np.concatenate(parts), scale=self.out_scale)
         codes = narrow_codes(levels)
         if codes is None:
             codes = levels.astype(np.int64)
-        cols = im2col(codes, self.ksize, self.stride, self.pad)
+        cols = im2col_batch(
+            codes, self.ksize, self.stride, self.pad, side_by_side=True
+        )
         if codes is not levels:
             workspace.release(codes)
-        out_levels = self.mvtu.matmat(cols).reshape(out_c, out_h, out_w)
+        out = self.mvtu.matmat(cols).reshape(out_c, n, out_h, out_w)
         workspace.release(cols)
-        return FeatureMap(out_levels, scale=self.out_scale)
+        out = out.transpose(1, 0, 2, 3)
+        if pool is None:
+            out = np.ascontiguousarray(out)
+        else:
+            out = maxpool2d_batch(out, pool.size, pool.stride, pool.padding)
+        return FeatureMapBatch(out, scale=self.out_scale)
 
     def forward_batch(self, fmb: FeatureMapBatch, pool=None) -> FeatureMapBatch:
         """Batched forward, with the stage's *pool* (if any) fused in.
 
         One :class:`~repro.core.fused.BandKernel` call runs conv, pool and
         thresholds band by band; its float32 GEMM is exact, so every frame
-        equals :meth:`forward` followed by ``pool.forward`` bit for bit.
-        Whatever the kernel declines — the bit-serial datapath, a matrix
-        too deep for exact float32, levels that are not 1-byte codes —
-        takes exactly that per-frame walk instead.
+        equals :meth:`forward_batch_matmat` bit for bit.  Whatever the
+        kernel declines — the bit-serial datapath, a matrix too deep for
+        exact float32, levels that are not 1-byte codes — takes that
+        datapath instead.
         """
-        levels = np.asarray(fmb.data)
-        if levels.shape[1] != self.in_channels:
-            raise ValueError(
-                f"expected {self.in_channels} input channels, got {levels.shape[1]}"
-            )
-        out = None
+        levels = self._input_levels(fmb)
         kernel = None if self.mvtu.bitserial else self._band_kernel
         if kernel is not None:
             out = kernel.run(
                 levels, pool and (pool.size, pool.stride, pool.padding)
             )
-        if out is None:
-            shape = self.out_shape(levels.shape[1:])
-            if pool is not None:
-                shape = pool.out_shape(shape)
-            out = workspace.empty(
-                (levels.shape[0],) + tuple(shape),
-                level_dtype(self.mvtu.thresholds.bits),
+            if out is not None:
+                return FeatureMapBatch(out, scale=self.out_scale)
+        return self.forward_batch_matmat(fmb, pool)
+
+    def _input_levels(self, fmb: FeatureMapBatch) -> np.ndarray:
+        levels = np.asarray(fmb.data)
+        if levels.shape[1] != self.in_channels:
+            raise ValueError(
+                f"expected {self.in_channels} input channels, got {levels.shape[1]}"
             )
-            for i, frame in enumerate(fmb.frames()):
-                fm = self.forward(frame)
-                out[i] = (fm if pool is None else pool.forward(fm)).data
-        return FeatureMapBatch(out, scale=self.out_scale)
+        return levels
 
     @cached_property
     def _band_kernel(self):

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro import faults
 from repro.core.quantize import level_dtype
-from repro.core.tensor import FeatureMap, FeatureMapBatch
+from repro.core.tensor import FeatureMapBatch
 from repro.core.thresholds import ThresholdActivation
 from repro.finn.accelerator import (
     DEFAULT_FMAX_HZ,
@@ -51,8 +51,8 @@ def export_offload(
     """Compile *layers* (conv/maxpool run) into a binparam offload bundle.
 
     With ``verify=True`` the compiled stages are driven with random level
-    stimuli and checked against the source layers' fake-quantized forward
-    pass before anything is written — a built-in regression gate for the
+    stimuli and checked against the source layers' forward pass before
+    anything is written — a built-in regression gate for the
     export flow (the hardware analogue is RTL-vs-reference co-simulation).
     """
     stages = compile_stages(layers, input_scale, input_shape, folding=folding)
@@ -102,30 +102,26 @@ def verify_stages(
     seed: int = 0,
     n_stimuli: int = 2,
 ) -> None:
-    """Drive compiled *stages* against the source *layers*; raise on mismatch."""
+    """Drive compiled *stages* against the source *layers*; raise on mismatch.
+
+    The *n_stimuli* random level frames run as one batch: through the
+    stages' matmat datapath, and through the layers' own ``forward_batch``.
+    """
     rng = np.random.default_rng(seed)
     max_level = (1 << stages[0].conv.mvtu.thresholds.bits) - 1
-    for _ in range(n_stimuli):
-        levels = rng.integers(0, max_level + 1, size=tuple(input_shape))
-        fabric_fm = FeatureMap(levels, scale=input_scale)
-        for stage in stages:
-            fabric_fm = stage.forward(fabric_fm)
-        reference_fm = FeatureMap(levels, scale=input_scale)
-        for layer in layers:
-            reference_fm = layer.forward(reference_fm)
-        if not np.array_equal(
-            np.asarray(fabric_fm.data), np.asarray(reference_fm.data)
-        ):
-            mismatch = int(
-                np.count_nonzero(
-                    np.asarray(fabric_fm.data) != np.asarray(reference_fm.data)
-                )
-            )
-            raise AssertionError(
-                f"export verification failed: {mismatch} of "
-                f"{fabric_fm.data.size} output levels differ from the "
-                f"reference network"
-            )
+    levels = rng.integers(0, max_level + 1, size=(n_stimuli,) + tuple(input_shape))
+    fabric = reference = FeatureMapBatch(levels, scale=input_scale)
+    for stage in stages:
+        fabric = stage.forward_batch_matmat(fabric)
+    for layer in layers:
+        reference = layer.forward_batch(reference)
+    if not np.array_equal(fabric.data, reference.data):
+        mismatch = int(np.count_nonzero(fabric.data != reference.data))
+        raise AssertionError(
+            f"export verification failed: {mismatch} of "
+            f"{fabric.data.size} output levels differ from the "
+            f"reference network"
+        )
 
 
 class FabricBackend:
@@ -193,13 +189,6 @@ class FabricBackend:
             raise ValueError("fabric offload consumes integer level codes")
         return levels
 
-    def forward(self, fm: FeatureMap) -> FeatureMap:
-        levels = self._validate_input(fm, "forward")
-        return faults.call(
-            faults.FABRIC_BACKEND,
-            lambda: self.accelerator.forward(FeatureMap(levels, scale=fm.scale)),
-        )
-
     def forward_batch(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
         """Batched offload: the accelerator stacks all frames' GEMM columns."""
         levels = self._validate_input(fmb, "forward_batch")
@@ -210,35 +199,22 @@ class FabricBackend:
             ),
         )
 
-    def reference_forward(self, fm: FeatureMap) -> FeatureMap:
-        """Run the bundle's stages on the CPU reference walk (no fault seam).
+    def reference_forward_batch(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
+        """Run the bundle's stages on the CPU reference datapath.
 
-        The iterated accelerator's per-frame stage walk *is* the CPU
-        reference for the exported sub-network — batch-vs-single pinning
-        already proves it bit-identical to :meth:`forward_batch` — so the
-        degraded serving path reuses it directly, bypassing the
+        Each stage is one :meth:`~repro.finn.mvtu.MVTUConvLayer.
+        forward_batch_matmat` call over the whole batch — the MVTU's
+        im2col + matmat, not the band kernel :meth:`forward_batch` runs,
+        so ``fabric_mode="scrub"`` compares two independent datapaths.
+        The degraded serving path runs it directly, bypassing the
         :data:`repro.faults.FABRIC_BACKEND` seam that models the physical
         engine.
         """
-        levels = self._validate_input(fm, "reference_forward")
-        return self.accelerator.forward(FeatureMap(levels, scale=fm.scale))
-
-    def reference_forward_batch(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
-        """Batched CPU reference path: per-frame stage walks, restacked."""
         levels = self._validate_input(fmb, "reference_forward_batch")
         batch = FeatureMapBatch(levels, scale=fmb.scale)
-        if batch.batch == 0:
-            last = self.accelerator.stages[-1].conv
-            return FeatureMapBatch(
-                np.zeros(
-                    (0,) + tuple(self.accelerator.out_shape),
-                    dtype=level_dtype(last.mvtu.thresholds.bits),
-                ),
-                scale=last.out_scale,
-            )
-        return FeatureMapBatch.from_maps(
-            [self.accelerator.forward(frame) for frame in batch.frames()]
-        )
+        for stage in self.accelerator.stages:
+            batch = stage.forward_batch_matmat(batch)
+        return batch
 
     def destroy(self) -> None:
         self.accelerator = None

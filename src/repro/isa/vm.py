@@ -374,8 +374,8 @@ class PlanVM:
     ) -> List[FeatureMapBatch]:
         """Execute keeping every slot; returns each layer's final slot.
 
-        The keep-everything traversal behind ``Network.forward_all`` /
-        ``forward_batch_all``, which run it on the ``-O0`` program: one
+        The keep-everything traversal behind
+        ``Network.forward_batch_all``, which runs it on the ``-O0`` program: one
         output per layer, in layer order (the ``THRESHOLD`` half of a
         split layer is its final slot).  A layer absorbed into a
         ``FUSED`` chain has no slot of its own and is left out.

@@ -17,28 +17,9 @@ from typing import Dict, Iterable, List
 
 import numpy as np
 
-from repro.core.ops import batchnorm_inference, conv2d, leaky_relu, relu
-from repro.core.tensor import FeatureMap
-from repro.nn.layers.convolutional import BN_EPS, ConvolutionalLayer
+from repro.core.tensor import FeatureMap, FeatureMapBatch
+from repro.nn.layers.convolutional import ConvolutionalLayer
 from repro.nn.network import Network
-
-
-def _pre_quant_activation(layer: ConvolutionalLayer, fm: FeatureMap) -> np.ndarray:
-    """The layer's post-activation values *before* re-quantization."""
-    x = fm.values()
-    z = conv2d(x, layer.effective_weights(), None, layer.stride, layer.pad)
-    if layer.batch_normalize:
-        z = batchnorm_inference(
-            z, layer.scales, layer.biases, layer.rolling_mean,
-            layer.rolling_var, eps=BN_EPS,
-        )
-    else:
-        z = z + layer.biases.reshape(-1, 1, 1)
-    if layer.activation == "relu":
-        return relu(z)
-    if layer.activation == "leaky":
-        return leaky_relu(z)
-    return z
 
 
 def calibrate_activation_scales(
@@ -68,14 +49,14 @@ def calibrate_activation_scales(
     count = 0
     for image in inputs:
         count += 1
-        fm = FeatureMap(np.asarray(image, dtype=np.float32))
+        fmb = FeatureMapBatch(np.asarray(image, dtype=np.float32)[np.newaxis])
         # The VM's keep-everything traversal supplies every layer's
         # quantized input map; each observed layer's pre-quantization
-        # activation is then recomputed from its own input.
-        outputs = network.forward_all(fm)
+        # activation is then its own first half on that input.
+        outputs = network.forward_batch_all(fmb)
         for index in observed:
-            layer_input = fm if index == 0 else outputs[index - 1]
-            values = _pre_quant_activation(network.layers[index], layer_input)
+            layer_input = fmb if index == 0 else outputs[index - 1]
+            values = network.layers[index].forward_batch_pre(layer_input).data
             observed[index].append(
                 float(np.percentile(values, percentile))
             )

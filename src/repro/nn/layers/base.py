@@ -5,19 +5,19 @@ paper's offload mechanism works precisely because a layer is nothing more
 than the four hooks ``init`` / ``load_weights`` / ``forward`` / ``destroy``.
 Our base class mirrors that contract so that *any* layer — including ones
 backed by the simulated FPGA fabric — plugs into the network identically.
+Fig. 3's ``forward`` is :meth:`Layer.forward_batch`: Darknet's forward
+already runs ``l.batch`` frames, and one frame is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from typing import List
-
 from repro.core.resources import CPU
-from repro.core.tensor import FeatureMap, FeatureMapBatch
+from repro.core.tensor import FeatureMapBatch
 from repro.nn.config import Section
 
 
@@ -30,58 +30,14 @@ class LayerWorkload:
     note: str = ""
 
 
-def slice_frame_history(
-    history: Sequence[Optional[FeatureMapBatch]], index: int
-) -> List[Optional[FeatureMap]]:
-    """Frame *index* of every batch in *history*.
-
-    The history may be sparse (the execution engine materializes only the
-    entries a layer actually declared as dependencies); ``None`` slots stay
-    ``None``.
-    """
-    return [item.frame(index) if item is not None else None for item in history]
-
-
-def forward_frame_loop(
-    layer: "Layer",
-    fmb: FeatureMapBatch,
-    history: Optional[Sequence[Optional[FeatureMapBatch]]] = None,
-) -> FeatureMapBatch:
-    """The shared always-correct batched fallback: loop ``layer.forward``.
-
-    One frame at a time, slicing per-frame histories for backward-looking
-    layers — used by :meth:`Layer.forward_batch` (the default when a layer
-    has no vectorized batch kernel), by the execution engine, and by the
-    ``Network.forward*`` compatibility wrappers.  A zero-frame batch
-    short-circuits to a well-formed empty output of the layer's geometry.
-    """
-    layer._require_initialized()
-    layer._check_history(history)
-    if fmb.batch == 0:
-        return FeatureMapBatch(
-            np.zeros((0,) + tuple(layer.out_shape), dtype=np.float32)
-        )
-    outputs = []
-    for index in range(fmb.batch):
-        if layer.needs_history:
-            outputs.append(
-                layer.forward(
-                    fmb.frame(index), history=slice_frame_history(history, index)
-                )
-            )
-        else:
-            outputs.append(layer.forward(fmb.frame(index)))
-    return FeatureMapBatch.from_maps(outputs)
-
-
 class Layer:
     """Base layer implementing the Fig. 3 life cycle.
 
     Construction only records the section; :meth:`init` configures geometry
     (``Initialize Layer with access to Configuration``), then
     :meth:`load_weights` pulls parameters from a weight source (the
-    ``Weight File`` of Fig. 3), :meth:`forward` performs layer inference and
-    :meth:`destroy` releases resources.
+    ``Weight File`` of Fig. 3), :meth:`forward_batch` performs layer
+    inference and :meth:`destroy` releases resources.
     """
 
     ltype: str = "layer"
@@ -116,26 +72,22 @@ class Layer:
     def save_weights(self, sink: "WeightSink") -> None:
         """Push this layer's parameters to *sink* (may be a no-op)."""
 
-    def forward(self, fm: FeatureMap) -> FeatureMap:
-        raise NotImplementedError
-
     def forward_batch(
         self,
         fmb: FeatureMapBatch,
         history: Optional[List[FeatureMapBatch]] = None,
     ) -> FeatureMapBatch:
-        """Batched forward over ``(N, C, H, W)``; batch axis is axis 0.
+        """Layer inference over ``(N, C, H, W)``; batch axis is axis 0.
 
-        The default loops :meth:`forward` over the frames — always correct,
-        never fast.  Layers with vectorized batched kernels override this;
-        every override must stay bit-identical per frame to the sequential
-        path (the batched-equivalence tests enforce it).
+        The one forward of the life cycle: a single frame is a batch of
+        one, and every frame of the output depends on its own input frame
+        only.
 
         Passing a *history* to a layer that does not declare
         ``needs_history`` is a caller bug and raises :class:`TypeError`;
         omitting it for a layer that does is a :class:`ValueError`.
         """
-        return forward_frame_loop(self, fmb, history)
+        raise NotImplementedError
 
     def run_batch(
         self, inputs: Sequence[FeatureMapBatch]
@@ -170,26 +122,6 @@ class Layer:
         for slot, fmb in zip(dependencies, inputs[1:]):
             history[slot] = fmb
         return self.forward_batch(inputs[0], history=history)
-
-    def forward_reference(self, fm: FeatureMap) -> FeatureMap:
-        """Single-frame forward on the CPU reference path.
-
-        For CPU layers this *is* :meth:`forward`; offload layers override it
-        to bypass the fabric backend so degraded-mode serving never touches
-        a tripped (or fault-injected) fabric engine.
-        """
-        return self.forward(fm)
-
-    def run_batch_reference(
-        self, inputs: Sequence[FeatureMapBatch]
-    ) -> FeatureMapBatch:
-        """Engine entry for the CPU reference path (degraded mode).
-
-        Identical to :meth:`run_batch` for CPU layers; offload layers
-        override it to route around the fabric backend while staying
-        bit-identical to the fabric output (the repo's core invariant).
-        """
-        return self.run_batch(inputs)
 
     def history_dependencies(self) -> Tuple[int, ...]:
         """Absolute indices of earlier layers this layer reads, in order.
@@ -328,6 +260,4 @@ __all__ = [
     "ArraySource",
     "ArraySink",
     "StreamSink",
-    "forward_frame_loop",
-    "slice_frame_history",
 ]

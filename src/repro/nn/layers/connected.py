@@ -16,11 +16,10 @@ from repro.core.ops import (
     accumulates_exactly,
     as_map_dtype,
     batchnorm_inference,
-    fully_connected,
     fully_connected_batch,
 )
 from repro.core.quantize import BinaryQuantizer, UnsignedUniformQuantizer
-from repro.core.tensor import FeatureMap, FeatureMapBatch
+from repro.core.tensor import FeatureMapBatch
 from repro.nn.config import Section
 from repro.nn.layers.base import Layer, LayerWorkload, WeightSink, WeightSource
 from repro.nn.layers.convolutional import BN_EPS
@@ -113,23 +112,6 @@ class ConnectedLayer(Layer):
         if self.binary and (cached is None or cached[0] is not self.weights):
             effective = np.empty(self.weights.shape, dtype=np.float32)
         return lambda: self.effective_weights(out=effective)
-
-    def forward(self, fm: FeatureMap) -> FeatureMap:
-        self._require_initialized()
-        z = fully_connected(fm.values(), self.effective_weights())
-        if self.batch_normalize:
-            z = batchnorm_inference(
-                z, self.scales, self.biases, self.rolling_mean, self.rolling_var,
-                eps=BN_EPS,
-            )
-        else:
-            z = z + self.biases
-        z = ACTIVATIONS[self.activation](z)
-        z = z.reshape(self.output, 1, 1)
-        if self.out_quant is not None:
-            levels = self.out_quant.to_levels(z)
-            return FeatureMap(levels, scale=self.out_quant.scale)
-        return FeatureMap(as_map_dtype(z))
 
     def forward_batch(self, fmb: FeatureMapBatch, history=None) -> FeatureMapBatch:
         self._require_initialized()

@@ -26,7 +26,6 @@ from repro.core.ops import (
     accumulates_exactly,
     as_map_dtype,
     batchnorm_inference,
-    conv2d,
     conv2d_batch,
 )
 from repro.core.quantize import (
@@ -36,7 +35,7 @@ from repro.core.quantize import (
     narrow_codes,
 )
 from repro.core.thresholds import bisect_thresholds, derive_thresholds
-from repro.core.tensor import FeatureMap, FeatureMapBatch, conv_output_size
+from repro.core.tensor import FeatureMapBatch, conv_output_size
 from repro.nn.config import Section
 from repro.nn.layers.base import Layer, LayerWorkload, WeightSink, WeightSource
 
@@ -321,8 +320,8 @@ class ConvolutionalLayer(Layer):
         return FeatureMapBatch(acc, scale=fmb.scale)
 
     def forward_batch_thresholds(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
-        """Threshold half: accumulator -> ``uint8`` levels (same per-frame
-        ``thr.apply`` loop as :meth:`_integer_forward`)."""
+        """Threshold half: accumulator -> ``uint8`` levels, one
+        ``thr.apply`` per frame."""
         self._require_initialized()
         thr = self._thresholds_for(fmb.scale)
         if thr is None:
@@ -340,7 +339,7 @@ class ConvolutionalLayer(Layer):
     def forward_batch_pre(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
         """Float pre-quantization half: conv + BN/bias + activation."""
         self._require_initialized()
-        z = self._convolve(fmb.data, fmb.scale, batched=True)
+        z = self._convolve(fmb.data, fmb.scale)
         z = self._epilogue(z, channel_axis=1)
         return FeatureMapBatch(z)
 
@@ -351,31 +350,6 @@ class ConvolutionalLayer(Layer):
             raise ValueError(f"[{self.ltype}] has no output quantizer")
         levels = self.out_quant.to_levels(fmb.data)
         return FeatureMapBatch(levels, scale=self.out_quant.scale)
-
-    def _integer_forward(self, data, scale):
-        """Exact integer single-frame path: uint8-code GEMM + one threshold pass.
-
-        The GEMM multiplies ±1 float32 weights against level codes cast to
-        float32 — every partial sum is an exact integer below 2**24, so
-        float32 accumulation is exact and order-independent.  Returns the
-        ``uint8`` level map, or ``None`` when the layer/input does not qualify.
-        This is the independent reference the batched band kernel
-        (:meth:`forward_batch_pooled`) is pinned against.
-        """
-        thr = self._thresholds_for(scale)
-        if thr is None:
-            return None
-        codes = narrow_codes(data)
-        if codes is None:
-            return None
-        acc = conv2d(codes, self.effective_weights(), None, self.stride, self.pad)
-        if codes is not data:
-            workspace.release(codes)
-        levels = workspace.empty(acc.shape, level_dtype(thr.bits))
-        c = acc.shape[0]
-        thr.apply(acc.reshape(c, -1), out=levels.reshape(c, -1))
-        workspace.release(acc)
-        return levels
 
     def _band_kernel(self, in_scale: float, out=None):
         """The layer's :class:`BandKernel` for *in_scale*, or ``None``.
@@ -483,7 +457,7 @@ class ConvolutionalLayer(Layer):
             return None
         return FeatureMapBatch(levels, scale=self.out_quant.scale)
 
-    def _convolve(self, data, scale, batched: bool) -> np.ndarray:
+    def _convolve(self, data, scale) -> np.ndarray:
         """The GEMM: integer codes as they are, LUT-dequantized level
         codes when possible, else values.
 
@@ -491,7 +465,6 @@ class ConvolutionalLayer(Layer):
         unit-scale code and the LUT both reproduce ``values()`` per
         element), so the result never depends on which one ran.
         """
-        conv = conv2d_batch if batched else conv2d
         weights = self.effective_weights()
         if self.binary and accumulates_exactly(
             data.dtype, scale, weights[0].size
@@ -499,20 +472,18 @@ class ConvolutionalLayer(Layer):
             # +-1 weights against unit-scale integer codes (a sign layer's
             # int8 output): exact accumulators, so a batch of narrow maps
             # may share one GEMM.
-            if not batched:
-                return conv2d(data, weights, None, self.stride, self.pad)
             return conv2d_batch(
                 data, weights, None, self.stride, self.pad, exact=True
             )
         lut_in = _lut_conv_inputs(data, scale)
         if lut_in is not None:
             codes, lut = lut_in
-            z = conv(codes, weights, None, self.stride, self.pad, lut=lut)
+            z = conv2d_batch(codes, weights, None, self.stride, self.pad, lut=lut)
             if codes is not data:
                 workspace.release(codes)
             return z
-        fm = FeatureMapBatch(data, scale) if batched else FeatureMap(data, scale)
-        return conv(fm.values(), weights, None, self.stride, self.pad)
+        values = FeatureMapBatch(data, scale).values()
+        return conv2d_batch(values, weights, None, self.stride, self.pad)
 
     def _epilogue(self, z: np.ndarray, channel_axis: int) -> np.ndarray:
         """BN (or bias) + activation, in place when dtypes allow.
@@ -549,19 +520,6 @@ class ConvolutionalLayer(Layer):
             workspace.release(pre)
         return z
 
-    def forward(self, fm: FeatureMap) -> FeatureMap:
-        self._require_initialized()
-        levels = self._integer_forward(fm.data, fm.scale)
-        if levels is not None:
-            return FeatureMap(levels, scale=self.out_quant.scale)
-        z = self._convolve(fm.data, fm.scale, batched=False)
-        z = self._epilogue(z, channel_axis=0)
-        if self.out_quant is not None:
-            levels = self.out_quant.to_levels(z)
-            workspace.release(z)
-            return FeatureMap(levels, scale=self.out_quant.scale)
-        return FeatureMap(as_map_dtype(z))
-
     def forward_batch(self, fmb: FeatureMapBatch, history=None) -> FeatureMapBatch:
         self._require_initialized()
         self._check_history(history)
@@ -591,7 +549,7 @@ class ConvolutionalLayer(Layer):
         return FeatureMapBatch(out, scale=first.scale)
 
     def _forward_batch_chunk(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
-        z = self._convolve(fmb.data, fmb.scale, batched=True)
+        z = self._convolve(fmb.data, fmb.scale)
         z = self._epilogue(z, channel_axis=1)
         if self.out_quant is not None:
             levels = self.out_quant.to_levels(z)

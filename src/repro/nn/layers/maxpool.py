@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.ops import maxpool2d, maxpool2d_batch
-from repro.core.tensor import FeatureMap, FeatureMapBatch, pool_output_size
+from repro.core.ops import maxpool2d_batch
+from repro.core.tensor import FeatureMapBatch, pool_output_size
 from repro.nn.config import Section
 from repro.nn.layers.base import Layer, LayerWorkload
 
@@ -30,18 +30,12 @@ class MaxpoolLayer(Layer):
         out_w = pool_output_size(w, self.size, self.stride, self.padding)
         return (c, out_h, out_w)
 
-    def forward(self, fm: FeatureMap) -> FeatureMap:
-        self._require_initialized()
-        pooled = maxpool2d(fm.data, self.size, self.stride, self.padding)
-        # Max over levels == max over values: pooling commutes with the
-        # (monotone) quantization scale, so levels pass through unchanged —
-        # and the kernel pools them in their integer dtype directly (no
-        # float64 padded copy; §III-D treats pooling as K*K comparisons).
-        return FeatureMap(pooled, scale=fm.scale)
-
     def forward_batch(self, fmb: FeatureMapBatch, history=None) -> FeatureMapBatch:
         self._require_initialized()
         self._check_history(history)
+        # Max over levels == max over values: pooling commutes with the
+        # (monotone) quantization scale, so level codes pool in their
+        # integer dtype and pass through with the input's scale.
         pooled = maxpool2d_batch(fmb.data, self.size, self.stride, self.padding)
         return FeatureMapBatch(pooled, scale=fmb.scale)
 

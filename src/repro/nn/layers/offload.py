@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.resources import FABRIC
-from repro.core.tensor import FeatureMap, FeatureMapBatch
+from repro.core.tensor import FeatureMapBatch
 from repro.nn.config import Section
 from repro.nn.layers.base import Layer, LayerWorkload, WeightSource
 from repro.nn.registry import resolve_backend
@@ -65,74 +65,25 @@ class OffloadLayer(Layer):
         self._require_initialized()
         self.backend.load_weights()
 
-    def forward(self, fm: FeatureMap) -> FeatureMap:
-        self._require_initialized()
-        out = self.backend.forward(fm)
-        if tuple(out.shape) != tuple(self.out_shape):
-            raise ValueError(
-                f"offload backend returned {tuple(out.shape)}, "
-                f"declared {tuple(self.out_shape)}"
-            )
-        return out
-
     def forward_batch(self, fmb: FeatureMapBatch, history=None) -> FeatureMapBatch:
-        """Hand the whole batch to the backend when it can take one.
-
-        Backends exposing ``forward_batch`` (the FINN fabric does) get the
-        ``(N, C, H, W)`` batch in one call and batch their own GEMMs; legacy
-        backends fall back to a per-frame loop.
-        """
+        """Hand the whole ``(N, C, H, W)`` batch to the backend in one call
+        (the FINN fabric batches its own GEMMs)."""
         self._require_initialized()
         self._check_history(history)
-        if hasattr(self.backend, "forward_batch"):
-            out = self.backend.forward_batch(fmb)
-        else:
-            out = FeatureMapBatch.from_maps(
-                [self.backend.forward(frame) for frame in fmb.frames()]
-            )
-        if tuple(out.frame_shape) != tuple(self.out_shape):
-            raise ValueError(
-                f"offload backend returned frames {tuple(out.frame_shape)}, "
-                f"declared {tuple(self.out_shape)}"
-            )
-        return out
-
-    def forward_reference(self, fm: FeatureMap) -> FeatureMap:
-        """Single-frame CPU reference path: bypass the fabric engine.
-
-        Backends exposing ``reference_forward`` (the FINN fabric does) run
-        the exported stages on the bit-identical CPU kernels; legacy
-        backends without one fall through to the normal fabric call.
-        """
-        self._require_initialized()
-        if hasattr(self.backend, "reference_forward"):
-            out = self.backend.reference_forward(fm)
-        else:
-            out = self.backend.forward(fm)
-        if tuple(out.shape) != tuple(self.out_shape):
-            raise ValueError(
-                f"offload reference path returned {tuple(out.shape)}, "
-                f"declared {tuple(self.out_shape)}"
-            )
-        return out
+        return self._checked(self.backend.forward_batch(fmb), "backend")
 
     def forward_batch_reference(self, fmb: FeatureMapBatch) -> FeatureMapBatch:
-        """Batched CPU reference path (degraded serving mode)."""
+        """Batched CPU reference path (degraded serving mode).
+
+        Backends exposing ``reference_forward_batch`` (the FINN fabric
+        does) run it off the fabric engine; a backend without one serves
+        the reference path through its ``forward_batch``.
+        """
         self._require_initialized()
-        if hasattr(self.backend, "reference_forward_batch"):
-            out = self.backend.reference_forward_batch(fmb)
-        elif hasattr(self.backend, "reference_forward"):
-            out = FeatureMapBatch.from_maps(
-                [self.backend.reference_forward(frame) for frame in fmb.frames()]
-            )
-        else:
+        reference = getattr(self.backend, "reference_forward_batch", None)
+        if reference is None:
             return self.forward_batch(fmb)
-        if tuple(out.frame_shape) != tuple(self.out_shape):
-            raise ValueError(
-                f"offload reference path returned frames "
-                f"{tuple(out.frame_shape)}, declared {tuple(self.out_shape)}"
-            )
-        return out
+        return self._checked(reference(fmb), "reference path")
 
     def run_batch_reference(self, inputs) -> FeatureMapBatch:
         """Engine entry for the reference path; offloads take one input."""
@@ -142,6 +93,14 @@ class OffloadLayer(Layer):
                 f"[{self.ltype}] consumes exactly one input, got {len(inputs)}"
             )
         return self.forward_batch_reference(inputs[0])
+
+    def _checked(self, out: FeatureMapBatch, source: str) -> FeatureMapBatch:
+        if tuple(out.frame_shape) != tuple(self.out_shape):
+            raise ValueError(
+                f"offload {source} returned frames {tuple(out.frame_shape)}, "
+                f"declared {tuple(self.out_shape)}"
+            )
+        return out
 
     def destroy(self) -> None:
         if self.backend is not None:

@@ -52,19 +52,6 @@ class RegionLayer(Layer):
             )
         return in_shape
 
-    def forward(self, fm: FeatureMap) -> FeatureMap:
-        self._require_initialized()
-        x = fm.values().astype(np.float64)
-        c, h, w = x.shape
-        per_anchor = self.coords + 1 + self.classes
-        blocks = x.reshape(self.num, per_anchor, h, w)
-        out = blocks.copy()
-        out[:, 0] = sigmoid(blocks[:, 0])  # tx
-        out[:, 1] = sigmoid(blocks[:, 1])  # ty
-        out[:, self.coords] = sigmoid(blocks[:, self.coords])  # objectness
-        out[:, self.coords + 1 :] = softmax(blocks[:, self.coords + 1 :], axis=1)
-        return FeatureMap(out.reshape(c, h, w).astype(np.float32))
-
     def forward_batch(self, fmb: FeatureMapBatch, history=None) -> FeatureMapBatch:
         self._require_initialized()
         self._check_history(history)

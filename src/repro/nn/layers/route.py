@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.tensor import FeatureMap, FeatureMapBatch
+from repro.core.tensor import FeatureMapBatch
 from repro.nn.config import Section
 from repro.nn.layers.base import Layer, LayerWorkload
 
@@ -74,19 +74,6 @@ class RouteLayer(Layer):
             raise RuntimeError("[route] used before resolve()")
         return tuple(self._resolved)
 
-    def forward(self, fm: FeatureMap, history: List[FeatureMap] = None) -> FeatureMap:
-        self._require_initialized()
-        if history is None:
-            raise ValueError("[route] needs the network's layer history")
-        sources = [history[i] for i in self._resolved]
-        scales = {s.scale for s in sources}
-        if len(scales) != 1:
-            # Mixed quantization scales: concatenate in the value domain.
-            data = np.concatenate([s.values() for s in sources], axis=0)
-            return FeatureMap(data.astype(np.float32))
-        data = np.concatenate([np.asarray(s.data) for s in sources], axis=0)
-        return FeatureMap(data, scale=sources[0].scale)
-
     def forward_batch(
         self, fmb: FeatureMapBatch, history: List[FeatureMapBatch] = None
     ) -> FeatureMapBatch:
@@ -127,18 +114,6 @@ class ReorgLayer(Layer):
             )
         s = self.stride
         return (c * s * s, h // s, w // s)
-
-    def forward(self, fm: FeatureMap) -> FeatureMap:
-        self._require_initialized()
-        data = np.asarray(fm.data)
-        c, h, w = data.shape
-        s = self.stride
-        # (C, H/s, s, W/s, s) -> (s, s, C, H/s, W/s) -> (C*s*s, H/s, W/s)
-        blocks = data.reshape(c, h // s, s, w // s, s)
-        rearranged = blocks.transpose(2, 4, 0, 1, 3).reshape(
-            c * s * s, h // s, w // s
-        )
-        return FeatureMap(rearranged, scale=fm.scale)
 
     def forward_batch(self, fmb: FeatureMapBatch, history=None) -> FeatureMapBatch:
         self._require_initialized()

@@ -7,7 +7,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.ops import softmax
-from repro.core.tensor import FeatureMap, FeatureMapBatch
+from repro.core.tensor import FeatureMapBatch
 from repro.nn.layers.base import Layer, LayerWorkload
 
 
@@ -18,12 +18,6 @@ class SoftmaxLayer(Layer):
 
     def _configure(self, in_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
         return in_shape
-
-    def forward(self, fm: FeatureMap) -> FeatureMap:
-        self._require_initialized()
-        flat = fm.values().reshape(-1)
-        probs = softmax(flat, axis=0).reshape(fm.shape)
-        return FeatureMap(probs.astype(np.float32))
 
     def forward_batch(self, fmb: FeatureMapBatch, history=None) -> FeatureMapBatch:
         self._require_initialized()

@@ -81,7 +81,7 @@ class Network:
 
     # -- inference --------------------------------------------------------------
     #
-    # All four historical forward paths are thin wrappers over the one
+    # All three forward paths are thin wrappers over the one
     # runtime (repro.isa.PlanVM) on an in-process compile.
 
     def plan(self):
@@ -101,7 +101,8 @@ class Network:
         """The cached in-process :class:`~repro.isa.vm.PlanVM` at ``-O`` *level*.
 
         ``None`` is the compiler default (``-O2``, what ``forward`` runs);
-        ``-O0`` is the keep-everything schedule behind ``forward_all``;
+        ``-O0`` is the keep-everything schedule behind
+        ``forward_batch_all``;
         ``-O1`` is one whole instruction per layer with liveness, for
         per-layer accounting.  The program never leaves the process, so it
         carries no content digests and the weights are never hashed; it
@@ -136,21 +137,6 @@ class Network:
         fmb = FeatureMapBatch(x.data[np.newaxis, ...], x.scale)
         return self.vm().run(fmb).frame(0)
 
-    def forward_all(self, x: FeatureMap) -> List[FeatureMap]:
-        """Run the network keeping every intermediate map.
-
-        The keep-everything traversal (the ``-O0`` program, which has no
-        liveness) for the callers that genuinely need all intermediates:
-        quantization calibration and backward-looking layer tests.
-        """
-        if tuple(x.shape) != tuple(self.input_shape):
-            raise ValueError(
-                f"input shape {tuple(x.shape)} does not match network input "
-                f"{tuple(self.input_shape)}"
-            )
-        fmb = FeatureMapBatch(x.data[np.newaxis, ...], x.scale)
-        return [out.frame(0) for out in self.vm(0).run_all(fmb)]
-
     def forward_batch(
         self, x: FeatureMapBatch, offload_guard=None
     ) -> FeatureMapBatch:
@@ -178,7 +164,12 @@ class Network:
     def forward_batch_all(
         self, x: FeatureMapBatch, offload_guard=None
     ) -> List[FeatureMapBatch]:
-        """Batched :meth:`forward_all`: every intermediate batch is kept."""
+        """Run a batch keeping every intermediate batch.
+
+        The keep-everything traversal (the ``-O0`` program, which has no
+        liveness) for the callers that genuinely need all intermediates:
+        quantization calibration and backward-looking layer tests.
+        """
         if tuple(x.frame_shape) != tuple(self.input_shape):
             raise ValueError(
                 f"input frames {tuple(x.frame_shape)} do not match network "

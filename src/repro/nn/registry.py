@@ -11,8 +11,14 @@ A backend is any object implementing the Fig. 3 life cycle::
 
     backend.init(section, in_shape) -> out_shape
     backend.load_weights()
-    backend.forward(fm) -> fm
+    backend.forward_batch(fmb) -> fmb
     backend.destroy()
+
+``forward_batch`` takes and returns a :class:`~repro.core.tensor.
+FeatureMapBatch` (batch axis 0; one frame is a batch of one), as
+Darknet's ``forward`` runs ``l.batch`` frames.  An optional
+``reference_forward_batch(fmb)`` serves the degraded CPU path off the
+fabric engine; without it that path runs ``forward_batch`` too.
 """
 
 from __future__ import annotations

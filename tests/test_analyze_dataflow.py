@@ -13,12 +13,18 @@ import numpy as np
 import pytest
 
 import repro.finn  # noqa: F401  (registers fabric.so)
-from repro.analyze.dataflow import check_requantizer, verify_plan
+from repro.analyze.dataflow import (
+    LEVELS,
+    abstract_values,
+    check_requantizer,
+    verify_plan,
+)
 from repro.analyze.findings import ERROR, WARNING
 from repro.core.gemm import RequantizeParams
 from repro.engine.plan import compile_plan
 from repro.finn.mvtu import Folding
 from repro.finn.offload_backend import export_offload
+from repro.nn.config import parse_config
 from repro.nn.network import Network
 from repro.nn.zoo import cnv6_config, mlp4_config, tincy_yolo_config
 
@@ -221,3 +227,70 @@ class TestOffloadDataflow:
         assert any(
             f.rule == "DF-SCALE-CHAIN" for f in _errors(findings)
         ), findings
+
+
+ROUTE_REORG_CFG = """
+[net]
+width=8
+height=8
+channels=2
+
+[convolutional]
+batch_normalize=1
+filters=3
+size=3
+stride=1
+pad=1
+activation=relu
+activation_bits=3
+
+[convolutional]
+batch_normalize=1
+filters=4
+size=3
+stride=2
+pad=1
+activation=relu
+activation_bits=3
+
+[route]
+layers=-2
+
+[reorg]
+stride=2
+
+[route]
+layers=-1,-3
+"""
+
+
+def _route_reorg_plan():
+    return compile_plan(_network(parse_config(ROUTE_REORG_CFG)))
+
+
+class TestRouteReorgDataflow:
+    """The route and reorg transfer functions on a YOLOv2-style
+    passthrough: layer 0 (3x8x8) reorganized to 12x4x4 and concatenated
+    with layer 1 (4x4x4)."""
+
+    def test_passthrough_plan_verifies_clean(self):
+        plan = _route_reorg_plan()
+        assert plan.output_shape == (16, 4, 4)
+        findings = verify_plan(plan)
+        assert not _errors(findings), findings
+        final = abstract_values(plan)[len(plan) - 1]
+        assert final.domain == LEVELS and final.shape == (16, 4, 4)
+
+    def test_route_source_of_another_size_is_df_shape_error(self):
+        plan = _route_reorg_plan()
+        step = plan.steps[4]
+        # route the 3x8x8 layer 0 map next to the 4x4 reorg output
+        plan.steps[4] = replace(step, inputs=(step.inputs[0], step.inputs[1], 0))
+        hits = [f for f in _errors(verify_plan(plan)) if f.rule == "DF-SHAPE"]
+        assert hits and "spatial size" in hits[0].message
+
+    def test_reorg_of_an_indivisible_map_is_df_shape_error(self):
+        plan = _route_reorg_plan()
+        plan.steps[3].layer.stride = 3
+        hits = [f for f in _errors(verify_plan(plan)) if f.rule == "DF-SHAPE"]
+        assert hits and "not divisible by stride 3" in hits[0].message

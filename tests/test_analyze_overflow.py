@@ -19,6 +19,7 @@ from repro.analyze.overflow import (
     SATURATION_POSSIBLE,
     StepVerdict,
     prove_plan,
+    prove_program,
     verdict_findings,
 )
 from repro.core.gemm import (
@@ -143,6 +144,28 @@ class TestVerdictsMatchRuntime:
         assert any(
             v.path == "none" and v.verdict == PROVED_SAFE for v in verdicts
         )
+
+    def test_offload_bound_is_the_worst_stage(self, rng, tmp_path):
+        """The FINN offload is one verdict: the largest ``cols x level``
+        over its stages, on the plan and on the -O2 program alike."""
+        from repro.isa import compile_network
+        from tests.test_analyze_dataflow import _hybrid_network
+
+        hybrid = _hybrid_network(rng, tmp_path)
+        # Exported hidden convs: 8 -> 12 and 12 -> 16 channels, 3x3, each
+        # fed 3-bit levels (7 at most).
+        expected = max(8 * 3 * 3 * 7, 12 * 3 * 3 * 7)
+        program, _stats = compile_network(hybrid, level=2)
+        for verdicts in (
+            prove_plan(compile_plan(hybrid)),
+            prove_program(program, hybrid),
+        ):
+            (offload,) = [v for v in verdicts if "offload" in v.name]
+            assert offload.path == "binary-popcount"
+            assert offload.bound == expected
+            assert offload.limit == INT32_MAX
+            assert offload.verdict == PROVED_SAFE
+
 
 
 class TestRendering:

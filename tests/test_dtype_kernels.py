@@ -302,8 +302,10 @@ BAND_CASES = [
 
 class TestBandKernel:
     """The band-tiled conv -> pool -> threshold kernel against the two
-    independent references it does not share code with: the single-frame
-    chain ``pool.forward(conv.forward(x))`` and ``MVTU(bitserial=True)``.
+    independent references it does not share code with: the -O0 batch
+    chain that -O2's ``FUSED`` step replaces (``forward_batch_acc`` ->
+    ``forward_batch_thresholds`` -> ``MaxpoolLayer.forward_batch``) and
+    ``MVTU(bitserial=True)`` on the matmat datapath.
 
     Registered in ``repro.isa.passes.witness.AXIOM_KERNEL_TESTS`` as the
     kernel-level test of the ``fused-chain-compose`` axiom.
@@ -321,13 +323,14 @@ class TestBandKernel:
         (serial,) = compile_stages(layers, in_scale, conv.in_shape, bitserial=True)
         (stage,) = compile_stages(layers, in_scale, conv.in_shape)
 
-        def chain(frame):
-            out = conv.forward(frame)
-            return out if pool_layer is None else pool_layer.forward(out)
+        def o0_chain(x):
+            out = conv.forward_batch_thresholds(conv.forward_batch_acc(x))
+            return out if pool_layer is None else pool_layer.forward_batch(out)
 
-        expected = [chain(frame).data for frame in fmb.frames()]
-        for frame, want in zip(fmb.frames(), expected):
-            np.testing.assert_array_equal(serial.forward(frame).data, want)
+        expected = list(o0_chain(fmb).data) if batch else []
+        bitserial = serial.forward_batch(fmb)
+        for i, want in enumerate(expected):
+            np.testing.assert_array_equal(bitserial.data[i], want)
 
         got = {
             "cpu": conv.forward_batch_pooled(fmb, pool_layer),
@@ -396,10 +399,9 @@ class TestBandKernel:
         assert conv.forward_batch_pooled(fmb) is None
         batched = conv.forward_batch(fmb)
         offloaded = stage.forward_batch(fmb)
-        for i, frame in enumerate(fmb.frames()):
-            want = conv.forward(frame).data
-            np.testing.assert_array_equal(batched.data[i], want)
-            np.testing.assert_array_equal(offloaded.data[i], want)
+        want = conv.forward_batch_to_levels(conv.forward_batch_pre(fmb)).data
+        np.testing.assert_array_equal(batched.data, want)
+        np.testing.assert_array_equal(offloaded.data, want)
 
     def test_non_level_input_declines(self, rng):
         conv, pool_layer = _w1a3_pair(rng, 4, 5, 3, 8, 8, (2, 2))

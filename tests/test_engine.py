@@ -2,7 +2,7 @@
 
 The promise is *refactor without drift*: ``Network.forward*`` — the
 in-process ``PlanVM`` on the compiled program — must be bit-identical to
-the frozen pre-engine walk loops (``repro.engine.reference``) on
+the frozen pre-engine batched walk (``repro.engine.reference``) on
 everything — the full Tincy YOLO zoo network, backward-looking [route]
 topologies, and the FINN offload hybrid — while buffer liveness provably
 shrinks the working set and the FABRIC resource tag (not ``ltype`` string
@@ -17,7 +17,6 @@ from repro.core.tensor import FeatureMap, FeatureMapBatch
 from repro.engine import (
     INPUT,
     compile_plan,
-    legacy_forward_all,
     legacy_forward_batch_all,
 )
 from repro.finn.offload_backend import export_offload
@@ -69,9 +68,9 @@ class FakeFabricLayer(Layer):
     def _configure(self, in_shape):
         return in_shape
 
-    def forward(self, fm):
+    def forward_batch(self, fmb, history=None):
         self._require_initialized()
-        return FeatureMap(fm.data * 2.0, fm.scale)
+        return FeatureMapBatch(fmb.data * 2.0, fmb.scale)
 
 
 FAKE_FABRIC_CFG = """
@@ -231,7 +230,8 @@ class TestLegacyEquivalence:
         frames = _frames(rng, network.input_shape, 2)
         out = network.forward_batch(FeatureMapBatch.from_maps(frames))
         for index, frame in enumerate(frames):
-            legacy = legacy_forward_all(network, frame)[-1]
+            one = FeatureMapBatch.from_maps([frame])
+            legacy = legacy_forward_batch_all(network, one)[-1].frame(0)
             assert np.array_equal(out.frame(index).data, legacy.data)
             assert out.frame(index).scale == legacy.scale
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.tensor import FeatureMap
+from repro.core.tensor import FeatureMapBatch
 from repro.finn.accelerator import (
     DataflowAccelerator,
     IteratedAccelerator,
@@ -86,14 +86,14 @@ class TestCompileStages:
         level for level — the core FINN-correctness claim."""
         net = _trained_mini_net(rng)
         stages = compile_stages(net.layers, IN_SCALE, net.input_shape)
-        levels = rng.integers(0, 8, size=net.input_shape)
-        fabric_fm = FeatureMap(levels, scale=IN_SCALE)
+        levels = rng.integers(0, 8, size=(1,) + tuple(net.input_shape))
+        fabric_fm = FeatureMapBatch(levels, scale=IN_SCALE)
         for stage in stages:
-            fabric_fm = stage.forward(fabric_fm)
+            fabric_fm = stage.forward_batch_matmat(fabric_fm)
 
-        float_fm = FeatureMap(levels, scale=IN_SCALE)
+        float_fm = FeatureMapBatch(levels, scale=IN_SCALE)
         for layer in net.layers:
-            float_fm = layer.forward(float_fm)
+            float_fm = layer.forward_batch(float_fm)
         assert fabric_fm.scale == pytest.approx(float_fm.scale)
         assert np.array_equal(fabric_fm.data, np.asarray(float_fm.data))
 

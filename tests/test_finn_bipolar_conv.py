@@ -18,6 +18,7 @@ from repro.finn.dense import (
 from repro.finn.mvtu import MVTU, Folding
 from repro.nn.network import Network
 from repro.nn.zoo import cnv6_config
+from tests.batch_of_one import forward_frame
 
 
 def _randomize_bn(network, rng):
@@ -90,12 +91,12 @@ class TestCNV6OnFabric:
 
         # Float path: run the first (8-bit) conv, then everything else.
         x = FeatureMap(rng.uniform(size=(3, 32, 32)).astype(np.float32))
-        fm = network.layers[0].forward(x)          # conv1: relu output, float
+        fm = forward_frame(network.layers[0], x)          # conv1: relu output, float
         # Binarize conv1's output the FINN way before the W1A1 section.
         bipolar = np.where(fm.values() >= 0.5, 1.0, -1.0).astype(np.float32)
         float_fm = FeatureMap(bipolar)
         for layer in network.layers[1:-1]:          # up to the last connected
-            float_fm = layer.forward(float_fm)
+            float_fm = forward_frame(layer, float_fm)
 
         # Fabric path: compile each binary layer; pools act on level codes.
         from repro.core.ops import maxpool2d

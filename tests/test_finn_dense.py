@@ -19,6 +19,7 @@ from repro.finn.dense import (
 from repro.finn.mvtu import MVTU, Folding
 from repro.nn.config import Section
 from repro.nn.layers.connected import ConnectedLayer
+from tests.batch_of_one import forward_frame
 
 
 def _bn(rng, n):
@@ -207,7 +208,7 @@ class TestCompileDenseStage:
         layer = self._connected(rng)
         stage = compile_dense_stage(layer, Folding(2, 4))
         bipolar = rng.choice([-1.0, 1.0], size=(20, 1, 1)).astype(np.float32)
-        float_out = layer.forward(FeatureMap(bipolar))
+        float_out = forward_frame(layer, FeatureMap(bipolar))
         bits = ((bipolar + 1) / 2).astype(np.int64)
         fabric_out = stage.forward(FeatureMap(bits))
         # float path emits {-1,+1}; fabric emits {0,1}: same information.

@@ -99,10 +99,11 @@ class TestMVTUCycles:
 
 class TestMVTUConvLayer:
     def test_matches_quantized_conv_reference(self, rng):
-        """MVTU conv on level codes == float conv + BN + ReLU + 3-bit quant."""
+        """MVTU conv on level codes == float conv + BN + ReLU + 3-bit quant,
+        on both the band kernel and the matmat datapath."""
         from repro.core.ops import batchnorm_inference, conv2d, relu
         from repro.core.quantize import UnsignedUniformQuantizer
-        from repro.core.tensor import FeatureMap
+        from repro.core.tensor import FeatureMapBatch
 
         c_in, c_out, k = 8, 12, 3
         in_scale, out_scale = 1.0 / 7.0, 0.2
@@ -120,15 +121,43 @@ class TestMVTUConvLayer:
             mvtu, in_channels=c_in, ksize=k, stride=1, pad=1, out_scale=out_scale
         )
         levels = rng.integers(0, 8, size=(c_in, 9, 9))
-        got = layer.forward(FeatureMap(levels, scale=in_scale))
-        assert got.scale == out_scale
+        fmb = FeatureMapBatch(levels[np.newaxis], scale=in_scale)
+        kernel, matmat = layer.forward_batch(fmb), layer.forward_batch_matmat(fmb)
+        assert kernel.scale == matmat.scale == out_scale
 
         # Float reference in double precision.
         z = conv2d(levels.astype(np.float64) * in_scale, weights, None, 1, 1)
         z = batchnorm_inference(z, gamma, beta, mean, var, eps=1e-6)
         quant = UnsignedUniformQuantizer(bits=3, scale=out_scale)
         expected = quant.to_levels(relu(z))
-        assert np.array_equal(got.data, expected)
+        assert np.array_equal(kernel.frame(0).data, expected)
+        assert np.array_equal(matmat.frame(0).data, expected)
+
+    @pytest.mark.parametrize("pool", [None, (2, 2, 1)])
+    def test_matmat_frame_chunks_equal_one_call(self, rng, monkeypatch, pool):
+        """A batch past the column budget runs in frame chunks (one frame,
+        then two with a ragged last chunk) with the same bytes as one
+        call and as the band kernel."""
+        from repro.core.tensor import FeatureMapBatch
+        from repro.finn import mvtu as mvtu_module
+        from repro.finn.accelerator import PoolStage
+
+        mvtu, _ = _random_mvtu(rng, rows=16, cols=144)
+        layer = MVTUConvLayer(
+            mvtu, in_channels=16, ksize=3, stride=1, pad=1, out_scale=1.0 / 7
+        )
+        pool = pool and PoolStage(*pool)
+        fmb = FeatureMapBatch(rng.integers(0, 8, size=(5, 16, 7, 7)), 1.0 / 7)
+        whole = layer.forward_batch_matmat(fmb, pool)
+        assert whole.data.tobytes() == layer.forward_batch(fmb, pool).data.tobytes()
+        for frames_per_chunk in (1, 2):
+            monkeypatch.setattr(
+                mvtu_module, "_MATMAT_COL_BYTES", frames_per_chunk * 4 * 144 * 49
+            )
+            chunked = layer.forward_batch_matmat(fmb, pool)
+            assert chunked.data.dtype == whole.data.dtype == np.uint8
+            assert chunked.data.tobytes() == whole.data.tobytes()
+            assert chunked.scale == whole.scale
 
     def test_stride_two_geometry(self, rng):
         mvtu, _ = _random_mvtu(rng, rows=16, cols=27)

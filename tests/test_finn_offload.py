@@ -15,6 +15,7 @@ from repro.finn.mvtu import Folding
 from repro.finn.offload_backend import FabricBackend, export_offload
 from repro.nn.config import Section
 from repro.nn.network import Network
+from tests.batch_of_one import forward_frame
 
 FULL_CFG = """
 [net]
@@ -167,15 +168,17 @@ class TestExportRoundtrip:
         section = Section("offload", {"library": "fabric.so", "weights": binparam})
         backend.init(section, full.layers[0].out_shape)
         with pytest.raises(ValueError, match="scale"):
-            backend.forward(
-                FeatureMap(np.zeros(full.layers[0].out_shape, dtype=np.int32), 0.9)
+            forward_frame(
+                backend,
+                FeatureMap(np.zeros(full.layers[0].out_shape, dtype=np.int32), 0.9),
             )
         with pytest.raises(ValueError, match="integer level codes"):
-            backend.forward(
+            forward_frame(
+                backend,
                 FeatureMap(
                     np.zeros(full.layers[0].out_shape, dtype=np.float32),
                     full.layers[0].out_quant.scale,
-                )
+                ),
             )
 
     @pytest.mark.parametrize("batch", [0, 1, 3])

@@ -8,6 +8,7 @@ from repro.nn.config import Section
 from repro.nn.fold_bn import fold_batchnorm_conv, fold_network_batchnorms
 from repro.nn.layers.convolutional import ConvolutionalLayer
 from repro.nn.network import Network
+from tests.batch_of_one import forward_frame
 
 
 def make_bn_conv(rng, filters=6, **extra):
@@ -36,7 +37,9 @@ class TestFoldConv:
         folded = fold_batchnorm_conv(layer)
         x = FeatureMap(rng.normal(size=(3, 10, 10)).astype(np.float32))
         assert np.allclose(
-            folded.forward(x).data, layer.forward(x).data, atol=1e-4
+            forward_frame(folded, x).data,
+            forward_frame(layer, x).data,
+            atol=1e-4,
         )
         assert not folded.batch_normalize
 
@@ -45,7 +48,7 @@ class TestFoldConv:
         layer = make_bn_conv(rng, activation="relu", activation_bits=3)
         folded = fold_batchnorm_conv(layer)
         x = FeatureMap(rng.normal(size=(3, 10, 10)).astype(np.float32))
-        a, b = layer.forward(x), folded.forward(x)
+        a, b = forward_frame(layer, x), forward_frame(folded, x)
         assert np.array_equal(a.data, b.data)
         assert a.scale == b.scale
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.tensor import FeatureMap
+from repro.core.tensor import FeatureMap, FeatureMapBatch
 from repro.isa import (
     FORMAT_VERSION,
     PlanCache,
@@ -280,6 +280,6 @@ class TestServerColdStart:
             rng.normal(size=mlp4.input_shape).astype(np.float32)
         )
         mlp4.forward(frame)
-        mlp4.forward_all(frame)
+        mlp4.forward_batch_all(FeatureMapBatch.from_maps([frame]))
         InferenceServer(mlp4, ServeConfig())
         assert calls == []

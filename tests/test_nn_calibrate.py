@@ -92,6 +92,23 @@ class TestCalibration:
                 scale
             )
 
+    @pytest.mark.parametrize(
+        "gain, written",
+        [
+            (1.0, ["0.19624173641204834", "1.0750751495361328", None]),
+            (4.0, ["0.7791171073913574", "8.650841304234095", None]),
+        ],
+    )
+    def test_written_scales_are_pinned(self, gain, written):
+        """The exact ``activation_scale`` strings a seeded network
+        calibrates to (pinned when calibration recomputed conv + BN/bias +
+        activation itself; observing through the layer's own
+        ``forward_batch_pre`` must not move a digit)."""
+        network = _network(np.random.default_rng(11), activation_gain=gain)
+        calibrate_activation_scales(network, _samples(np.random.default_rng(12), 3))
+        options = [layer.section.options for layer in network.layers]
+        assert [o.get("activation_scale") for o in options] == written
+
     def test_only_quantized_layers_touched(self, rng):
         network = _network(rng)
         scales = calibrate_activation_scales(network, _samples(rng, 2))

@@ -11,6 +11,7 @@ from repro.nn.layers.connected import ConnectedLayer
 from repro.nn.layers.convolutional import ConvolutionalLayer
 from repro.nn.layers.maxpool import MaxpoolLayer
 from repro.nn.layers.region import RegionLayer
+from tests.batch_of_one import forward_frame
 
 
 def make_conv(**options):
@@ -30,7 +31,9 @@ class TestConvLifecycle:
     def test_forward_before_init_fails(self, rng):
         layer = make_conv()
         with pytest.raises(RuntimeError, match="before init"):
-            layer.forward(FeatureMap(rng.normal(size=(3, 8, 8)).astype(np.float32)))
+            forward_frame(
+                layer, FeatureMap(rng.normal(size=(3, 8, 8)).astype(np.float32))
+            )
 
     def test_geometry(self):
         layer = make_conv(filters=16, stride=2)
@@ -68,7 +71,7 @@ class TestConvForward:
         layer.initialize(rng)
         layer.biases = rng.normal(size=4).astype(np.float32)
         x = rng.normal(size=(3, 8, 8)).astype(np.float32)
-        got = layer.forward(FeatureMap(x)).data
+        got = forward_frame(layer, FeatureMap(x)).data
         expected = conv2d(x, layer.weights, layer.biases, 1, 1)
         assert np.allclose(got, expected, atol=1e-5)
 
@@ -84,7 +87,8 @@ class TestConvForward:
         layer = make_conv(activation="relu", activation_bits=3)
         layer.init((3, 6, 6))
         layer.initialize(rng)
-        out = layer.forward(FeatureMap(rng.normal(size=(3, 6, 6)).astype(np.float32)))
+        x = rng.normal(size=(3, 6, 6)).astype(np.float32)
+        out = forward_frame(layer, FeatureMap(x))
         assert out.scale == pytest.approx(1.0 / 7.0)
         assert out.data.min() >= 0 and out.data.max() <= 7
         assert np.issubdtype(out.data.dtype, np.integer)
@@ -102,7 +106,7 @@ class TestConvForward:
         from repro.core.ops import conv2d
 
         raw = conv2d(x, layer.weights, None, 1, 1)
-        got = layer.forward(FeatureMap(x)).data
+        got = forward_frame(layer, FeatureMap(x)).data
         assert np.allclose(got, 2.0 * raw / np.sqrt(1 + 1e-6) + 1.5, atol=1e-4)
 
     def test_quantized_input_accepted_via_scale(self, rng):
@@ -110,9 +114,9 @@ class TestConvForward:
         layer.init((2, 4, 4))
         layer.initialize(rng)
         levels = rng.integers(0, 8, size=(2, 4, 4))
-        out_scaled = layer.forward(FeatureMap(levels, scale=0.25)).data
-        out_plain = layer.forward(
-            FeatureMap((levels * 0.25).astype(np.float32))
+        out_scaled = forward_frame(layer, FeatureMap(levels, scale=0.25)).data
+        out_plain = forward_frame(
+            layer, FeatureMap((levels * 0.25).astype(np.float32))
         ).data
         assert np.allclose(out_scaled, out_plain, atol=1e-5)
 
@@ -140,7 +144,7 @@ class TestMaxpoolLayer:
         pool = MaxpoolLayer(Section("maxpool", {"size": "2", "stride": "2"}))
         pool.init((2, 4, 4))
         fm = FeatureMap(rng.integers(0, 8, size=(2, 4, 4)), scale=1.0 / 7.0)
-        out = pool.forward(fm)
+        out = forward_frame(pool, fm)
         assert out.scale == fm.scale
 
 
@@ -153,7 +157,7 @@ class TestConnectedLayer:
         layer.initialize(rng)
         layer.biases = rng.normal(size=5).astype(np.float32)
         x = rng.normal(size=(2, 3, 3)).astype(np.float32)
-        got = layer.forward(FeatureMap(x)).data.ravel()
+        got = forward_frame(layer, FeatureMap(x)).data.ravel()
         assert np.allclose(got, layer.weights @ x.ravel() + layer.biases, atol=1e-5)
 
     def test_workload(self):
@@ -167,7 +171,8 @@ class TestConnectedLayer:
         )
         layer.init((1, 2, 2))
         layer.initialize(rng)
-        out = layer.forward(FeatureMap(rng.normal(size=(1, 2, 2)).astype(np.float32)))
+        x = rng.normal(size=(1, 2, 2)).astype(np.float32)
+        out = forward_frame(layer, FeatureMap(x))
         assert set(np.unique(out.data)) <= {-1.0, 1.0}
 
 
@@ -185,7 +190,7 @@ class TestRegionLayer:
     def test_forward_probability_structure(self, rng):
         layer = self._layer()
         fm = FeatureMap(rng.normal(size=(125, 13, 13)).astype(np.float32))
-        out = layer.forward(fm).data.reshape(5, 25, 13, 13)
+        out = forward_frame(layer, fm).data.reshape(5, 25, 13, 13)
         # x, y, objectness squashed into (0, 1)
         assert np.all((out[:, 0] > 0) & (out[:, 0] < 1))
         assert np.all((out[:, 4] > 0) & (out[:, 4] < 1))
@@ -202,7 +207,7 @@ class TestRegionLayer:
         raw[1, 6, 6] = 0.0
         raw[2, 6, 6] = 0.0    # tw -> exp = 1
         raw[3, 6, 6] = 0.0
-        out = layer.forward(FeatureMap(raw))
+        out = forward_frame(layer, FeatureMap(raw))
         dets = layer.detections(out, threshold=0.5)
         assert len(dets) == 1
         det = dets[0]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.tensor import FeatureMap
+from repro.core.tensor import FeatureMap, FeatureMapBatch
 from repro.nn.network import Network
 from repro.nn.registry import register_backend, unregister_backend
 from repro.nn.weights import load_weights, save_weights
@@ -69,9 +69,9 @@ class TestBuild:
         net = Network.from_cfg(SMALL_CFG)
         net.initialize(rng)
         x = FeatureMap(rng.normal(size=(3, 16, 16)).astype(np.float32))
-        outputs = net.forward_all(x)
+        outputs = net.forward_batch_all(FeatureMapBatch.from_maps([x]))
         assert len(outputs) == 3
-        assert np.array_equal(outputs[-1].data, net.forward(x).data)
+        assert np.array_equal(outputs[-1].frame(0).data, net.forward(x).data)
 
 
 class TestWeightsFile:
@@ -121,9 +121,9 @@ class _DoublerBackend:
     def load_weights(self):
         self.loaded = True
 
-    def forward(self, fm):
-        data = fm.data[:, ::2, ::2] * 2
-        return FeatureMap(data, scale=fm.scale)
+    def forward_batch(self, fmb):
+        data = fmb.data[:, :, ::2, ::2] * 2
+        return FeatureMapBatch(data, scale=fmb.scale)
 
     def destroy(self):
         self.destroyed = True

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.tensor import FeatureMap
+from repro.core.tensor import FeatureMap, FeatureMapBatch
 from repro.nn.network import Network
 from repro.nn.zoo import tiny_yolo_config, yolov2_config
+from tests.batch_of_one import forward_frame
 
 ROUTE_CFG = """
 [net]
@@ -45,12 +46,12 @@ class TestRouteLayer:
         net.initialize(rng)
         route = net.layers[2]
         assert route.out_shape == (7, 8, 8)
-        outputs = net.forward_all(
-            FeatureMap(rng.normal(size=(2, 8, 8)).astype(np.float32))
+        outputs = net.forward_batch_all(
+            FeatureMapBatch(rng.normal(size=(1, 2, 8, 8)).astype(np.float32))
         )
-        concat = outputs[2].data
-        assert np.array_equal(concat[:4], outputs[1].data)
-        assert np.array_equal(concat[4:], outputs[0].data)
+        concat = outputs[2].frame(0).data
+        assert np.array_equal(concat[:4], outputs[1].frame(0).data)
+        assert np.array_equal(concat[4:], outputs[0].frame(0).data)
 
     def test_forward_shape(self, rng):
         net = Network.from_cfg(ROUTE_CFG)
@@ -79,7 +80,7 @@ class TestRouteLayer:
     def test_requires_history(self, rng):
         net = Network.from_cfg(ROUTE_CFG)
         with pytest.raises(ValueError, match="history"):
-            net.layers[2].forward(FeatureMap(np.zeros((4, 8, 8), np.float32)))
+            forward_frame(net.layers[2], FeatureMap(np.zeros((4, 8, 8), np.float32)))
 
 
 REORG_CFG = """
@@ -124,7 +125,7 @@ class TestReorgLayer:
     def test_scale_passthrough(self, rng):
         net = Network.from_cfg(REORG_CFG)
         fm = FeatureMap(rng.integers(0, 8, size=(3, 8, 8)), scale=1.0 / 7)
-        assert net.layers[0].forward(fm).scale == 1.0 / 7
+        assert forward_frame(net.layers[0], fm).scale == 1.0 / 7
 
 
 class TestYoloV2:

@@ -10,6 +10,7 @@ from repro.core.thresholds import derive_thresholds
 from repro.eval.boxes import Box, Detection, nms
 from repro.finn.mvtu import MVTU, Folding, MVTUConvLayer
 from repro.video.letterbox import letterbox
+from tests.batch_of_one import forward_frame
 
 
 class TestFoldingInvariance:
@@ -176,7 +177,7 @@ class TestQuantizedInferenceProperties:
             in_channels=c_in, ksize=3, stride=1, pad=1, out_scale=1.0 / 7,
         )
         levels = rng.integers(0, 8, size=(c_in, 6, 6))
-        out = layer.forward(FeatureMap(levels, scale=1.0 / 7))
+        out = forward_frame(layer, FeatureMap(levels, scale=1.0 / 7))
         assert out.data.min() >= 0
         assert out.data.max() <= (1 << bits) - 1
 

@@ -7,6 +7,7 @@ from repro.core.tensor import FeatureMap
 from repro.nn.config import Section
 from repro.nn.layers.convolutional import ConvolutionalLayer
 from repro.train.layers import QConv2d
+from tests.batch_of_one import forward_frame
 
 
 def make_conv(**options):
@@ -53,7 +54,7 @@ class TestTernaryConvLayer:
         layer.init((2, 5, 5))
         layer.initialize(rng)
         x = rng.normal(size=(2, 5, 5)).astype(np.float32)
-        out = layer.forward(FeatureMap(x)).data
+        out = forward_frame(layer, FeatureMap(x)).data
         from repro.core.ops import conv2d
 
         expected = conv2d(x, layer.effective_weights(), layer.biases, 1, 1)
@@ -66,13 +67,13 @@ class TestTernaryConvLayer:
         float_layer.init((4, 12, 12))
         float_layer.initialize(rng)
         x = rng.normal(size=(4, 12, 12)).astype(np.float32)
-        reference = float_layer.forward(FeatureMap(x)).data
+        reference = forward_frame(float_layer, FeatureMap(x)).data
 
         def correlation(flag):
             layer = make_conv(**{flag: 1})
             layer.init((4, 12, 12))
             layer.weights = float_layer.weights.copy()
-            out = layer.forward(FeatureMap(x)).data
+            out = forward_frame(layer, FeatureMap(x)).data
             a, b = out.ravel(), reference.ravel()
             return float(np.corrcoef(a, b)[0, 1])
 

@@ -26,7 +26,7 @@ from repro.core.ops import (
     sign_codes,
 )
 from repro.core.tensor import FeatureMap, FeatureMapBatch
-from repro.engine.reference import legacy_forward_all, legacy_forward_batch_all
+from repro.engine.reference import legacy_forward_batch_all
 from repro.isa import PlanVM, compile_network, decode, encode
 from repro.nn.config import Section
 from repro.nn.layers import connected as connected_module
@@ -35,6 +35,7 @@ from repro.nn.layers.connected import ConnectedLayer
 from repro.nn.layers.convolutional import BN_EPS, ConvolutionalLayer
 from repro.nn.network import Network
 from repro.nn.zoo import cnv6_config, mlp4_config
+from tests.batch_of_one import forward_frame
 
 FIXED = dict(deadline=None, derandomize=True)
 
@@ -146,8 +147,8 @@ class TestSignEpilogue:
                 batched = layer.forward_batch(x)
             frames = []
             for i in range(n):
-                with _gemm_returning(conv_module, "conv2d", z[i]):
-                    frames.append(layer.forward(x.frame(i)))
+                with _gemm_returning(conv_module, "conv2d_batch", z[i : i + 1]):
+                    frames.append(forward_frame(layer, x.frame(i)))
         assert batched.data.dtype == np.int8 and batched.scale == 1.0
         assert batched.values().tobytes() == expected.tobytes()
         for i, frame in enumerate(frames):
@@ -181,8 +182,10 @@ class TestSignEpilogue:
                 batched = layer.forward_batch(x)
             frames = []
             for i in range(n):
-                with _gemm_returning(connected_module, "fully_connected", z[i]):
-                    frames.append(layer.forward(x.frame(i)))
+                with _gemm_returning(
+                    connected_module, "fully_connected_batch", z[i : i + 1]
+                ):
+                    frames.append(forward_frame(layer, x.frame(i)))
         assert batched.data.dtype == np.int8 and batched.scale == 1.0
         assert batched.values().tobytes() == expected.tobytes()
         for i, frame in enumerate(frames):
@@ -353,7 +356,7 @@ class TestExactGemm:
         big = rng.integers(-3, 4, size=(3, 64, 3, 3)).astype(np.int16)
         out = deep.forward_batch(FeatureMapBatch(big))
         assert spy.shapes == [((4, 576), (3, 576, 1))]
-        alone = [deep.forward(FeatureMap(big[i])).data for i in range(3)]
+        alone = [forward_frame(deep, FeatureMap(big[i])).data for i in range(3)]
         assert np.array_equal(out.data, np.stack(alone))
 
     def test_connected_layer_loops_unless_the_codes_are_integers(
@@ -447,8 +450,16 @@ class TestPinnedEndToEnd:
         assert _digest(reference[-1:]) == final
         assert reference[-1].data.dtype == np.float32
 
-        # batch 1 x 8 through the single-frame walk: same stored codes
-        alone = _stack(legacy_forward_all(network, x.frame(i)) for i in range(8))
+        # eight batches of one through the same walk: same stored codes
+        alone = _stack(
+            [
+                out.frame(0)
+                for out in legacy_forward_batch_all(
+                    network, FeatureMapBatch(x.data[i : i + 1], x.scale)
+                )
+            ]
+            for i in range(8)
+        )
         assert _digest(alone) == all_layers
         for one, many in zip(alone, reference):
             assert one.data.dtype == many.data.dtype
